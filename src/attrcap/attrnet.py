@@ -29,6 +29,7 @@ from .nncore import (
     adam_step,
     affine_backward,
     affine_forward,
+    batch_slices,
     batchnorm_backward,
     batchnorm_forward,
     dropout_backward,
@@ -249,17 +250,6 @@ class AttrNet:
         return net
 
 
-def _batch_slices(n, batch_size):
-    """Contiguous batch index ranges; a trailing singleton is merged into
-    the previous batch so batch normalization always sees at least two rows."""
-    if batch_size < 1:
-        raise ParameterError(f"batch size must be positive, got {batch_size}")
-    bounds = list(range(0, n, batch_size)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def train_attrnet(x, y, net_config, train_config):
     """Train an attribute predictor; returns ``(net, epoch_losses)``.
 
@@ -288,7 +278,7 @@ def train_attrnet(x, y, net_config, train_config):
         epoch_rng = root.split(epoch + 1)
         order = epoch_rng.permutation(m)
         total = 0.0
-        for start, stop in _batch_slices(m, train_config.batch_size):
+        for start, stop in batch_slices(m, train_config.batch_size, min_size=2):
             batch = order[start:stop]
             loss, grads = net.loss(x[batch], y[batch], mode="train", rng=epoch_rng)
             net.params = adam_step(net.params, grads, adam)

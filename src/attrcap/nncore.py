@@ -28,6 +28,7 @@ __all__ = [
     "adam_step",
     "affine_backward",
     "affine_forward",
+    "batch_slices",
     "batchnorm_backward",
     "batchnorm_forward",
     "clip_gradients",
@@ -363,6 +364,20 @@ def adam_step(params, grads, state):
             np.sqrt(v_hat) + state.eps
         )
     return updated
+
+
+def batch_slices(n, batch_size, min_size=1):
+    """Contiguous ``(start, stop)`` ranges covering ``range(n)``.
+
+    A trailing batch shorter than ``min_size`` is merged into the one
+    before it (batch normalization, for one, needs two rows).
+    """
+    if batch_size < 1:
+        raise ParameterError(f"batch size must be positive, got {batch_size}")
+    bounds = list(range(0, n, batch_size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] < min_size:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def global_norm(grads):

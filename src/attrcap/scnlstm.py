@@ -13,9 +13,11 @@ vocabulary size:
 
 * inputs are rows: ``x`` is (B, E), ``h``/``c`` are (B, H), the
   attribute vector ``d`` is (B, A);
-* per gate ``g`` in ``i, f, o, c`` the parameters are ``Wga`` (H, F),
-  ``Wgb`` (F, A), ``Wgc`` (F, E), ``Uga`` (H, F), ``Ugb`` (F, A),
-  ``Ugc`` (F, H) and the bias ``bg`` (H,);
+* the gates are stacked in the order ``i, f, o, c``: ``Wa`` and ``Ua``
+  are (4, H, F), one slab per gate; ``Wb``, ``Ub`` (4F, A), ``Wc``
+  (4F, E) and ``Uc`` (4F, H) hold F rows per gate; the bias ``b`` is
+  (4H,). The attribute terms ``d @ Wb.T`` and ``d @ Ub.T`` are fixed
+  over a caption, so callers compute them once per caption;
 * the image feature enters once: ``z = feature @ Cv.T`` is added to all
   four gate preactivations at the first step only;
 * gates ``i, f, o`` are logistic; the cell candidate uses tanh.
@@ -40,6 +42,7 @@ from .nncore import (
     ParameterError,
     Rng,
     adam_step,
+    batch_slices,
     clip_gradients,
     dropout_backward,
     dropout_forward,
@@ -70,7 +73,9 @@ BOS_ID = 0
 EOS_ID = 1
 UNK_ID = 2
 _SPECIALS = ("<bos>", "<eos>", "<unk>")
-_GATES = ("i", "f", "o", "c")
+# Captions per teacher-forced pass when only scoring: bounds the
+# (tokens, V) softmax buffer on large validation sets.
+_SCORING_BATCH = 64
 
 
 @dataclass
@@ -169,9 +174,26 @@ class CaptionTrainConfig:
     seed: int = 0
 
 
-def _log_softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _param_shapes(config):
+    """Name and shape of every decoder tensor."""
+    h, f = config.hidden_dim, config.factor_dim
+    e, a, v = config.embed_dim, config.n_words, config.vocab_size
+    return {
+        "Wa": (4, h, f), "Wb": (4 * f, a), "Wc": (4 * f, e),
+        "Ua": (4, h, f), "Ub": (4 * f, a), "Uc": (4 * f, h),
+        "b": (4 * h,), "Cv": (h, config.feature_dim),
+        "embed": (v, e), "Wout": (v, h), "bout": (v,),
+    }
+
+
+def _per_gate(rows):
+    """(B, 4F) factor rows as a (4, B, F) view, one slab per gate."""
+    return rows.reshape(len(rows), 4, -1).swapaxes(0, 1)
+
+
+def _gate_rows(slabs):
+    """Inverse of :func:`_per_gate`: (4, B, F) slabs to (B, 4F) rows."""
+    return slabs.swapaxes(0, 1).reshape(slabs.shape[1], -1)
 
 
 class ScnLstm:
@@ -179,38 +201,58 @@ class ScnLstm:
 
     def __init__(self, config, seed=0, params=None, embeddings=None):
         self.config = config
+        shapes = _param_shapes(config)
         if params is None:
             root = Rng(seed)
             h, f = config.hidden_dim, config.factor_dim
             e, a = config.embed_dim, config.n_words
-            v = config.vocab_size
-            params = {}
-            for slot, gate in enumerate(_GATES):
-                gate_rng = root.split(slot + 1)
-                params[f"W{gate}a"] = xavier_init(h, f, gate_rng.split(0))
-                params[f"W{gate}b"] = xavier_init(f, a, gate_rng.split(1))
-                params[f"W{gate}c"] = xavier_init(f, e, gate_rng.split(2))
-                params[f"U{gate}a"] = xavier_init(h, f, gate_rng.split(3))
-                params[f"U{gate}b"] = xavier_init(f, a, gate_rng.split(4))
-                params[f"U{gate}c"] = xavier_init(f, h, gate_rng.split(5))
-                params[f"b{gate}"] = np.zeros(h, dtype=np.float64)
-            params["Cv"] = xavier_init(h, config.feature_dim, root.split(5))
-            params["embed"] = xavier_init(v, e, root.split(6))
-            params["Wout"] = xavier_init(v, h, root.split(7))
-            params["bout"] = np.zeros(v, dtype=np.float64)
+            gate_rngs = [root.split(slot + 1) for slot in range(4)]
+
+            def stacked(rows, cols, stream, join):
+                return join([xavier_init(rows, cols, g.split(stream)) for g in gate_rngs])
+
+            params = {
+                "Wa": stacked(h, f, 0, np.stack),
+                "Wb": stacked(f, a, 1, np.concatenate),
+                "Wc": stacked(f, e, 2, np.concatenate),
+                "Ua": stacked(h, f, 3, np.stack),
+                "Ub": stacked(f, a, 4, np.concatenate),
+                "Uc": stacked(f, h, 5, np.concatenate),
+                "b": np.zeros(4 * h, dtype=np.float64),
+                "Cv": xavier_init(h, config.feature_dim, root.split(5)),
+                "embed": xavier_init(*shapes["embed"], root.split(6)),
+                "Wout": xavier_init(*shapes["Wout"], root.split(7)),
+                "bout": np.zeros(config.vocab_size, dtype=np.float64),
+            }
             if embeddings is not None:
                 embeddings = np.asarray(embeddings, dtype=np.float64)
-                if embeddings.shape != (v, e):
+                if embeddings.shape != shapes["embed"]:
                     raise DimensionError(
                         f"pretrained embeddings have shape {embeddings.shape}, "
-                        f"expected {(v, e)}"
+                        f"expected {shapes['embed']}"
                     )
                 params["embed"] = embeddings.copy()
+        else:
+            misfits = sorted(set(shapes).symmetric_difference(params) | {
+                name for name in set(shapes) & set(params)
+                if np.shape(params[name]) != shapes[name]})
+            if misfits:
+                raise DimensionError(
+                    "decoder tensors missing, unknown or misshapen for the "
+                    f"stacked-gate layout: {', '.join(misfits)}"
+                )
         self.params = params
 
     # -- one step -------------------------------------------------------------
 
-    def cell_forward(self, x, h_prev, c_prev, d, z=None, params=None):
+    def attribute_terms(self, d, params=None):
+        """``(d @ Wb.T, d @ Ub.T)``: the attribute side of every gate's
+        factors, fixed over a caption, so callers compute it once."""
+        p = self.params if params is None else params
+        return d @ p["Wb"].T, d @ p["Ub"].T
+
+    def cell_forward(self, x, h_prev, c_prev, d, z=None, params=None,
+                     d_terms=None):
         """One decoder step; returns ``(h, c, cache)``.
 
         Args:
@@ -219,28 +261,28 @@ class ScnLstm:
             d: (B, A) attribute vectors.
             z: optional (B, H) image term, added to every gate's
                 preactivation (first step only in sequence use).
+            d_terms: optional :meth:`attribute_terms` of ``d``, either
+                row-aligned with ``x`` or a single row shared by all.
         """
         p = self.params if params is None else params
-        gates = {}
-        for gate in _GATES:
-            a1 = d @ p[f"W{gate}b"].T
-            a2 = x @ p[f"W{gate}c"].T
-            x_fact = a1 * a2
-            b1 = d @ p[f"U{gate}b"].T
-            b2 = h_prev @ p[f"U{gate}c"].T
-            h_fact = b1 * b2
-            pre = x_fact @ p[f"W{gate}a"].T + h_fact @ p[f"U{gate}a"].T + p[f"b{gate}"]
-            if z is not None:
-                pre = pre + z
-            gates[gate] = (a1, a2, x_fact, b1, b2, h_fact, pre)
-        i = sigmoid(gates["i"][6])
-        f = sigmoid(gates["f"][6])
-        o = sigmoid(gates["o"][6])
-        cand = np.tanh(gates["c"][6])
+        a1, b1 = self.attribute_terms(d, p) if d_terms is None else d_terms
+        a2 = x @ p["Wc"].T
+        b2 = h_prev @ p["Uc"].T
+        x_fact = a1 * a2
+        h_fact = b1 * b2
+        # (4, B, H): one slab of preactivations per gate i, f, o, c.
+        pre = (_per_gate(x_fact) @ p["Wa"].swapaxes(1, 2)
+               + _per_gate(h_fact) @ p["Ua"].swapaxes(1, 2))
+        pre += p["b"].reshape(4, 1, -1)
+        if z is not None:
+            pre += z
+        i, f, o = sigmoid(pre[:3])
+        cand = np.tanh(pre[3])
         c = i * cand + f * c_prev
         tanh_c = np.tanh(c)
         h = o * tanh_c
-        cache = (x, h_prev, c_prev, d, gates, (i, f, o, cand), tanh_c, z is not None)
+        cache = (x, h_prev, c_prev, d, (a1, a2, b1, b2, x_fact, h_fact),
+                 (i, f, o, cand), tanh_c, z is not None)
         return h, c, cache
 
     def cell_backward(self, dh, dc_in, cache, grads, params=None):
@@ -250,111 +292,119 @@ class ScnLstm:
         unless the forward step received an image term.
         """
         p = self.params if params is None else params
-        x, h_prev, c_prev, d, gates, (i, f, o, cand), tanh_c, has_z = cache
+        x, h_prev, c_prev, d, factors, (i, f, o, cand), tanh_c, has_z = cache
+        a1, a2, b1, b2, x_fact, h_fact = factors
         do = dh * tanh_c
         dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c)
-        dpre = {
-            "i": dc * cand * i * (1.0 - i),
-            "f": dc * c_prev * f * (1.0 - f),
-            "o": do * o * (1.0 - o),
-            "c": dc * i * (1.0 - cand * cand),
-        }
-        dc_prev = dc * f
-        dx = np.zeros_like(x)
-        dh_prev = np.zeros_like(h_prev)
-        dd = np.zeros_like(d)
-        dz = np.zeros_like(dh) if has_z else None
-        for gate in _GATES:
-            a1, a2, x_fact, b1, b2, h_fact, _ = gates[gate]
-            dpre_g = dpre[gate]
-            grads[f"W{gate}a"] += dpre_g.T @ x_fact
-            grads[f"U{gate}a"] += dpre_g.T @ h_fact
-            grads[f"b{gate}"] += dpre_g.sum(axis=0)
-            dx_fact = dpre_g @ p[f"W{gate}a"]
-            dh_fact = dpre_g @ p[f"U{gate}a"]
-            da1 = dx_fact * a2
-            da2 = dx_fact * a1
-            db1 = dh_fact * b2
-            db2 = dh_fact * b1
-            grads[f"W{gate}b"] += da1.T @ d
-            grads[f"W{gate}c"] += da2.T @ x
-            grads[f"U{gate}b"] += db1.T @ d
-            grads[f"U{gate}c"] += db2.T @ h_prev
-            dd += da1 @ p[f"W{gate}b"] + db1 @ p[f"U{gate}b"]
-            dx += da2 @ p[f"W{gate}c"]
-            dh_prev += db2 @ p[f"U{gate}c"]
-            if has_z:
-                dz += dpre_g
-        return dx, dh_prev, dc_prev, dd, dz
+        dpre = np.stack([
+            dc * cand * i * (1.0 - i),
+            dc * c_prev * f * (1.0 - f),
+            do * o * (1.0 - o),
+            dc * i * (1.0 - cand * cand),
+        ])
+        dpre_t = dpre.swapaxes(1, 2)
+        grads["Wa"] += dpre_t @ _per_gate(x_fact)
+        grads["Ua"] += dpre_t @ _per_gate(h_fact)
+        grads["b"] += dpre.sum(axis=1).reshape(-1)
+        dx_fact = _gate_rows(dpre @ p["Wa"])
+        dh_fact = _gate_rows(dpre @ p["Ua"])
+        da1 = dx_fact * a2
+        da2 = dx_fact * a1
+        db1 = dh_fact * b2
+        db2 = dh_fact * b1
+        grads["Wb"] += da1.T @ d
+        grads["Wc"] += da2.T @ x
+        grads["Ub"] += db1.T @ d
+        grads["Uc"] += db2.T @ h_prev
+        dd = da1 @ p["Wb"] + db1 @ p["Ub"]
+        dx = da2 @ p["Wc"]
+        dh_prev = db2 @ p["Uc"]
+        dz = dpre.sum(axis=0) if has_z else None
+        return dx, dh_prev, dc * f, dd, dz
 
-    # -- sequences ------------------------------------------------------------
+    # -- teacher forcing ------------------------------------------------------
 
     def _check_sequence(self, ids):
         ids = list(ids)
-        if len(ids) < 2 or ids[0] != BOS_ID or ids[-1] != EOS_ID:
-            raise DimensionError(
-                "token sequences must run from BOS to EOS with at least one step"
-            )
-        if any(t in (BOS_ID, EOS_ID) for t in ids[1:-1]):
-            raise DimensionError(
-                "token sequences must not contain interior BOS/EOS tokens"
-            )
+        CaptionSequence(tokens=tuple(ids), log_prob=0.0)  # BOS ... EOS
         v = self.config.vocab_size
         if any(not 0 <= t < v for t in ids):
             raise DimensionError(f"token id out of range for vocabulary size {v}")
         return ids
 
-    def _sequence_forward(self, ids, feature, d, mode, rng, params):
-        p = self.params if params is None else params
-        ids = self._check_sequence(ids)
-        feature = np.asarray(feature, dtype=np.float64).reshape(1, -1)
-        d = np.asarray(d, dtype=np.float64).reshape(1, -1)
-        h = np.zeros((1, self.config.hidden_dim), dtype=np.float64)
+    def _forward(self, samples, mode, rng, p):
+        """Teacher-forced pass over a batch of ``(feature, d, ids)``.
+
+        Captions run longest first (a stable sort), so the ``n_t``
+        captions still running at step ``t`` are the leading rows and
+        each step is one cell call. The hidden rows of all steps then go
+        through the output layer together. Returns ``(nll, n_tokens,
+        cache)``; the cache holds the (n_tokens, V) softmax.
+        """
+        seqs = [self._check_sequence(ids) for _, _, ids in samples]
+        order = sorted(range(len(seqs)), key=lambda j: -len(seqs[j]))
+        lengths = np.array([len(seqs[j]) - 1 for j in order])
+        running = [int(np.sum(lengths >= t)) for t in range(1, lengths[0] + 1)]
+        tokens = np.full((len(seqs), lengths[0] + 1), EOS_ID, dtype=np.int64)
+        for row, j in enumerate(order):
+            tokens[row, :len(seqs[j])] = seqs[j]
+        feature = np.array([np.ravel(samples[j][0]) for j in order], dtype=np.float64)
+        d = np.array([np.ravel(samples[j][1]) for j in order], dtype=np.float64)
+        a1, b1 = self.attribute_terms(d, p)
+        h = np.zeros((len(seqs), self.config.hidden_dim), dtype=np.float64)
         c = np.zeros_like(h)
         z = feature @ p["Cv"].T
-        nll = 0.0
-        steps = []
-        for t in range(1, len(ids)):
-            x = p["embed"][ids[t - 1]].reshape(1, -1)
+        steps, h_rows = [], []
+        for t, n in enumerate(running, start=1):
             h, c, cell_cache = self.cell_forward(
-                x, h, c, d, z=z if t == 1 else None, params=p
+                p["embed"][tokens[:n, t - 1]], h[:n], c[:n], d[:n],
+                z=z if t == 1 else None, params=p, d_terms=(a1[:n], b1[:n]),
             )
-            h_drop, drop_cache = dropout_forward(
-                h, self.config.dropout, mode, rng
-            )
-            logits = h_drop @ p["Wout"].T + p["bout"]
-            log_probs = _log_softmax(logits)
-            nll -= float(log_probs[0, ids[t]])
-            steps.append((cell_cache, drop_cache, h_drop, log_probs))
-        return nll, (ids, feature, d, steps)
+            h_drop, drop_cache = dropout_forward(h, self.config.dropout, mode, rng)
+            steps.append((cell_cache, drop_cache))
+            h_rows.append(h_drop)
+        h_rows = np.concatenate(h_rows)
+        targets = np.concatenate([tokens[:n, t] for t, n in enumerate(running, start=1)])
+        # Log-softmax in place: ``probs`` is the only (n_tokens, V) buffer.
+        probs = h_rows @ p["Wout"].T
+        probs += p["bout"]
+        probs -= probs.max(axis=1, keepdims=True)
+        target_logits = probs[np.arange(len(targets)), targets]
+        np.exp(probs, out=probs)
+        totals = probs.sum(axis=1)
+        nll = float(np.sum(np.log(totals) - target_logits))
+        probs /= totals[:, None]
+        cache = (tokens, running, feature, steps, h_rows, targets, probs)
+        return nll, len(targets), cache
 
-    def _sequence_backward(self, cache, grads, params):
-        p = self.params if params is None else params
-        ids, feature, d, steps = cache
-        dh_next = np.zeros((1, self.config.hidden_dim), dtype=np.float64)
+    def _backward(self, cache, grads, p):
+        """Gradients of the summed NLL of a :meth:`_forward` pass,
+        accumulated into zero-filled ``grads``."""
+        tokens, running, feature, steps, h_rows, targets, dlogits = cache
+        dlogits[np.arange(len(targets)), targets] -= 1.0
+        np.matmul(dlogits.T, h_rows, out=grads["Wout"])
+        dlogits.sum(axis=0, out=grads["bout"])
+        dh_rows = dlogits @ p["Wout"]
+        ends = np.cumsum(running)
+        # Gradients flowing back from step t + 1; rows of captions that
+        # end before it stay zero.
+        dh_next = np.zeros((running[0], self.config.hidden_dim), dtype=np.float64)
         dc_next = np.zeros_like(dh_next)
-        dd_total = np.zeros_like(d)
-        for t in range(len(steps), 0, -1):
-            cell_cache, drop_cache, h_drop, log_probs = steps[t - 1]
-            dlogits = np.exp(log_probs)
-            dlogits[0, ids[t]] -= 1.0
-            grads["Wout"] += dlogits.T @ h_drop
-            grads["bout"] += dlogits[0]
-            dh = dropout_backward(dlogits @ p["Wout"], drop_cache) + dh_next
-            dx, dh_next, dc_next, dd, dz = self.cell_backward(
-                dh, dc_next, cell_cache, grads, params=p
+        for t in range(len(running), 0, -1):
+            n = running[t - 1]
+            cell_cache, drop_cache = steps[t - 1]
+            dh = dropout_backward(dh_rows[ends[t - 1] - n:ends[t - 1]], drop_cache)
+            dx, dh_prev, dc_prev, _, dz = self.cell_backward(
+                dh + dh_next[:n], dc_next[:n], cell_cache, grads, params=p
             )
-            grads["embed"][ids[t - 1]] += dx[0]
-            dd_total += dd
-            if dz is not None:
-                grads["Cv"] += dz.T @ feature
-        return dd_total
+            dh_next[:n], dc_next[:n] = dh_prev, dc_prev
+            np.add.at(grads["embed"], tokens[:n, t - 1], dx)
+        grads["Cv"] += dz.T @ feature  # dz of step 1, the image-term step
 
     def sequence_log_likelihood(self, ids, feature, d, params=None):
         """Teacher-forced log-likelihood of one BOS..EOS sequence (nats)."""
-        nll, _ = self._sequence_forward(
-            ids, feature, d, mode="inference", rng=None, params=params
-        )
+        p = self.params if params is None else params
+        nll, _, _ = self._forward([(feature, d, ids)], "inference", None, p)
         return -nll
 
     def batch_loss(self, samples, mode="train", rng=None, params=None):
@@ -364,37 +414,31 @@ class ScnLstm:
         negative log-likelihood divided by the total number of predicted
         tokens, and ``grads`` is scaled consistently with that mean.
         """
+        if not samples:
+            raise ParameterError("batch contains no predicted tokens")
         p = self.params if params is None else params
         grads = {name: np.zeros_like(value) for name, value in p.items()}
-        total_nll = 0.0
-        total_tokens = 0
-        for feature, d, ids in samples:
-            nll, cache = self._sequence_forward(ids, feature, d, mode, rng, p)
-            total_nll += nll
-            total_tokens += len(cache[0]) - 1
-            self._sequence_backward(cache, grads, p)
-        if total_tokens == 0:
-            raise ParameterError("batch contains no predicted tokens")
-        scale = 1.0 / total_tokens
+        nll, n_tokens, cache = self._forward(samples, mode, rng, p)
+        self._backward(cache, grads, p)
+        scale = 1.0 / n_tokens
         for name in grads:
             grads[name] *= scale
-        return total_nll / total_tokens, grads, total_tokens
+        return nll / n_tokens, grads, n_tokens
 
     def batch_nll(self, samples, params=None):
         """Forward-only mean loss in nats per predicted token."""
+        if not samples:
+            raise ParameterError("dataset contains no predicted tokens")
+        p = self.params if params is None else params
         total_nll = 0.0
         total_tokens = 0
-        for feature, d, ids in samples:
-            nll, cache = self._sequence_forward(
-                ids, feature, d, mode="inference", rng=None, params=params
-            )
+        for start, stop in batch_slices(len(samples), _SCORING_BATCH):
+            nll, n_tokens, _ = self._forward(samples[start:stop], "inference", None, p)
             total_nll += nll
-            total_tokens += len(cache[0]) - 1
-        if total_tokens == 0:
-            raise ParameterError("dataset contains no predicted tokens")
+            total_tokens += n_tokens
         return total_nll / total_tokens
 
-    def step_probs(self, last_ids, h, c, d, z=None, params=None):
+    def step_probs(self, last_ids, h, c, d, z=None, params=None, d_terms=None):
         """Advance one step for a batch of hypotheses.
 
         Returns ``(probs, h, c)`` where ``probs`` is the (B, V) softmax
@@ -402,7 +446,7 @@ class ScnLstm:
         """
         p = self.params if params is None else params
         x = p["embed"][np.asarray(last_ids, dtype=np.int64)]
-        h, c, _ = self.cell_forward(x, h, c, d, z=z, params=p)
+        h, c, _ = self.cell_forward(x, h, c, d, z=z, params=p, d_terms=d_terms)
         logits = h @ p["Wout"].T + p["bout"]
         return softmax(logits), h, c
 
@@ -413,13 +457,6 @@ class ScnLstm:
 # --------------------------------------------------------------------------
 # Training
 # --------------------------------------------------------------------------
-
-
-def _batch_slices(n, batch_size):
-    if batch_size < 1:
-        raise ParameterError(f"batch size must be positive, got {batch_size}")
-    bounds = list(range(0, n, batch_size)) + [n]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def train_captioner(samples, net_config, train_config, val_samples=None,
@@ -450,7 +487,7 @@ def train_captioner(samples, net_config, train_config, val_samples=None,
         order = epoch_rng.permutation(n)
         epoch_nll = 0.0
         epoch_tokens = 0
-        for start, stop in _batch_slices(n, train_config.batch_size):
+        for start, stop in batch_slices(n, train_config.batch_size):
             batch = [samples[j] for j in order[start:stop]]
             loss, grads, n_tokens = model.batch_loss(
                 batch, mode="train", rng=epoch_rng
@@ -513,6 +550,7 @@ def ensemble_beam_search(models, feature, d, beam_width=5, max_len=20):
     feature = np.asarray(feature, dtype=np.float64).reshape(1, -1)
     d_row = np.asarray(d, dtype=np.float64).reshape(1, -1)
     z_rows = [feature @ m.params["Cv"].T for m in models]
+    d_terms = [m.attribute_terms(d_row) for m in models]
     vocab_size = models[0].config.vocab_size
     token_order = np.arange(vocab_size)
 
@@ -534,7 +572,8 @@ def ensemble_beam_search(models, feature, d, beam_width=5, max_len=20):
             h = np.stack([hyp[2][k] for hyp in hyps])
             c = np.stack([hyp[3][k] for hyp in hyps])
             z = np.repeat(z_rows[k], len(hyps), axis=0) if first_step else None
-            probs, h, c = model.step_probs(last_ids, h, c, d_tile, z=z)
+            probs, h, c = model.step_probs(last_ids, h, c, d_tile, z=z,
+                                           d_terms=d_terms[k])
             member_probs.append(probs)
             states.append((h, c))
         return nncore.ensemble_mean(np.stack(member_probs)), states
@@ -616,13 +655,8 @@ def save_captioner(path, model, vocab, extra_meta=None):
 
 
 def load_captioner(path):
-    from .storage import FormatError, load_checkpoint
-
-    tensors, config = load_checkpoint(path)
-    if config.get("kind") != "scnlstm":
-        raise FormatError(f"{path}: not a captioner checkpoint")
-    model = ScnLstm(ScnLstmConfig(**config["net"]), params=tensors)
-    return model, CaptionVocab(words=list(config["vocab_words"]))
+    models, vocab = _load_members(path, ("scnlstm",))
+    return models[0], vocab
 
 
 def save_captioner_ensemble(path, models, vocab, extra_meta=None):
@@ -645,23 +679,30 @@ def save_captioner_ensemble(path, models, vocab, extra_meta=None):
 
 
 def load_captioner_ensemble(path):
+    """Load an ensemble checkpoint; a single-model one loads as one member."""
+    return _load_members(path, ("scnlstm", "scnlstm_ensemble"))
+
+
+def _load_members(path, kinds):
+    """Decoders of a checkpoint whose kind is in ``kinds``; a config or
+    tensor layout that does not fit :class:`ScnLstm` is a FormatError."""
     from .storage import FormatError, load_checkpoint
 
     tensors, config = load_checkpoint(path)
     kind = config.get("kind")
-    if kind == "scnlstm":
-        model = ScnLstm(ScnLstmConfig(**config["net"]), params=tensors)
-        return [model], CaptionVocab(words=list(config["vocab_words"]))
-    if kind != "scnlstm_ensemble":
+    if kind not in kinds:
         raise FormatError(f"{path}: not a captioner checkpoint")
-    net_config = ScnLstmConfig(**config["net"])
-    members = []
-    for m in range(int(config["n_members"])):
-        prefix = f"member{m}."
-        member_tensors = {
-            name[len(prefix):]: value
-            for name, value in tensors.items()
-            if name.startswith(prefix)
-        }
-        members.append(ScnLstm(net_config, params=member_tensors))
-    return members, CaptionVocab(words=list(config["vocab_words"]))
+    try:
+        net_config = ScnLstmConfig(**config["net"])
+        prefixes = ([""] if kind == "scnlstm" else
+                    [f"member{m}." for m in range(int(config["n_members"]))])
+        members = [
+            ScnLstm(net_config, params={
+                name[len(prefix):]: value for name, value in tensors.items()
+                if name.startswith(prefix)})
+            for prefix in prefixes
+        ]
+        vocab = CaptionVocab(words=list(config["vocab_words"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed captioner checkpoint: {exc}") from exc
+    return members, vocab

@@ -19,3 +19,30 @@ def t1_pairs():
 @pytest.fixture(scope="session")
 def t1_documents(t1_pairs):
     return build_documents(t1_pairs, apply_stemming=False)
+
+
+@pytest.fixture
+def per_gate_checkpoint():
+    """Writer of decoder checkpoints in the per-gate layout (``Wia``,
+    ``Wib``, ..., ``bc``) used before the gate weights were stacked."""
+    from dataclasses import asdict
+
+    from attrcap.scnlstm import ScnLstm
+    from attrcap.storage import save_checkpoint
+
+    def write(path, config, vocab_words):
+        p = ScnLstm(config, seed=0).params
+        f, h = config.factor_dim, config.hidden_dim
+        tensors = {}
+        for slot, gate in enumerate("ifoc"):
+            tensors[f"W{gate}a"] = p["Wa"][slot]
+            tensors[f"U{gate}a"] = p["Ua"][slot]
+            for name in ("Wb", "Wc", "Ub", "Uc"):
+                tensors[f"{name[0]}{gate}{name[1]}"] = p[name][slot * f:(slot + 1) * f]
+            tensors[f"b{gate}"] = p["b"][slot * h:(slot + 1) * h]
+        for name in ("Cv", "embed", "Wout", "bout"):
+            tensors[name] = p[name]
+        save_checkpoint(path, tensors, {"kind": "scnlstm", "net": asdict(config),
+                                        "vocab_words": list(vocab_words)})
+
+    return write

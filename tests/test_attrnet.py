@@ -8,7 +8,6 @@ from attrcap.attrnet import (
     AttrNetConfig,
     AttrTrainConfig,
     JoinError,
-    _batch_slices,
     join_on_image_id,
     load_attrnet,
     load_attrnet_ensemble,
@@ -23,6 +22,7 @@ from attrcap.nncore import (
     DimensionError,
     ParameterError,
     Rng,
+    batch_slices,
     gradient_check,
 )
 from attrcap.storage import FormatError
@@ -175,13 +175,17 @@ def test_gradients_with_train_mode_bn_fixed_batch():
 
 
 def test_batch_slices_cover_and_merge_singleton():
-    assert _batch_slices(8, 3) == [(0, 3), (3, 6), (6, 8)]
-    assert _batch_slices(5, 2) == [(0, 2), (2, 5)]  # trailing 1 merged
-    assert _batch_slices(4, 2) == [(0, 2), (2, 4)]
-    assert _batch_slices(2, 128) == [(0, 2)]
-    assert _batch_slices(1, 4) == [(0, 1)]
+    def slices(n, batch_size):
+        return batch_slices(n, batch_size, min_size=2)
+
+    assert slices(8, 3) == [(0, 3), (3, 6), (6, 8)]
+    assert slices(5, 2) == [(0, 2), (2, 5)]  # trailing 1 merged
+    assert slices(4, 2) == [(0, 2), (2, 4)]
+    assert slices(2, 128) == [(0, 2)]
+    assert slices(1, 4) == [(0, 1)]
+    assert batch_slices(5, 2) == [(0, 2), (2, 4), (4, 5)]  # min_size=1 keeps it
     with pytest.raises(ParameterError):
-        _batch_slices(4, 0)
+        slices(4, 0)
 
 
 def test_train_zero_epochs_returns_initialization():

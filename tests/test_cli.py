@@ -8,6 +8,7 @@ import pytest
 from attrcap import storage
 from attrcap.cli import main
 from attrcap.nncore import Rng
+from attrcap.scnlstm import ScnLstmConfig
 
 FEATURE_DIM = 12
 
@@ -209,6 +210,22 @@ def test_data_errors_exit_with_two(tmp_path, monkeypatch, capsys):
                           "--attrs", "partial.jsonl", "--out-model",
                           "m.daec", "--hidden", "4", "--epochs", "1"],
                  2, "data")
+
+
+def test_per_gate_captioner_checkpoint_is_a_data_error(
+        tmp_path, monkeypatch, capsys, per_gate_checkpoint):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
+                             np.full((4, 3), 0.5))
+    config = ScnLstmConfig(vocab_size=5, n_words=3, feature_dim=FEATURE_DIM,
+                           embed_dim=4, hidden_dim=6, factor_dim=6)
+    per_gate_checkpoint(tmp_path / "old.daec", config,
+                        ["<bos>", "<eos>", "<unk>", "red", "dog"])
+    expect_error(capsys, ["caption", "--features", "feats.daef", "--attrs",
+                          "attrs.jsonl", "--model", "old.daec",
+                          "--out", "d.jsonl"], 2, "data")
+    assert not (tmp_path / "d.jsonl").exists()
 
 
 def test_numeric_failures_exit_with_three(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Tests for the attribute-conditioned caption decoder."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from attrcap.nncore import (
     gradient_check,
     sigmoid,
     softmax,
+    xavier_init,
 )
 from attrcap.scnlstm import (
     BOS_ID,
@@ -136,18 +138,49 @@ def test_init_shapes_and_zero_biases():
                         hidden_dim=5, factor_dim=2, dropout=0.0)
     model = ScnLstm(cfg, seed=0)
     p = model.params
-    for gate in "ifoc":
-        assert p[f"W{gate}a"].shape == (5, 2)
-        assert p[f"W{gate}b"].shape == (2, 3)
-        assert p[f"W{gate}c"].shape == (2, 4)
-        assert p[f"U{gate}a"].shape == (5, 2)
-        assert p[f"U{gate}b"].shape == (2, 3)
-        assert p[f"U{gate}c"].shape == (2, 5)
-        assert np.array_equal(p[f"b{gate}"], np.zeros(5))
+    # Gate weights are stacked in gate order i, f, o, c.
+    assert p["Wa"].shape == (4, 5, 2)
+    assert p["Wb"].shape == (8, 3)
+    assert p["Wc"].shape == (8, 4)
+    assert p["Ua"].shape == (4, 5, 2)
+    assert p["Ub"].shape == (8, 3)
+    assert p["Uc"].shape == (8, 5)
+    assert np.array_equal(p["b"], np.zeros(20))
     assert p["Cv"].shape == (5, 6)
     assert p["embed"].shape == (7, 4)
     assert p["Wout"].shape == (7, 5)
     assert np.array_equal(p["bout"], np.zeros(7))
+
+
+def test_stacked_init_slices_are_the_per_gate_draws():
+    cfg = ScnLstmConfig(vocab_size=7, n_words=3, feature_dim=6, embed_dim=4,
+                        hidden_dim=5, factor_dim=2, dropout=0.0)
+    p = ScnLstm(cfg, seed=9).params
+    root = Rng(9)
+    for slot in range(4):
+        gate_rng = root.split(slot + 1)
+        rows = slice(2 * slot, 2 * slot + 2)
+        assert np.array_equal(p["Wa"][slot], xavier_init(5, 2, gate_rng.split(0)))
+        assert np.array_equal(p["Wb"][rows], xavier_init(2, 3, gate_rng.split(1)))
+        assert np.array_equal(p["Wc"][rows], xavier_init(2, 4, gate_rng.split(2)))
+        assert np.array_equal(p["Ua"][slot], xavier_init(5, 2, gate_rng.split(3)))
+        assert np.array_equal(p["Ub"][rows], xavier_init(2, 3, gate_rng.split(4)))
+        assert np.array_equal(p["Uc"][rows], xavier_init(2, 5, gate_rng.split(5)))
+    assert np.array_equal(p["Cv"], xavier_init(5, 6, root.split(5)))
+    assert np.array_equal(p["embed"], xavier_init(7, 4, root.split(6)))
+    assert np.array_equal(p["Wout"], xavier_init(7, 5, root.split(7)))
+
+
+def test_constructor_rejects_tensors_outside_the_stacked_layout():
+    params = tiny_model().params
+    bad_sets = [
+        {k: v for k, v in params.items() if k != "Wb"},   # missing
+        {**params, "Wib": params["Wb"][:TINY.factor_dim]},  # unknown
+        {**params, "b": np.zeros(TINY.hidden_dim)},        # misshapen
+    ]
+    for bad in bad_sets:
+        with pytest.raises(DimensionError):
+            ScnLstm(TINY, params=bad)
 
 
 def test_pretrained_embeddings_are_installed_and_validated():
@@ -177,8 +210,7 @@ def test_cell_with_zero_parameters_halves_the_cell_state():
 
 def test_zero_attribute_vector_blocks_input_and_recurrence():
     model = tiny_model(seed=2)
-    for gate in "ifoc":
-        model.params[f"b{gate}"] = np.zeros(TINY.hidden_dim)
+    model.params["b"] = np.zeros(4 * TINY.hidden_dim)
     rng = Rng(6)
     c_prev = rng.normal((1, TINY.hidden_dim))
     d = np.zeros((1, TINY.n_words))
@@ -272,6 +304,59 @@ def test_zero_model_predicts_the_uniform_distribution():
         np.asarray(d).reshape(1, -1),
     )
     assert np.allclose(probs, 1.0 / TINY.vocab_size, atol=1e-15)
+
+
+def per_caption_reference(model, samples):
+    """Teacher forcing one caption at a time on (1, .) rows: the loop the
+    batched pass replaced. Returns ``(loss, grads, n_tokens)``."""
+    p = model.params
+    grads = {name: np.zeros_like(value) for name, value in p.items()}
+    total_nll, total_tokens = 0.0, 0
+    for feature, d, ids in samples:
+        feature, d = np.reshape(feature, (1, -1)), np.reshape(d, (1, -1))
+        h = c = np.zeros((1, model.config.hidden_dim))
+        z = feature @ p["Cv"].T
+        steps = []
+        for t in range(1, len(ids)):
+            x = p["embed"][ids[t - 1]].reshape(1, -1)
+            h, c, cache = model.cell_forward(x, h, c, d, z=z if t == 1 else None)
+            shifted = h @ p["Wout"].T + p["bout"]
+            shifted -= shifted.max()
+            log_probs = shifted - np.log(np.exp(shifted).sum())
+            total_nll -= log_probs[0, ids[t]]
+            steps.append((cache, h, log_probs))
+        total_tokens += len(ids) - 1
+        dh_next = dc_next = np.zeros_like(h)
+        for t in range(len(steps), 0, -1):
+            cache, h, log_probs = steps[t - 1]
+            dlogits = np.exp(log_probs)
+            dlogits[0, ids[t]] -= 1.0
+            grads["Wout"] += dlogits.T @ h
+            grads["bout"] += dlogits[0]
+            dx, dh_next, dc_next, _, dz = model.cell_backward(
+                dlogits @ p["Wout"] + dh_next, dc_next, cache, grads)
+            grads["embed"][ids[t - 1]] += dx[0]
+        grads["Cv"] += dz.T @ feature
+    grads = {name: g / total_tokens for name, g in grads.items()}
+    return total_nll / total_tokens, grads, total_tokens
+
+
+def test_batched_loss_matches_the_per_caption_reference():
+    cfg = ScnLstmConfig(vocab_size=11, n_words=4, feature_dim=6, embed_dim=5,
+                        hidden_dim=6, factor_dim=7, dropout=0.5)
+    model = ScnLstm(cfg, seed=40)
+    rng = Rng(41)
+    bodies = [[3, 7, 2], [], [5, 9, 10, 4, 8], [6, 6, 3], [10], [2, 4, 9, 7]]
+    samples = [(rng.normal((cfg.feature_dim,)), np.abs(rng.normal((cfg.n_words,))),
+                [BOS_ID, *body, EOS_ID]) for body in bodies]
+    loss, grads, n_tokens = model.batch_loss(samples, mode="inference")
+    ref_loss, ref_grads, ref_tokens = per_caption_reference(model, samples)
+    assert n_tokens == ref_tokens == 22
+    assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+    assert set(grads) == set(ref_grads)
+    for name, ref in ref_grads.items():
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+    assert model.batch_nll(samples) == loss
 
 
 def test_batch_nll_equals_inference_mode_batch_loss():
@@ -394,6 +479,29 @@ def test_early_stopping_restores_the_best_validation_parameters():
     assert model.batch_nll(val) == val_losses[best]
     assert len(val_losses) < tcfg.max_epochs, "expected an early stop"
     assert len(val_losses) == best + 1 + tcfg.patience
+
+
+def test_dropout_training_is_reproducible_byte_for_byte(tmp_path):
+    # Five mixed-length captions in batches of three: two batches per
+    # epoch, each drawing one dropout mask per step over the running rows.
+    cfg = dataclasses.replace(TINY, dropout=0.5)
+    samples = train_samples(n=5)
+    tcfg = CaptionTrainConfig(learning_rate=2e-2, batch_size=3, max_epochs=4,
+                              clip_norm=5.0, seed=3)
+    runs = []
+    for run in range(2):
+        model, history = train_captioner(samples, cfg, tcfg,
+                                         val_samples=samples[:2])
+        path = tmp_path / f"run{run}.daec"
+        save_captioner(path, model, small_vocab())
+        runs.append((model.params, history, path.read_bytes()))
+    (params_a, hist_a, bytes_a), (params_b, hist_b, bytes_b) = runs
+    for name in params_a:
+        assert np.array_equal(params_a[name], params_b[name]), name
+    assert hist_a == hist_b
+    assert bytes_a == bytes_b
+    undropped, _ = train_captioner(samples, TINY, tcfg, val_samples=samples[:2])
+    assert not np.array_equal(undropped.params["Wout"], params_a["Wout"])
 
 
 def test_training_rejects_an_empty_sample_list():
@@ -632,3 +740,14 @@ def test_loaders_reject_foreign_checkpoints(tmp_path):
     save_captioner_ensemble(bundle, models, small_vocab())
     with pytest.raises(FormatError):
         load_captioner(bundle)
+
+
+def test_loaders_reject_per_gate_checkpoints(tmp_path, per_gate_checkpoint):
+    from attrcap.storage import FormatError
+
+    old = tmp_path / "per_gate.daec"
+    per_gate_checkpoint(old, TINY, small_vocab().words)
+    with pytest.raises(FormatError, match="stacked-gate layout"):
+        load_captioner(old)
+    with pytest.raises(FormatError, match="stacked-gate layout"):
+        load_captioner_ensemble(old)
