@@ -32,12 +32,14 @@ from .nncore import (
     batch_slices,
     batchnorm_backward,
     batchnorm_forward,
+    check_shapes,
     dropout_backward,
     dropout_forward,
     relu_backward,
     relu_forward,
     xavier_init,
 )
+from .storage import load_ensemble, save_ensemble
 
 __all__ = [
     "AttrNet",
@@ -45,14 +47,11 @@ __all__ = [
     "AttrTrainConfig",
     "JoinError",
     "join_on_image_id",
-    "load_attrnet",
     "load_attrnet_ensemble",
     "mse_loss",
     "predict_ensemble",
-    "save_attrnet",
     "save_attrnet_ensemble",
     "train_attrnet",
-    "train_attrnet_ensemble",
 ]
 
 _N_LAYERS = 4
@@ -81,7 +80,6 @@ class AttrTrainConfig:
     batch_size: int = 128
     epochs: int = 100
     seed: int = 0
-    ensemble_size: int = 5
 
 
 def mse_loss(pred, target):
@@ -126,8 +124,10 @@ class AttrNet:
     """Four-layer perceptron from image features to attribute vectors."""
 
     def __init__(self, config, seed=0, params=None, bn_states=None):
+        if not 0.0 <= config.dropout < 1.0:
+            raise ParameterError(f"dropout rate must be in [0, 1), got {config.dropout}")
         self.config = config
-        dims = (
+        self._dims = dims = (
             [config.feature_dim]
             + [config.hidden_dim] * (_N_LAYERS - 1)
             + [config.n_words]
@@ -235,11 +235,19 @@ class AttrNet:
 
     @classmethod
     def from_tensors(cls, config, tensors):
-        params = {
+        """Rebuild a network from :meth:`tensors`, checking every name and shape."""
+        net = cls(config, params={}, bn_states={})
+        bn_names = ("gamma", "beta", "running_mean", "running_var")
+        shapes = {}
+        for k, (rows, cols) in enumerate(zip(net._dims, net._dims[1:]), start=1):
+            shapes[f"fc{k}.w"] = (rows, cols)
+            shapes.update({f"bn{k}.{name}": (cols,) for name in bn_names}
+                          if k in net._bn_layers else {f"fc{k}.b": (cols,)})
+        check_shapes(tensors, shapes, "the attribute predictor")
+        net.params = {
             name: value for name, value in tensors.items()
             if not name.endswith((".running_mean", ".running_var"))
         }
-        net = cls(config, params=params, bn_states={})
         net.bn_states = {
             k: BatchNormState(
                 running_mean=tensors[f"bn{k}.running_mean"],
@@ -287,26 +295,6 @@ def train_attrnet(x, y, net_config, train_config):
     return net, epoch_losses
 
 
-def train_attrnet_ensemble(x, y, net_config, train_config, n_members=None):
-    """Train ``n_members`` predictors differing only in their seed.
-
-    ``n_members`` defaults to ``train_config.ensemble_size``.
-    """
-    if n_members is None:
-        n_members = train_config.ensemble_size
-    if n_members < 1:
-        raise ParameterError(f"ensemble needs at least one member, got {n_members}")
-    seed_root = Rng(train_config.seed)
-    members = []
-    for m in range(n_members):
-        member_config = AttrTrainConfig(**{
-            **asdict(train_config), "seed": seed_root.split(m + 1).seed,
-        })
-        net, _ = train_attrnet(x, y, net_config, member_config)
-        members.append(net)
-    return members
-
-
 def predict_ensemble(nets, x):
     """Elementwise ensemble mean of member predictions.
 
@@ -324,65 +312,14 @@ def predict_ensemble(nets, x):
 # --------------------------------------------------------------------------
 
 
-def _config_payload(config):
-    return {"kind": "attrnet", "net": asdict(config)}
-
-
-def save_attrnet(path, net, extra_meta=None):
-    from .storage import save_checkpoint
-
-    config = _config_payload(net.config)
-    if extra_meta:
-        config["meta"] = extra_meta
-    save_checkpoint(path, net.tensors(), config)
-
-
-def load_attrnet(path):
-    from .storage import FormatError, load_checkpoint
-
-    tensors, config = load_checkpoint(path)
-    if config.get("kind") != "attrnet":
-        raise FormatError(f"{path}: not an attribute-predictor checkpoint")
-    net_config = AttrNetConfig(**config["net"])
-    return AttrNet.from_tensors(net_config, tensors)
-
-
 def save_attrnet_ensemble(path, nets, extra_meta=None):
-    """Store all members in one checkpoint under member-prefixed names."""
-    from .storage import save_checkpoint
-
-    tensors = {}
-    for m, net in enumerate(nets):
-        for name, value in net.tensors().items():
-            tensors[f"member{m}.{name}"] = value
-    config = {
-        "kind": "attrnet_ensemble",
-        "n_members": len(nets),
-        "net": asdict(nets[0].config),
-    }
-    if extra_meta:
-        config["meta"] = extra_meta
-    save_checkpoint(path, tensors, config)
+    """Store all members in one checkpoint."""
+    save_ensemble(path, "attrnet", [net.tensors() for net in nets],
+                  {"net": asdict(nets[0].config)}, meta=extra_meta)
 
 
 def load_attrnet_ensemble(path):
-    from .storage import FormatError, load_checkpoint
-
-    tensors, config = load_checkpoint(path)
-    kind = config.get("kind")
-    if kind == "attrnet":
-        net_config = AttrNetConfig(**config["net"])
-        return [AttrNet.from_tensors(net_config, tensors)]
-    if kind != "attrnet_ensemble":
-        raise FormatError(f"{path}: not an attribute-predictor checkpoint")
-    net_config = AttrNetConfig(**config["net"])
-    members = []
-    for m in range(int(config["n_members"])):
-        prefix = f"member{m}."
-        member_tensors = {
-            name[len(prefix):]: value
-            for name, value in tensors.items()
-            if name.startswith(prefix)
-        }
-        members.append(AttrNet.from_tensors(net_config, member_tensors))
-    return members
+    """Members of an attribute-predictor checkpoint; a legacy
+    single-model file loads as one member."""
+    nets, _ = load_ensemble(path, "attrnet", AttrNetConfig, AttrNet.from_tensors)
+    return nets

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import shlex
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from . import metrics as metrics_mod
 from . import scnlstm as scnlstm_mod
 from . import semantics, storage
 from .corpus import CorpusError, build_documents, parse_caption_file, tokenize
-from .nncore import NumericError, ParameterError, Rng
+from .nncore import NumericError, ParameterError, Rng, train_members
 
 __all__ = ["entrypoint", "main"]
 
@@ -225,18 +226,14 @@ def _cmd_train_attr(args, meta):
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
         epochs=args.epochs,
-        seed=args.seed,
     )
-    if args.ensemble == 1:
-        net, losses = attrnet_mod.train_attrnet(x, y, net_config, train_config)
-        attrnet_mod.save_attrnet(args.out_model, net, extra_meta=meta)
+    results = train_members(args.ensemble, args.seed, lambda seed: (
+        attrnet_mod.train_attrnet(x, y, net_config, replace(train_config, seed=seed))))
+    for m, (_, losses) in enumerate(results):
         if losses:
-            print(f"final training mse: {losses[-1]!r}")
-    else:
-        members = attrnet_mod.train_attrnet_ensemble(
-            x, y, net_config, train_config, args.ensemble
-        )
-        attrnet_mod.save_attrnet_ensemble(args.out_model, members, extra_meta=meta)
+            print(f"member {m}: final training mse: {losses[-1]!r}")
+    attrnet_mod.save_attrnet_ensemble(
+        args.out_model, [net for net, _ in results], extra_meta=meta)
     print(f"trained on {x.shape[0]} images")
     return 0
 
@@ -346,38 +343,20 @@ def _cmd_train_captioner(args, meta):
         max_epochs=args.epochs,
         clip_norm=args.clip_norm,
         patience=args.patience,
-        seed=args.seed,
     )
-    if args.ensemble == 1:
-        model, history = scnlstm_mod.train_captioner(
-            train_samples, net_config, train_config,
-            val_samples=val_samples or None, embeddings=embeddings,
-        )
-        scnlstm_mod.save_captioner(args.out_model, model, vocab, extra_meta=meta)
+    results = train_members(args.ensemble, args.seed, lambda seed: (
+        scnlstm_mod.train_captioner(
+            train_samples, net_config, replace(train_config, seed=seed),
+            val_samples=val_samples or None, embeddings=embeddings)))
+    for m, (_, history) in enumerate(results):
         if history["train_loss"]:
-            print(f"final training loss: {history['train_loss'][-1]!r} nats/token")
+            print(f"member {m}: final training loss: "
+                  f"{history['train_loss'][-1]!r} nats/token")
         if history["val_loss"]:
-            print(f"best validation loss: {min(history['val_loss'])!r} nats/token")
-    else:
-        members = []
-        seed_root = Rng(args.seed)
-        for member in range(args.ensemble):
-            member_config = scnlstm_mod.CaptionTrainConfig(
-                learning_rate=args.learning_rate,
-                batch_size=args.batch_size,
-                max_epochs=args.epochs,
-                clip_norm=args.clip_norm,
-                patience=args.patience,
-                seed=seed_root.split(member + 1).seed,
-            )
-            model, _ = scnlstm_mod.train_captioner(
-                train_samples, net_config, member_config,
-                val_samples=val_samples or None, embeddings=embeddings,
-            )
-            members.append(model)
-        scnlstm_mod.save_captioner_ensemble(
-            args.out_model, members, vocab, extra_meta=meta
-        )
+            print(f"member {m}: best validation loss: "
+                  f"{min(history['val_loss'])!r} nats/token")
+    scnlstm_mod.save_captioner_ensemble(
+        args.out_model, [model for model, _ in results], vocab, extra_meta=meta)
     print(f"trained on {len(train_samples)} captions "
           f"({len(val_samples)} held out), vocabulary {len(vocab)} tokens")
     return 0
@@ -411,6 +390,8 @@ def _cmd_eval_attr(args, meta):
     _, pred_matrix, gt_matrix = attrnet_mod.join_on_image_id(
         pred_ids, pred, gt_ids, gt
     )
+    if ((gt_matrix < 0.0) | (gt_matrix > 1.0)).any():
+        raise storage.FormatError(f"{args.gt}: attribute values must lie in [0, 1]")
     result = metrics_mod.attribute_f1(pred_matrix, gt_matrix)
     report = {
         "meta": meta,

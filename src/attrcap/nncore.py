@@ -31,6 +31,7 @@ __all__ = [
     "batch_slices",
     "batchnorm_backward",
     "batchnorm_forward",
+    "check_shapes",
     "clip_gradients",
     "dropout_backward",
     "dropout_forward",
@@ -41,6 +42,7 @@ __all__ = [
     "relu_forward",
     "sigmoid",
     "softmax",
+    "train_members",
     "xavier_init",
 ]
 
@@ -403,6 +405,26 @@ def clip_gradients(grads, max_norm):
         return grads, norm
     scale = max_norm / norm
     return {name: grad * scale for name, grad in grads.items()}, norm
+
+
+def train_members(n_members, seed, train):
+    """Results of ``train(member_seed)`` for an ensemble's members, in
+    order; member ``m`` gets seed ``Rng(seed).split(m + 1).seed``."""
+    if n_members < 1:
+        raise ParameterError(f"ensemble needs at least one member, got {n_members}")
+    root = Rng(seed)
+    return [train(root.split(m + 1).seed) for m in range(n_members)]
+
+
+def check_shapes(tensors, shapes, layout):
+    """Raise DimensionError naming every tensor missing from, unknown to
+    or misshapen for ``shapes`` (``{name: shape}``) of ``layout``."""
+    misfits = sorted(set(shapes).symmetric_difference(tensors) | {
+        name for name in set(shapes) & set(tensors)
+        if np.shape(tensors[name]) != shapes[name]})
+    if misfits:
+        raise DimensionError(f"tensors missing, unknown or misshapen for "
+                             f"{layout}: {', '.join(misfits)}")
 
 
 # --------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .nncore import (
     Rng,
     adam_step,
     batch_slices,
+    check_shapes,
     clip_gradients,
     dropout_backward,
     dropout_forward,
@@ -50,6 +51,7 @@ from .nncore import (
     softmax,
     xavier_init,
 )
+from .storage import FormatError, load_ensemble, save_ensemble
 
 __all__ = [
     "BOS_ID",
@@ -62,7 +64,6 @@ __all__ = [
     "UNK_ID",
     "beam_search",
     "ensemble_beam_search",
-    "load_captioner",
     "load_captioner_ensemble",
     "save_captioner",
     "save_captioner_ensemble",
@@ -233,14 +234,7 @@ class ScnLstm:
                     )
                 params["embed"] = embeddings.copy()
         else:
-            misfits = sorted(set(shapes).symmetric_difference(params) | {
-                name for name in set(shapes) & set(params)
-                if np.shape(params[name]) != shapes[name]})
-            if misfits:
-                raise DimensionError(
-                    "decoder tensors missing, unknown or misshapen for the "
-                    f"stacked-gate layout: {', '.join(misfits)}"
-                )
+            check_shapes(params, shapes, "the decoder's stacked-gate layout")
         self.params = params
 
     # -- one step -------------------------------------------------------------
@@ -642,67 +636,26 @@ def beam_search(model, feature, d, beam_width=5, max_len=20):
 
 
 def save_captioner(path, model, vocab, extra_meta=None):
-    from .storage import save_checkpoint
-
-    config = {
-        "kind": "scnlstm",
-        "net": asdict(model.config),
-        "vocab_words": list(vocab.words),
-    }
-    if extra_meta:
-        config["meta"] = extra_meta
-    save_checkpoint(path, model.tensors(), config)
-
-
-def load_captioner(path):
-    models, vocab = _load_members(path, ("scnlstm",))
-    return models[0], vocab
+    """Store one decoder as an ensemble of one."""
+    save_captioner_ensemble(path, [model], vocab, extra_meta)
 
 
 def save_captioner_ensemble(path, models, vocab, extra_meta=None):
-    """Store all decoder members in one checkpoint file."""
-    from .storage import save_checkpoint
-
-    tensors = {}
-    for m, model in enumerate(models):
-        for name, value in model.tensors().items():
-            tensors[f"member{m}.{name}"] = value
-    config = {
-        "kind": "scnlstm_ensemble",
-        "n_members": len(models),
-        "net": asdict(models[0].config),
-        "vocab_words": list(vocab.words),
-    }
-    if extra_meta:
-        config["meta"] = extra_meta
-    save_checkpoint(path, tensors, config)
+    """Store all decoder members and the vocabulary in one checkpoint."""
+    config = {"net": asdict(models[0].config), "vocab_words": list(vocab.words)}
+    save_ensemble(path, "scnlstm", [model.tensors() for model in models],
+                  config, meta=extra_meta)
 
 
 def load_captioner_ensemble(path):
-    """Load an ensemble checkpoint; a single-model one loads as one member."""
-    return _load_members(path, ("scnlstm", "scnlstm_ensemble"))
-
-
-def _load_members(path, kinds):
-    """Decoders of a checkpoint whose kind is in ``kinds``; a config or
-    tensor layout that does not fit :class:`ScnLstm` is a FormatError."""
-    from .storage import FormatError, load_checkpoint
-
-    tensors, config = load_checkpoint(path)
-    kind = config.get("kind")
-    if kind not in kinds:
-        raise FormatError(f"{path}: not a captioner checkpoint")
-    try:
-        net_config = ScnLstmConfig(**config["net"])
-        prefixes = ([""] if kind == "scnlstm" else
-                    [f"member{m}." for m in range(int(config["n_members"]))])
-        members = [
-            ScnLstm(net_config, params={
-                name[len(prefix):]: value for name, value in tensors.items()
-                if name.startswith(prefix)})
-            for prefix in prefixes
-        ]
-        vocab = CaptionVocab(words=list(config["vocab_words"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed captioner checkpoint: {exc}") from exc
-    return members, vocab
+    """``(members, vocab)`` of a captioner checkpoint; a legacy
+    single-model file loads as one member."""
+    models, config = load_ensemble(
+        path, "scnlstm", ScnLstmConfig,
+        lambda net_config, tensors: ScnLstm(net_config, params=tensors))
+    words = config.get("vocab_words")
+    size = models[0].config.vocab_size
+    if not (isinstance(words, list) and len(words) == size
+            and all(isinstance(word, str) for word in words)):
+        raise FormatError(f"{path}: vocab_words must list {size} token strings")
+    return models, CaptionVocab(words=words)

@@ -8,7 +8,8 @@ version word so damaged or foreign files fail fast:
 * checkpoint files (magic ``DAEC``): u32 version, u64 header length,
   a UTF-8 JSON header listing tensor names/shapes plus a config echo,
   then the tensors as float64 in header order. Checkpoints round-trip
-  bit for bit.
+  bit for bit. Models are stored as ensembles of K >= 1 members
+  (:func:`save_ensemble`, :func:`load_ensemble`).
 
 Text artifacts are JSON or JSON Lines. Every file written by the CLI
 embeds the producing command line and seed, either as a ``meta`` object
@@ -19,7 +20,10 @@ the exact binary value (at least 9 significant digits survive).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import os
 
 import numpy as np
 
@@ -29,10 +33,12 @@ __all__ = [
     "FormatError",
     "load_attributes",
     "load_checkpoint",
+    "load_ensemble",
     "load_vocabulary",
     "read_features",
     "read_jsonl",
     "save_checkpoint",
+    "save_ensemble",
     "save_vocabulary",
     "write_attributes",
     "write_features",
@@ -144,7 +150,12 @@ def save_checkpoint(path, tensors, config):
 
 
 def load_checkpoint(path):
-    """Read a DAEC checkpoint; returns ``(tensors, config)``."""
+    """Read a DAEC checkpoint; returns ``(tensors, config)``.
+
+    The header must list each tensor as an object with a unique string
+    ``name`` and a ``shape`` of non-negative ints, and ``config`` must
+    be an object; the tensor bytes must match the listed shapes exactly.
+    """
     try:
         handle = open(path, "rb")
     except OSError as exc:
@@ -161,25 +172,92 @@ def load_checkpoint(path):
         header_len = int(
             np.frombuffer(_read_exact(handle, 8, path, "header length"), "<u8")[0]
         )
-        header_bytes = _read_exact(handle, header_len, path, "header")
+        size = os.fstat(handle.fileno()).st_size
+        if header_len > size - handle.tell():
+            raise FormatError(f"{path}: truncated while reading header")
+        header_bytes = handle.read(header_len)
         try:
             header = json.loads(header_bytes.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: invalid checkpoint header: {exc}") from exc
-        if not isinstance(header, dict) or "tensors" not in header:
+        if not isinstance(header, dict) or not isinstance(header.get("tensors"), list):
             raise FormatError(f"{path}: checkpoint header lacks tensor table")
-        tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(int(v) for v in entry["shape"])
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(handle, 8 * size, path, f"tensor {entry['name']}")
-            tensors[entry["name"]] = (
-                np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
-            )
-        trailing = handle.read(1)
-        if trailing:
-            raise FormatError(f"{path}: trailing bytes after last tensor")
-    return tensors, header.get("config", {})
+        config = header.get("config", {})
+        if not isinstance(config, dict):
+            raise FormatError(f"{path}: checkpoint config is not an object")
+        entries = [(entry.get("name"), entry.get("shape")) if isinstance(entry, dict)
+                   else (None, None) for entry in header["tensors"]]
+        for name, shape in entries:
+            if not (isinstance(name, str) and isinstance(shape, list)
+                    and all(type(dim) is int and dim >= 0 for dim in shape)):
+                raise FormatError(f"{path}: tensor entry {name!r} needs a string "
+                                  "name and a shape of non-negative ints")
+        if len(dict(entries)) < len(entries):
+            raise FormatError(f"{path}: tensor names repeat in the header")
+        payload = sum(8 * math.prod(shape) for _, shape in entries)
+        if size - handle.tell() != payload:
+            raise FormatError(f"{path}: header lists {payload} tensor bytes, file "
+                              f"holds {size - handle.tell()} (truncated or trailing bytes)")
+        tensors = {
+            name: np.frombuffer(handle.read(8 * math.prod(shape)), "<f8")
+            .astype(np.float64).reshape(shape)
+            for name, shape in entries
+        }
+    return tensors, config
+
+
+def save_ensemble(path, kind, members, config, meta=None):
+    """Write one ``{name: tensor}`` dict per member as a ``<kind>_ensemble``
+    checkpoint: member ``m``'s tensors as ``member{m}.<name>``, and
+    ``config`` plus ``kind``, ``n_members`` and any ``meta``."""
+    tensors = {
+        f"member{m}.{name}": value
+        for m, member in enumerate(members)
+        for name, value in member.items()
+    }
+    config = {**config, "kind": f"{kind}_ensemble", "n_members": len(members)}
+    if meta:
+        config["meta"] = meta
+    save_checkpoint(path, tensors, config)
+
+
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+
+
+def load_ensemble(path, kind, config_type, build):
+    """``(members, config)`` of a ``<kind>_ensemble`` checkpoint, or of a
+    legacy single-model ``<kind>`` one as one member. The ``net`` config
+    must fit the dataclass ``config_type`` field by field, and
+    ``build(net_config, tensors)`` makes a member; any KeyError,
+    TypeError or ValueError it raises becomes a FormatError."""
+    tensors, config = load_checkpoint(path)
+    found, n_members = config.get("kind"), config.get("n_members")
+    if found == kind:
+        groups = [tensors]
+    elif found != f"{kind}_ensemble":
+        raise FormatError(f"{path}: not an {kind} checkpoint (kind {found!r})")
+    elif type(n_members) is not int or not 1 <= n_members <= len(tensors):
+        raise FormatError(f"{path}: n_members {n_members!r} is not an int from 1 "
+                          f"to the tensor count {len(tensors)}")
+    else:
+        prefixes = [f"member{m}." for m in range(n_members)]
+        groups = [{name[len(prefix):]: value for name, value in tensors.items()
+                   if name.startswith(prefix)} for prefix in prefixes]
+        if not all(groups) or sum(map(len, groups)) != len(tensors):
+            raise FormatError(f"{path}: tensors do not split into {n_members} "
+                              "members by their member{m}. prefixes")
+    net = config.get("net")
+    fields = {f.name: _FIELD_TYPES.get(f.type, object)
+              for f in dataclasses.fields(config_type)}
+    if not isinstance(net, dict) or not all(
+            name in fields and isinstance(value, fields[name])
+            and isinstance(value, bool) == (fields[name] is bool)
+            for name, value in net.items()):
+        raise FormatError(f"{path}: net config does not fit {config_type.__name__}")
+    try:
+        return [build(config_type(**net), group) for group in groups], config
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed {kind} checkpoint: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -224,6 +302,8 @@ def read_jsonl(path):
                 raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if line_no == 1 and isinstance(record, dict) and "_meta" in record:
                 meta = record["_meta"]
+                if not isinstance(meta, dict):
+                    raise FormatError(f"{path}:1: _meta record is not an object")
                 continue
             records.append(record)
     return records, meta
@@ -260,27 +340,36 @@ def write_attributes(path, image_ids, matrix, meta=None):
 def load_attributes(path):
     """Read an attribute JSONL file; returns ``(image_ids, matrix, meta)``."""
     records, meta = read_jsonl(path)
-    n_words = meta.get("n_words")
-    if n_words is None:
-        n_words = 0
-        for record in records:
-            for index, _ in record.get("attrs", ()):
-                n_words = max(n_words, int(index) + 1)
-    n_words = int(n_words)
-    image_ids = []
-    matrix = np.zeros((len(records), n_words), dtype=np.float64)
+    image_ids, rows = [], []
     for row, record in enumerate(records):
         if not isinstance(record, dict) or "image_id" not in record:
             raise FormatError(f"{path}: attribute record {row} lacks image_id")
-        image_ids.append(int(record["image_id"]))
-        for index, value in record.get("attrs", ()):
-            index = int(index)
+        try:
+            image_ids.append(int(record["image_id"]))
+            rows.append([(int(index), float(value))
+                         for index, value in record.get("attrs", ())])
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: attribute record {row}: {exc}") from exc
+    n_words = meta.get("n_words")
+    if n_words is None:
+        n_words = max([0] + [index + 1 for pairs in rows for index, _ in pairs])
+    n_words = int(n_words)
+    matrix = np.zeros((len(records), n_words), dtype=np.float64)
+    for row, pairs in enumerate(rows):
+        seen = set()
+        for index, value in pairs:
             if not 0 <= index < n_words:
                 raise FormatError(
                     f"{path}: attribute index {index} out of range "
                     f"for width {n_words}"
                 )
-            matrix[row, index] = float(value)
+            if index in seen or not math.isfinite(value):
+                raise FormatError(
+                    f"{path}: image {image_ids[row]}: attribute index {index} "
+                    f"repeated or its value {value!r} not finite"
+                )
+            seen.add(index)
+            matrix[row, index] = value
     return image_ids, matrix, meta
 
 

@@ -1,5 +1,7 @@
 """Attribute-predictor tests: joins, forward/backward, training, ensembles."""
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,11 @@ from attrcap.attrnet import (
     AttrTrainConfig,
     JoinError,
     join_on_image_id,
-    load_attrnet,
     load_attrnet_ensemble,
     mse_loss,
     predict_ensemble,
-    save_attrnet,
     save_attrnet_ensemble,
     train_attrnet,
-    train_attrnet_ensemble,
 )
 from attrcap.nncore import (
     DimensionError,
@@ -24,8 +23,9 @@ from attrcap.nncore import (
     Rng,
     batch_slices,
     gradient_check,
+    train_members,
 )
-from attrcap.storage import FormatError
+from attrcap.storage import FormatError, save_checkpoint
 
 SMALL = AttrNetConfig(n_words=3, feature_dim=6, hidden_dim=8, dropout=0.3)
 
@@ -284,25 +284,37 @@ def test_predict_ensemble_needs_members():
         predict_ensemble([], np.zeros((1, 6)))
 
 
+def train_ensemble(x, y, config, n_members):
+    """Members trained by the shared member loop, as the CLI trains them."""
+    results = train_members(n_members, config.seed, lambda seed: (
+        train_attrnet(x, y, SMALL, replace(config, seed=seed))))
+    return [net for net, _ in results]
+
+
 def test_train_ensemble_members_differ_and_reproduce():
     x, y = small_dataset()
-    config = AttrTrainConfig(epochs=2, batch_size=4, seed=51, ensemble_size=2)
-    members = train_attrnet_ensemble(x, y, SMALL, config)
+    config = AttrTrainConfig(epochs=2, batch_size=4, seed=51)
+    members = train_ensemble(x, y, config, 2)
     assert len(members) == 2
     assert any(
         not np.array_equal(members[0].params[n], members[1].params[n])
         for n in members[0].params
     )
-    again = train_attrnet_ensemble(x, y, SMALL, config, n_members=2)
+    again = train_ensemble(x, y, config, 2)
     for a, b in zip(members, again):
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
+    # Member m trains with seed Rng(seed).split(m + 1).seed.
+    second, _ = train_attrnet(x, y, SMALL,
+                              replace(config, seed=Rng(51).split(2).seed))
+    for name in second.params:
+        assert np.array_equal(members[1].params[name], second.params[name])
 
 
 def test_train_ensemble_rejects_zero_members():
     x, y = small_dataset()
     with pytest.raises(ParameterError):
-        train_attrnet_ensemble(x, y, SMALL, AttrTrainConfig(epochs=1), 0)
+        train_ensemble(x, y, AttrTrainConfig(epochs=1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +326,8 @@ def test_attrnet_checkpoint_round_trip(tmp_path):
     x, y = small_dataset()
     net, _ = train_attrnet(x, y, SMALL, AttrTrainConfig(epochs=3, seed=61))
     path = tmp_path / "attr.ckpt"
-    save_attrnet(path, net, extra_meta={"seed": 61})
-    loaded = load_attrnet(path)
+    save_attrnet_ensemble(path, [net], extra_meta={"seed": 61})
+    [loaded] = load_attrnet_ensemble(path)
     assert loaded.config == net.config
     for name in net.params:
         assert np.array_equal(loaded.params[name], net.params[name])
@@ -329,9 +341,7 @@ def test_attrnet_checkpoint_round_trip(tmp_path):
 
 def test_attrnet_ensemble_checkpoint_round_trip(tmp_path):
     x, y = small_dataset()
-    members = train_attrnet_ensemble(
-        x, y, SMALL, AttrTrainConfig(epochs=2, seed=71), 3
-    )
+    members = train_ensemble(x, y, AttrTrainConfig(epochs=2, seed=71), 3)
     path = tmp_path / "ens.ckpt"
     save_attrnet_ensemble(path, members)
     loaded = load_attrnet_ensemble(path)
@@ -344,16 +354,16 @@ def test_load_attrnet_ensemble_accepts_single_checkpoint(tmp_path):
     x, y = small_dataset()
     net, _ = train_attrnet(x, y, SMALL, AttrTrainConfig(epochs=1, seed=81))
     path = tmp_path / "single.ckpt"
-    save_attrnet(path, net)
+    # The legacy single-model layout: unprefixed tensors, kind "attrnet".
+    save_checkpoint(path, net.tensors(),
+                    {"kind": "attrnet", "net": asdict(net.config)})
     loaded = load_attrnet_ensemble(path)
     assert len(loaded) == 1
     assert np.array_equal(loaded[0].predict(x), net.predict(x))
 
 
 def test_load_attrnet_rejects_foreign_checkpoint(tmp_path):
-    from attrcap.storage import save_checkpoint
-
     path = tmp_path / "other.ckpt"
     save_checkpoint(path, {"w": np.zeros((2, 2))}, {"kind": "mystery"})
-    with pytest.raises(FormatError, match="not an attribute-predictor"):
-        load_attrnet(path)
+    with pytest.raises(FormatError, match="not an attrnet checkpoint"):
+        load_attrnet_ensemble(path)

@@ -26,7 +26,6 @@ from attrcap.scnlstm import (
     ScnLstmConfig,
     beam_search,
     ensemble_beam_search,
-    load_captioner,
     load_captioner_ensemble,
     save_captioner,
     save_captioner_ensemble,
@@ -690,7 +689,7 @@ def test_captioner_checkpoint_roundtrip(tmp_path):
     vocab = small_vocab()
     path = tmp_path / "captioner.daec"
     save_captioner(path, model, vocab, extra_meta={"note": "test"})
-    loaded, loaded_vocab = load_captioner(path)
+    [loaded], loaded_vocab = load_captioner_ensemble(path)
     assert loaded.config == model.config
     for name in model.params:
         assert np.array_equal(loaded.params[name], model.params[name])
@@ -716,9 +715,14 @@ def test_captioner_ensemble_checkpoint_roundtrip(tmp_path):
 
 
 def test_ensemble_loader_accepts_a_single_model_checkpoint(tmp_path):
+    from attrcap.storage import save_checkpoint
+
     model = tiny_model(seed=32)
     path = tmp_path / "single.daec"
-    save_captioner(path, model, small_vocab())
+    # The legacy single-model layout: unprefixed tensors, kind "scnlstm".
+    save_checkpoint(path, model.tensors(), {
+        "kind": "scnlstm", "net": dataclasses.asdict(model.config),
+        "vocab_words": small_vocab().words})
     loaded, _ = load_captioner_ensemble(path)
     assert len(loaded) == 1
     for name in model.params:
@@ -731,15 +735,23 @@ def test_loaders_reject_foreign_checkpoints(tmp_path):
     foreign = tmp_path / "foreign.daec"
     save_checkpoint(foreign, {"w": np.ones((2, 2))}, {"kind": "other"})
     with pytest.raises(FormatError):
-        load_captioner(foreign)
-    with pytest.raises(FormatError):
         load_captioner_ensemble(foreign)
+
+    # Each family's loader rejects the other family's ensemble.
+    from attrcap.attrnet import (AttrNet, AttrNetConfig, load_attrnet_ensemble,
+                                 save_attrnet_ensemble)
+
+    attr = tmp_path / "attr.daec"
+    save_attrnet_ensemble(attr, [AttrNet(AttrNetConfig(n_words=2, feature_dim=3,
+                                                       hidden_dim=4))])
+    with pytest.raises(FormatError, match="not an scnlstm checkpoint"):
+        load_captioner_ensemble(attr)
 
     models = [tiny_model(seed=33)]
     bundle = tmp_path / "bundle.daec"
     save_captioner_ensemble(bundle, models, small_vocab())
-    with pytest.raises(FormatError):
-        load_captioner(bundle)
+    with pytest.raises(FormatError, match="not an attrnet checkpoint"):
+        load_attrnet_ensemble(bundle)
 
 
 def test_loaders_reject_per_gate_checkpoints(tmp_path, per_gate_checkpoint):
@@ -747,7 +759,5 @@ def test_loaders_reject_per_gate_checkpoints(tmp_path, per_gate_checkpoint):
 
     old = tmp_path / "per_gate.daec"
     per_gate_checkpoint(old, TINY, small_vocab().words)
-    with pytest.raises(FormatError, match="stacked-gate layout"):
-        load_captioner(old)
     with pytest.raises(FormatError, match="stacked-gate layout"):
         load_captioner_ensemble(old)

@@ -161,6 +161,42 @@ def test_checkpoint_corrupt_header_detected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: h["tensors"][0].pop("shape"),
+    lambda h: h["tensors"][0].pop("name"),
+    lambda h: h["tensors"][0].update(shape=[2, -2]),
+    lambda h: h["tensors"][0].update(shape=[2, 2.0]),
+    lambda h: h["tensors"][0].update(shape=[True, 2]),
+    lambda h: h["tensors"][0].update(name=7),
+    lambda h: h["tensors"].__setitem__(0, "w"),
+    lambda h: h["tensors"].append(dict(h["tensors"][0])),
+    lambda h: h.update(config=[]),
+    lambda h: h.update(tensors={}),
+])
+def test_checkpoint_header_schema_violations(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.zeros((2, 2))}, {})
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + length])
+    edit(header)
+    body = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + len(body).to_bytes(8, "little") + body
+                     + raw[16 + length:])
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_length_beyond_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.zeros((2, 2))}, {})
+    raw = bytearray(path.read_bytes())
+    raw[8:16] = (2 ** 62).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="truncated"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # JSON / JSONL
 # ---------------------------------------------------------------------------
@@ -190,6 +226,13 @@ def test_jsonl_without_meta(tmp_path):
     write_jsonl(path, [{"id": 1}])
     got, meta = read_jsonl(path)
     assert got == [{"id": 1}] and meta == {}
+
+
+def test_jsonl_meta_must_be_an_object(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"_meta": [1]}\n{"ok": 1}\n')
+    with pytest.raises(FormatError, match="_meta"):
+        read_jsonl(path)
 
 
 def test_jsonl_invalid_line_reports_position(tmp_path):
@@ -241,6 +284,28 @@ def test_attributes_index_out_of_range(tmp_path):
         '{"image_id": 1, "attrs": [[5, 0.5]]}\n'
     )
     with pytest.raises(FormatError, match="out of range"):
+        load_attributes(path)
+
+
+@pytest.mark.parametrize("attrs", ["[[1, 0.5], [1, 0.25]]", "[[1, NaN]]",
+                                   "[[0, Infinity]]"])
+def test_attributes_repeated_index_or_non_finite_value(tmp_path, attrs):
+    path = tmp_path / "attrs.jsonl"
+    path.write_text(
+        '{"_meta": {"n_words": 2}}\n'
+        '{"image_id": 1, "attrs": ' + attrs + '}\n'
+    )
+    with pytest.raises(FormatError, match="repeated or its value"):
+        load_attributes(path)
+
+
+@pytest.mark.parametrize("record", ['{"image_id": 1, "attrs": 5}',
+                                    '{"image_id": 1, "attrs": [[1, null]]}',
+                                    '{"image_id": [1], "attrs": []}'])
+def test_attributes_malformed_record(tmp_path, record):
+    path = tmp_path / "attrs.jsonl"
+    path.write_text('{"_meta": {"n_words": 2}}\n' + record + "\n")
+    with pytest.raises(FormatError, match="attribute record 0"):
         load_attributes(path)
 
 
