@@ -21,16 +21,18 @@ import shlex
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import attrnet as attrnet_mod
 from . import metrics as metrics_mod
 from . import scnlstm as scnlstm_mod
 from . import semantics, storage
 from .corpus import CorpusError, build_documents, parse_caption_file, tokenize
-from .nncore import NumericError, ParameterError, Rng, train_members
+from .nncore import NumericError, ParameterError, Rng, batch_slices, train_members
 
 __all__ = ["entrypoint", "main"]
+
+# Images per beam-search call in ``caption``: bounds the (images * beam,
+# vocabulary) probability buffers of one decoding step.
+_DECODE_BLOCK = 32
 
 
 class UsageError(ValueError):
@@ -367,11 +369,13 @@ def _cmd_caption(args, meta):
     attr_ids, attrs, _ = storage.load_attributes(args.attrs)
     _, x, d = attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
     models, vocab = scnlstm_mod.load_captioner_ensemble(args.model)
+    sequences = []
+    for start, stop in batch_slices(len(feature_ids), _DECODE_BLOCK):
+        sequences.extend(scnlstm_mod.ensemble_beam_search_block(
+            models, x[start:stop], d[start:stop], beam_width=args.beam,
+            max_len=args.max_len))
     records = []
-    for row, image_id in enumerate(feature_ids):
-        sequence = scnlstm_mod.ensemble_beam_search(
-            models, x[row], d[row], beam_width=args.beam, max_len=args.max_len
-        )
+    for image_id, sequence in zip(feature_ids, sequences):
         words = vocab.decode(sequence.tokens)
         records.append({
             "image_id": int(image_id),

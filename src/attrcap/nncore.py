@@ -469,12 +469,23 @@ def ensemble_mean(stack):
     ``min + sum(sorted(values - min)) / K``, which makes the result
     independent of member order and *exactly* equal to the shared value
     when all members agree (the sorted differences are then all zero).
+
+    The differences are sorted in place by an odd-even transposition
+    network of elementwise minima and maxima over the member axis: the
+    same values as ``np.sort(..., axis=0)``, summed in the same order,
+    at a fraction of its cost for the few members of an ensemble.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim < 1 or stack.shape[0] < 1:
         raise DimensionError("ensemble mean needs at least one member")
-    if stack.shape[0] == 1:
+    n = stack.shape[0]
+    if n == 1:
         return stack[0].copy()
     base = stack.min(axis=0)
-    deltas = np.sort(stack - base, axis=0)
-    return base + deltas.sum(axis=0) / stack.shape[0]
+    deltas = stack - base
+    for sweep in range(n):
+        lo, hi = deltas[sweep % 2:n - 1:2], deltas[sweep % 2 + 1:n:2]
+        smaller = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = smaller
+    return base + deltas.sum(axis=0) / n

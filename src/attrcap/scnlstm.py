@@ -26,6 +26,15 @@ A caption is a token id sequence beginning with BOS and ending with
 EOS. Teacher-forced training scores steps ``t = 1..T`` predicting
 tokens ``x_1..x_T`` from ``x_0 = BOS``, so EOS is a predicted token and
 losses are reported in nats per predicted token.
+
+Beam search decodes a block of N images at once
+(:func:`ensemble_beam_search_block`). The live hypotheses of all N
+images are the rows of one array, at most N * beam_width of them,
+grouped by image and best first within an image; each member keeps its
+``h``/``c`` as matching (rows, H) arrays, and a step gathers the
+survivors' rows with one index array. A step is one :meth:`step_probs`
+call per member over every row, each row carrying its image's attribute
+terms (and, at the first step, its image term ``z``).
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ __all__ = [
     "UNK_ID",
     "beam_search",
     "ensemble_beam_search",
+    "ensemble_beam_search_block",
     "load_captioner_ensemble",
     "save_captioner",
     "save_captioner_ensemble",
@@ -515,23 +525,29 @@ def train_captioner(samples, net_config, train_config, val_samples=None,
 # --------------------------------------------------------------------------
 
 
-def ensemble_beam_search(models, feature, d, beam_width=5, max_len=20):
-    """Beam-search decoding under the mean of the members' distributions.
+def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
+    """Beam-search decoding of a block of images under the mean of the
+    members' distributions; returns one :class:`CaptionSequence` per row
+    of ``features`` (N, feature_dim) and ``d`` (N, A).
 
     Hypotheses are scored by the sum of ``log(mean_k p_k(token))`` over
     their steps, the order-invariant ensemble mean making a one-member
     ensemble bitwise identical to plain single-model decoding. At each
     step every live hypothesis proposes its ``beam_width`` best
-    non-BOS continuations, the pooled candidates are cut back to the
-    best ``beam_width`` (ties broken toward smaller token ids, then
-    shorter sequences), and candidates that just produced EOS retire to
-    the finished pool while still occupying their slot in the cut.
+    non-BOS continuations, each image's pooled candidates are cut back
+    to the best ``beam_width`` (ties broken toward smaller token ids,
+    then shorter sequences), and candidates that just produced EOS
+    retire to the image's finished pool while still occupying their
+    slot in the cut.
 
-    Returns the best finished hypothesis; if ``max_len`` steps pass
-    without any hypothesis finishing, the best live hypothesis is
-    terminated with EOS (which is scored like any other step, so the
-    reported ``log_prob`` is the true model score of the returned
-    sequence).
+    An image's result is its best finished hypothesis; if ``max_len``
+    steps pass without any of its hypotheses finishing, its best live
+    hypothesis is terminated with EOS (which is scored like any other
+    step, so the reported ``log_prob`` is the true model score of the
+    returned sequence).
+
+    Images do not interact: only the rounding of the shared matrix
+    products depends on which images share a block.
     """
     if beam_width < 1:
         raise ParameterError(f"beam width must be positive, got {beam_width}")
@@ -539,90 +555,114 @@ def ensemble_beam_search(models, feature, d, beam_width=5, max_len=20):
         raise ParameterError(f"max length must be positive, got {max_len}")
     if not models:
         raise ParameterError("decoding needs at least one model")
-    n_members = len(models)
-    hidden = [m.config.hidden_dim for m in models]
-    feature = np.asarray(feature, dtype=np.float64).reshape(1, -1)
-    d_row = np.asarray(d, dtype=np.float64).reshape(1, -1)
-    z_rows = [feature @ m.params["Cv"].T for m in models]
-    d_terms = [m.attribute_terms(d_row) for m in models]
-    vocab_size = models[0].config.vocab_size
-    token_order = np.arange(vocab_size)
+    features = np.asarray(features, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    if features.ndim != 2 or d.ndim != 2 or len(features) != len(d):
+        raise DimensionError(
+            f"need one attribute row per feature row, got shapes "
+            f"{features.shape} and {d.shape}"
+        )
+    n_images = len(features)
+    if not n_images:
+        return []
+    z = [features @ m.params["Cv"].T for m in models]
+    d_terms = [m.attribute_terms(d) for m in models]
 
-    # A live hypothesis: (log_prob, tokens, [h per member], [c per member]).
-    live = [(
-        0.0,
-        (BOS_ID,),
-        [np.zeros(hidden[k], dtype=np.float64) for k in range(n_members)],
-        [np.zeros(hidden[k], dtype=np.float64) for k in range(n_members)],
-    )]
-    finished = []
-
-    def step_distributions(hyps, first_step):
-        last_ids = [hyp[1][-1] for hyp in hyps]
-        d_tile = np.repeat(d_row, len(hyps), axis=0)
-        member_probs = []
-        states = []
+    def step(image, last_ids, h, c, first_step):
+        """Log of the ensemble mean of the next-token distributions of
+        the given rows, and each member's new ``(h, c)`` rows."""
+        d_rows = d[image]
+        member_probs, states = [], []
         for k, model in enumerate(models):
-            h = np.stack([hyp[2][k] for hyp in hyps])
-            c = np.stack([hyp[3][k] for hyp in hyps])
-            z = np.repeat(z_rows[k], len(hyps), axis=0) if first_step else None
-            probs, h, c = model.step_probs(last_ids, h, c, d_tile, z=z,
-                                           d_terms=d_terms[k])
+            a1, b1 = d_terms[k]
+            probs, h_k, c_k = model.step_probs(
+                last_ids, h[k], c[k], d_rows, z=z[k][image] if first_step else None,
+                d_terms=(a1[image], b1[image]))
             member_probs.append(probs)
-            states.append((h, c))
-        return nncore.ensemble_mean(np.stack(member_probs)), states
+            states.append((h_k, c_k))
+        with np.errstate(divide="ignore"):
+            return np.log(nncore.ensemble_mean(np.stack(member_probs))), states
+
+    # Live rows, grouped by image in ascending order and best first
+    # within an image: image index, score, token history from BOS, and
+    # each member's h and c.
+    image = np.arange(n_images)
+    scores = np.zeros(n_images)
+    tokens = np.full((n_images, 1), BOS_ID, dtype=np.int64)
+    h = [np.zeros((n_images, m.config.hidden_dim)) for m in models]
+    c = [np.zeros_like(h_k) for h_k in h]
+    best = [None] * n_images  # (-log_prob, tokens) of each image's best finished
 
     for t in range(1, max_len + 1):
-        probs, states = step_distributions(live, first_step=(t == 1))
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-        candidates = []
-        for row, hyp in enumerate(live):
-            # Best continuations of this hypothesis: by descending log
-            # probability, ties toward the smaller token id, BOS excluded.
-            ranked = np.lexsort((token_order, -log_probs[row]))
-            picked = 0
-            for token in ranked:
-                if token == BOS_ID:
-                    continue
-                candidates.append((
-                    hyp[0] + float(log_probs[row, token]),
-                    hyp[1] + (int(token),),
-                    row,
-                ))
-                picked += 1
-                if picked == beam_width:
-                    break
-        candidates.sort(key=lambda cand: (-cand[0], cand[1]))
-        new_live = []
-        for log_prob, tokens, row in candidates[:beam_width]:
-            if tokens[-1] == EOS_ID:
-                finished.append((log_prob, tokens))
-            else:
-                new_live.append((
-                    log_prob,
-                    tokens,
-                    [states[k][0][row] for k in range(n_members)],
-                    [states[k][1][row] for k in range(n_members)],
-                ))
-        live = new_live
-        if not live:
+        log_probs, states = step(image, tokens[:, -1], h, c, first_step=(t == 1))
+        row, token = _best_continuations(log_probs, beam_width)
+        score = scores[row] + log_probs[row, token]
+        # Cut each image's pool by (image, -log p, token tuple); every
+        # candidate has the same length, so the tuple order is the
+        # column order of its token history.
+        order = np.lexsort((token, *tokens[row].T[::-1], -score, image[row]))
+        order = order[_leading(image[row[order]], beam_width)]
+        row, token, score = row[order], token[order], score[order]
+        done = token == EOS_ID
+        for r, s in zip(row[done], score[done]):
+            key = (-float(s), tuple(tokens[r].tolist()) + (EOS_ID,))
+            i = image[r]
+            best[i] = key if best[i] is None else min(best[i], key)
+        row, token, scores = row[~done], token[~done], score[~done]
+        image = image[row]
+        tokens = np.column_stack((tokens[row], token))
+        h = [h_k[row] for h_k, _ in states]
+        c = [c_k[row] for _, c_k in states]
+        if not len(row):
             break
 
-    if finished:
-        log_prob, tokens = min(finished, key=lambda f: (-f[0], f[1]))
-        return CaptionSequence(tokens=tokens, log_prob=log_prob)
-    # Nothing finished within the length budget: force-terminate the best
-    # live hypothesis, scoring its EOS step honestly. The forced step is
-    # always past step one, so no image term is added.
-    live.sort(key=lambda hyp: (-hyp[0], hyp[1]))
-    best = live[0]
-    probs, _ = step_distributions([best], first_step=False)
-    with np.errstate(divide="ignore"):
-        eos_log_prob = float(np.log(probs[0, EOS_ID]))
-    return CaptionSequence(
-        tokens=best[1] + (EOS_ID,), log_prob=best[0] + eos_log_prob
-    )
+    # Images with nothing finished within the length budget: one more
+    # step scores EOS after each one's best live row, its first. The
+    # forced step is always past step one, so no image term is added.
+    forced = [i for i in range(n_images) if best[i] is None]
+    if forced:
+        rows = np.searchsorted(image, forced)
+        log_probs, _ = step(image[rows], tokens[rows, -1], [h_k[rows] for h_k in h],
+                            [c_k[rows] for c_k in c], first_step=False)
+        for i, r, eos in zip(forced, rows, log_probs[:, EOS_ID]):
+            best[i] = (-float(scores[r] + eos), tuple(tokens[r].tolist()) + (EOS_ID,))
+    return [CaptionSequence(tokens=ids, log_prob=-cost) for cost, ids in best]
+
+
+def _best_continuations(log_probs, beam_width):
+    """``(rows, tokens)`` of each row's ``beam_width`` best non-BOS
+    tokens, by descending log probability with ties toward the smaller
+    token id.
+
+    BOS (token 0) is sliced off, not masked: -inf is a real score when
+    a probability underflows, so a masked BOS could tie with real
+    tokens and win on its id. A partition finds each row's
+    ``beam_width``-th best score; every token reaching it survives, so
+    ties straddling the cut are settled by a stable sort of the
+    survivors alone. ``~(cost > cut)`` keeps NaN scores too, which sort
+    last, as in a full sort.
+    """
+    cost = -log_probs[:, BOS_ID + 1:]
+    k = min(beam_width, cost.shape[1])
+    cut = np.partition(cost, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(~(cost > cut))
+    order = np.lexsort((cost[rows, cols], rows))
+    order = order[_leading(rows[order], beam_width)]
+    return rows[order], cols[order] + BOS_ID + 1
+
+
+def _leading(groups, n):
+    """Mask of the first ``n`` entries of each run of equal values in
+    the sorted array ``groups``."""
+    return np.arange(len(groups)) - np.searchsorted(groups, groups) < n
+
+
+def ensemble_beam_search(models, feature, d, beam_width=5, max_len=20):
+    """Beam search for one image: :func:`ensemble_beam_search_block`
+    over a block of one."""
+    return ensemble_beam_search_block(
+        models, np.reshape(feature, (1, -1)), np.reshape(d, (1, -1)),
+        beam_width, max_len)[0]
 
 
 def beam_search(model, feature, d, beam_width=5, max_len=20):

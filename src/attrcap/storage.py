@@ -110,18 +110,13 @@ def read_features(path):
         dim = int(np.frombuffer(_read_exact(handle, 4, path, "dim"), "<u4")[0])
         count = int(np.frombuffer(_read_exact(handle, 8, path, "count"), "<u8")[0])
         record = 8 + 4 * dim
-        payload = handle.read()
-        if len(payload) != record * count:
-            raise FormatError(
-                f"{path}: expected {record * count} record bytes, got {len(payload)}"
-            )
-    image_ids = []
-    features = np.empty((count, dim), dtype=np.float64)
-    for i in range(count):
-        start = i * record
-        image_ids.append(int(np.frombuffer(payload, "<u8", count=1, offset=start)[0]))
-        features[i] = np.frombuffer(payload, "<f4", count=dim, offset=start + 8)
-    return image_ids, features
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if size != record * count:
+            raise FormatError(f"{path}: expected {record * count} record bytes, got {size}")
+        payload = handle.read(size)
+    records = np.frombuffer(payload, np.dtype([("id", "<u8"), ("x", "<f4", (dim,))]),
+                            count=count)
+    return records["id"].tolist(), records["x"].astype(np.float64)
 
 
 # --------------------------------------------------------------------------

@@ -500,6 +500,32 @@ def test_ensemble_mean_matches_plain_mean():
     assert np.allclose(ensemble_mean(stack), stack.mean(axis=0), atol=1e-12)
 
 
+def sorted_ensemble_mean(stack):
+    """The formula with a full sort of the member axis, which the
+    minimum/maximum network replaced."""
+    if stack.shape[0] == 1:
+        return stack[0].copy()
+    base = stack.min(axis=0)
+    return base + np.sort(stack - base, axis=0).sum(axis=0) / stack.shape[0]
+
+
+def test_ensemble_mean_network_is_bitwise_the_sorted_formula():
+    rng = Rng(9)
+    for k in range(1, 7):
+        for trial in range(4):
+            # Few distinct values, zeros among them, so members repeat
+            # values elementwise; every other trial mixes in unique ones.
+            values = np.array([0.0, 0.0, 0.125, 0.3, 1e-300, 2.5])
+            stack = values[(rng.uniform((k, 7, 9)) * 6).astype(int)]
+            if trial % 2:
+                stack = np.where(rng.uniform((k, 7, 9)) < 0.5,
+                                 rng.normal((k, 7, 9)), stack)
+            if trial == 3:
+                stack[1:] = stack[0]  # identical members
+            got = ensemble_mean(stack)
+            assert got.tobytes() == sorted_ensemble_mean(stack).tobytes(), (k, trial)
+
+
 def test_ensemble_mean_needs_members():
     with pytest.raises(DimensionError):
         ensemble_mean(np.zeros((0, 3)))

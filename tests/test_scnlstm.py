@@ -10,6 +10,7 @@ from attrcap.nncore import (
     DimensionError,
     ParameterError,
     Rng,
+    ensemble_mean,
     gradient_check,
     sigmoid,
     softmax,
@@ -26,6 +27,7 @@ from attrcap.scnlstm import (
     ScnLstmConfig,
     beam_search,
     ensemble_beam_search,
+    ensemble_beam_search_block,
     load_captioner_ensemble,
     save_captioner,
     save_captioner_ensemble,
@@ -640,6 +642,174 @@ def test_beam_rejects_bad_arguments():
         beam_search(model, feature, d, max_len=0)
     with pytest.raises(ParameterError):
         ensemble_beam_search([], feature, d)
+    with pytest.raises(DimensionError):
+        ensemble_beam_search_block([model], np.zeros((3, TINY.feature_dim)),
+                                   np.zeros((2, TINY.n_words)))
+    assert ensemble_beam_search_block(
+        [model], np.zeros((0, TINY.feature_dim)), np.zeros((0, TINY.n_words))) == []
+
+
+def per_image_reference(models, feature, d, beam_width, max_len):
+    """Beam search one image at a time, ranking each hypothesis's whole
+    vocabulary with ``lexsort``: the decoder that block decoding
+    replaced, kept as its oracle."""
+    n_members = len(models)
+    feature = np.asarray(feature, dtype=np.float64).reshape(1, -1)
+    d_row = np.asarray(d, dtype=np.float64).reshape(1, -1)
+    z_rows = [feature @ m.params["Cv"].T for m in models]
+    d_terms = [m.attribute_terms(d_row) for m in models]
+    token_order = np.arange(models[0].config.vocab_size)
+    zeros = [np.zeros(m.config.hidden_dim) for m in models]
+    live = [(0.0, (BOS_ID,), zeros, zeros)]
+    finished = []
+
+    def step_distributions(hyps, first_step):
+        last_ids = [hyp[1][-1] for hyp in hyps]
+        d_tile = np.repeat(d_row, len(hyps), axis=0)
+        member_probs, states = [], []
+        for k, model in enumerate(models):
+            h = np.stack([hyp[2][k] for hyp in hyps])
+            c = np.stack([hyp[3][k] for hyp in hyps])
+            z = np.repeat(z_rows[k], len(hyps), axis=0) if first_step else None
+            probs, h, c = model.step_probs(last_ids, h, c, d_tile, z=z,
+                                           d_terms=d_terms[k])
+            member_probs.append(probs)
+            states.append((h, c))
+        return ensemble_mean(np.stack(member_probs)), states
+
+    for t in range(1, max_len + 1):
+        probs, states = step_distributions(live, first_step=(t == 1))
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(probs)
+        candidates = []
+        for row, hyp in enumerate(live):
+            ranked = [int(tok) for tok in np.lexsort((token_order, -log_probs[row]))
+                      if tok != BOS_ID][:beam_width]
+            candidates.extend((hyp[0] + float(log_probs[row, tok]), hyp[1] + (tok,), row)
+                              for tok in ranked)
+        candidates.sort(key=lambda cand: (-cand[0], cand[1]))
+        live = []
+        for log_prob, tokens, row in candidates[:beam_width]:
+            if tokens[-1] == EOS_ID:
+                finished.append((log_prob, tokens))
+            else:
+                live.append((log_prob, tokens, [states[k][0][row] for k in range(n_members)],
+                             [states[k][1][row] for k in range(n_members)]))
+        if not live:
+            break
+    if finished:
+        log_prob, tokens = min(finished, key=lambda f: (-f[0], f[1]))
+        return CaptionSequence(tokens=tokens, log_prob=log_prob)
+    best = min(live, key=lambda hyp: (-hyp[0], hyp[1]))
+    probs, _ = step_distributions([best], first_step=False)
+    with np.errstate(divide="ignore"):
+        eos_log_prob = float(np.log(probs[0, EOS_ID]))
+    return CaptionSequence(tokens=best[1] + (EOS_ID,), log_prob=best[0] + eos_log_prob)
+
+
+def test_block_decoding_matches_the_per_image_reference():
+    cfg = ScnLstmConfig(vocab_size=9, n_words=4, feature_dim=5, embed_dim=4,
+                        hidden_dim=6, factor_dim=5, dropout=0.0)
+    n_images, mixed = 7, 0
+    for seed in range(12):
+        models = [ScnLstm(cfg, seed=60 + 2 * seed + k) for k in range(2)]
+        for model in models:
+            model.params = {k: v * 3.0 for k, v in model.params.items()}
+        rng = Rng(80 + seed)
+        features = rng.normal((n_images, cfg.feature_dim)) * 2.0
+        d = np.abs(rng.normal((n_images, cfg.n_words))) * 2.0
+        max_len = 3 + seed % 3
+        for width in (1, 3, 5):
+            block = ensemble_beam_search_block(models, features, d, width, max_len)
+            assert len(block) == n_images
+            for i, seq in enumerate(block):
+                ref = per_image_reference(models, features[i], d[i], width, max_len)
+                assert seq.tokens == ref.tokens
+                assert abs(seq.log_prob - ref.log_prob) <= 1e-10 * abs(ref.log_prob)
+                alone = ensemble_beam_search(models, features[i], d[i], width, max_len)
+                assert alone.tokens == seq.tokens
+            n_forced = sum(seq.length == max_len + 1 for seq in block)
+            mixed += 0 < n_forced < n_images
+    # Most blocks hold both images that finished early and images
+    # force-terminated at max_len.
+    assert mixed >= 18
+
+
+class BigramModel(ScnLstm):
+    """Constructed step distributions: the next-token distribution is
+    the row of ``table`` picked by the last token, whatever the image."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=np.float64)
+        super().__init__(dataclasses.replace(TINY, vocab_size=len(self.table)))
+
+    def step_probs(self, last_ids, h, c, d, z=None, params=None, d_terms=None):
+        return self.table[np.asarray(last_ids)], h, c
+
+
+def bigram(vocab_size, rows):
+    table = np.zeros((vocab_size, vocab_size))
+    for last, probs in rows.items():
+        for token, p in probs.items():
+            table[last, token] = p
+    return BigramModel(table)
+
+
+def decode_ties(model, beam_width, max_len):
+    """The decode of three identical images in one block, checked
+    against each other and the per-image reference."""
+    feature, d = tiny_inputs()
+    block = ensemble_beam_search_block([model], np.tile(feature, (3, 1)),
+                                       np.tile(d, (3, 1)), beam_width, max_len)
+    ref = per_image_reference([model], feature, d, beam_width, max_len)
+    for seq in block:
+        assert (seq.tokens, seq.log_prob) == (ref.tokens, ref.log_prob)
+    return block[0]
+
+
+def test_ties_at_the_token_cut_go_to_the_smaller_id():
+    # After BOS, tokens 2, 3, 4 tie for the last two of three slots:
+    # 4 must not survive, although it leads to the best caption.
+    model = bigram(6, {BOS_ID: {5: 0.4, 2: 0.2, 3: 0.2, 4: 0.2},
+                       2: {EOS_ID: 0.5, 5: 0.5}, 3: {EOS_ID: 0.5, 5: 0.5},
+                       4: {EOS_ID: 0.9, 5: 0.1}, 5: {EOS_ID: 0.1, 2: 0.9}})
+    seq = decode_ties(model, beam_width=3, max_len=2)
+    assert seq.tokens == (BOS_ID, 2, EOS_ID)
+    assert seq.log_prob == np.log(0.2) + np.log(0.5)
+
+
+def test_tied_pooled_candidates_go_to_the_smaller_token_tuple():
+    # Step two pools (5, 3) first, then (5, 4) and (2, 6) tied for the
+    # last slot; (2, 6) is the smaller tuple though its parent ranks
+    # second, and only its branch reaches the best caption.
+    model = bigram(7, {BOS_ID: {5: 0.5, 2: 0.25, 6: 0.25},
+                       5: {3: 0.5, 4: 0.25, 6: 0.125, EOS_ID: 0.125},
+                       2: {6: 0.5, EOS_ID: 0.25, 3: 0.25},
+                       3: {EOS_ID: 0.125, 2: 0.875},
+                       4: {EOS_ID: 1.0}, 6: {EOS_ID: 1.0}})
+    seq = decode_ties(model, beam_width=2, max_len=3)
+    assert seq.tokens == (BOS_ID, 2, 6, EOS_ID)
+    assert seq.log_prob == np.log(0.25) + np.log(0.5)
+
+
+def test_a_finished_tie_goes_to_the_shorter_sequence():
+    # (3, EOS) and (3, 4, EOS) both score log 0.5 exactly.
+    model = bigram(5, {BOS_ID: {3: 1.0}, 3: {EOS_ID: 0.5, 4: 0.5},
+                       4: {EOS_ID: 1.0}, 2: {EOS_ID: 1.0}})
+    for max_len in (2, 4):
+        seq = decode_ties(model, beam_width=2, max_len=max_len)
+        assert seq.tokens == (BOS_ID, 3, EOS_ID)
+        assert seq.log_prob == np.log(0.5)
+
+
+def test_underflowed_scores_never_admit_bos():
+    # Every non-BOS token has probability zero: all tie at -inf, and a
+    # beam at least as wide as the vocabulary still must not pick BOS.
+    model = bigram(5, {last: {BOS_ID: 1.0} for last in range(5)})
+    for width in (4, 5, 9):
+        seq = decode_ties(model, beam_width=width, max_len=3)
+        assert seq.tokens == (BOS_ID, EOS_ID)
+        assert seq.log_prob == -np.inf
 
 
 def test_ensemble_of_identical_members_decodes_like_the_single_model():

@@ -47,6 +47,35 @@ def test_features_empty_file_round_trip(tmp_path):
     assert ids == [] and features.shape == (0, 5)
 
 
+def read_features_per_record(path):
+    """Record-at-a-time decoding of a checked DAEF file: the loop that
+    the structured-dtype view replaced."""
+    payload = path.read_bytes()
+    dim = int(np.frombuffer(payload, "<u4", count=1, offset=8)[0])
+    count = int(np.frombuffer(payload, "<u8", count=1, offset=12)[0])
+    record = 8 + 4 * dim
+    ids, features = [], np.empty((count, dim), dtype=np.float64)
+    for i in range(count):
+        start = 20 + i * record
+        ids.append(int(np.frombuffer(payload, "<u8", count=1, offset=start)[0]))
+        features[i] = np.frombuffer(payload, "<f4", count=dim, offset=start + 8)
+    return ids, features
+
+
+def test_features_match_the_per_record_reader(tmp_path):
+    ids = [2**64 - 1, 0, 17, 2**40 + 3, 5]
+    cases = {"multi.daef": (ids, Rng(3).normal((5, 7)) * 1e3),
+             "empty.daef": ([], np.zeros((0, 7)))}
+    for name, (case_ids, features) in cases.items():
+        write_features(tmp_path / name, case_ids, features)
+        got_ids, got = read_features(tmp_path / name)
+        ref_ids, ref = read_features_per_record(tmp_path / name)
+        assert got_ids == ref_ids == case_ids
+        assert all(type(image_id) is int for image_id in got_ids)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_features_layout_is_little_endian(tmp_path):
     path = tmp_path / "f.bin"
     write_features(path, [7], np.array([[1.0, 2.0]]))
