@@ -205,7 +205,12 @@ class AttrNet:
                 dout, dgamma, dbeta = batchnorm_backward(dout, bn_cache)
                 grads[f"bn{k}.gamma"] = dgamma
                 grads[f"bn{k}.beta"] = dbeta
-            dout, dw, db = affine_backward(dout, fc_cache)
+            if k > 1:
+                dout, dw, db = affine_backward(dout, fc_cache)
+            else:
+                # Nothing consumes the gradient of the network's input.
+                x, _ = fc_cache
+                dw, db = x.T @ dout, dout.sum(axis=0)
             grads[f"fc{k}.w"] = dw
             if k not in self._bn_layers:
                 grads[f"fc{k}.b"] = db

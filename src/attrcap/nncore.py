@@ -10,6 +10,9 @@ every draw is a pure function of ``(seed, position)``, so results are
 reproducible bit for bit regardless of platform or draw batching, and
 ``split`` derives statistically independent child streams for
 per-layer, per-epoch, or per-member use.
+
+Draws and the Adam update run in cache-sized blocks with a little reused
+scratch memory, and give bitwise the results of the whole-array formulas.
 """
 
 from __future__ import annotations
@@ -63,18 +66,53 @@ class NumericError(ArithmeticError):
 # Deterministic random stream
 # --------------------------------------------------------------------------
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0 ** -53)
 
+# Elements per block of the draw and Adam kernels: 256 KB of float64, so
+# the few blocks that one pass of a kernel touches stay in a core's cache.
+_CHUNK = 1 << 15
+# ``k * GAMMA`` (wrapping) for every offset ``k`` within a block.
+_STRIDES = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(_GAMMA)
 
-def _mix64(z):
-    """SplitMix64 finalizer over a uint64 array (wrapping arithmetic)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX_1
-    z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+
+def _mix64(z, scratch):
+    """SplitMix64 finalizer of a uint64 array, in place (wrapping
+    arithmetic); ``scratch`` is a uint64 buffer of the same length."""
+    for shift, multiplier in ((30, _MIX_1), (27, _MIX_2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= multiplier
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
+
+
+def _blocks(count):
+    """``(start, stop)`` of the consecutive ``_CHUNK``-sized blocks of
+    ``range(count)``."""
+    return ((start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK))
+
+
+def _draw_bits(seed, first, count):
+    """Yield ``(start, bits)`` over the raw draws ``first .. first +
+    count - 1`` of stream ``seed``, block by block: ``bits[k]`` is raw
+    draw ``first + start + k`` shifted to its top 53 bits. ``bits`` is a
+    view of a buffer that the next block overwrites."""
+    z = np.empty(min(count, _CHUNK), dtype=np.uint64)
+    scratch = np.empty_like(z)
+    for start, stop in _blocks(count):
+        bits = z[:stop - start]
+        # Raw draw i is mix64(seed + (i + 1) * GAMMA), all modulo 2**64.
+        np.add(_STRIDES[:len(bits)],
+               np.uint64((seed + (first + start + 1) * _GAMMA) & _U64_MASK),
+               out=bits)
+        _mix64(bits, scratch[:len(bits)])
+        bits >>= np.uint64(11)
+        yield start, bits
 
 
 class Rng:
@@ -86,20 +124,18 @@ class Rng:
     """
 
     def __init__(self, seed):
-        self._seed = np.uint64(int(seed) & _U64_MASK)
+        self._seed = int(seed) & _U64_MASK
         self._position = 0
 
     @property
     def seed(self):
-        return int(self._seed)
+        return self._seed
 
-    def _raw(self, count):
-        index = np.arange(
-            self._position + 1, self._position + count + 1, dtype=np.uint64
-        )
+    def _bits(self, count):
+        """Consume ``count`` draws; yields them as :func:`_draw_bits` does."""
+        first = self._position
         self._position += count
-        with np.errstate(over="ignore"):
-            return _mix64(self._seed + index * _GAMMA)
+        return _draw_bits(self._seed, first, count)
 
     def split(self, tag):
         """Derive an independent child stream keyed by an integer tag.
@@ -107,28 +143,39 @@ class Rng:
         Splitting never consumes draws from the parent, so the order of
         splits and draws cannot interfere.
         """
-        key = np.uint64((int(tag) & _U64_MASK) ^ 0x5851F42D4C957F2D)
-        with np.errstate(over="ignore"):
-            child = _mix64(np.array([self._seed ^ _mix64(np.array([key]))[0]],
-                                    dtype=np.uint64))[0]
-        return Rng(int(child))
+        scratch = np.empty(1, dtype=np.uint64)
+        key = np.array([(int(tag) & _U64_MASK) ^ 0x5851F42D4C957F2D], dtype=np.uint64)
+        child = np.array([self._seed], dtype=np.uint64) ^ _mix64(key, scratch)
+        return Rng(int(_mix64(child, scratch)[0]))
 
     def uniform(self, shape=()):
         """Floats in [0, 1) with 53-bit resolution."""
         count = int(np.prod(shape, dtype=np.int64)) if shape != () else 1
-        values = (self._raw(count) >> np.uint64(11)).astype(np.float64)
-        values *= _INV_2_53
+        values = np.empty(count, dtype=np.float64)
+        for start, bits in self._bits(count):
+            np.multiply(bits, _INV_2_53, out=values[start:start + len(bits)])
         return values.reshape(shape) if shape != () else float(values[0])
 
     def normal(self, shape=()):
-        """Standard normal draws via the Box-Muller transform."""
+        """Standard normal draws via the Box-Muller transform: ``u1``
+        comes from the next ``count`` draws and ``u2`` from the ones
+        after them."""
         count = int(np.prod(shape, dtype=np.int64)) if shape != () else 1
-        # u1 in (0, 1] so the log is finite; u2 in [0, 1).
-        u1 = ((self._raw(count) >> np.uint64(11)).astype(np.float64) + 1.0)
-        u1 *= _INV_2_53
-        u2 = (self._raw(count) >> np.uint64(11)).astype(np.float64)
-        u2 *= _INV_2_53
-        values = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        values = np.empty(count, dtype=np.float64)
+        u1_block = np.empty(min(count, _CHUNK), dtype=np.float64)
+        u2_block = np.empty_like(u1_block)
+        for (start, bits1), (_, bits2) in zip(self._bits(count), self._bits(count)):
+            u1, u2 = u1_block[:len(bits1)], u2_block[:len(bits1)]
+            # u1 in (0, 1] so the log is finite; u2 in [0, 1).
+            np.add(bits1, 1.0, out=u1)
+            u1 *= _INV_2_53
+            np.multiply(bits2, _INV_2_53, out=u2)
+            np.log(u1, out=u1)
+            u1 *= -2.0
+            np.sqrt(u1, out=u1)
+            u2 *= 2.0 * np.pi
+            np.cos(u2, out=u2)
+            np.multiply(u1, u2, out=values[start:start + len(u1)])
         return values.reshape(shape) if shape != () else float(values[0])
 
     def permutation(self, n):
@@ -316,7 +363,10 @@ def xavier_init(rows, cols, rng):
     if isinstance(rng, (int, np.integer)):
         rng = Rng(rng)
     bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform((rows, cols)) * (2.0 * bound) - bound
+    weights = rng.uniform((rows, cols))
+    weights *= 2.0 * bound
+    weights -= bound
+    return weights
 
 
 @dataclass
@@ -332,16 +382,21 @@ class AdamState:
     moment2: dict = field(default_factory=dict)
 
 
+def _flat(array):
+    """1-D C-order elements of ``array``: a view when it is C-contiguous,
+    else a flat iterator whose slices are copies of just that range."""
+    return array.reshape(-1) if array.flags.c_contiguous else array.flat
+
+
 def adam_step(params, grads, state):
     """One Adam update; returns a new params dict, mutating ``state``.
 
     Moments are bias-corrected. Gradients must be finite and shaped
-    like their parameters.
+    like their parameters; every gradient is checked before anything
+    changes, so a rejected step leaves ``state`` as it was. The moments
+    are updated in place, block by block, and each new parameter is
+    written into a fresh array: the caller's arrays are never modified.
     """
-    state.step += 1
-    correction1 = 1.0 - state.beta1 ** state.step
-    correction2 = 1.0 - state.beta2 ** state.step
-    updated = {}
     for name, value in params.items():
         grad = grads[name]
         if grad.shape != value.shape:
@@ -349,22 +404,46 @@ def adam_step(params, grads, state):
                 f"gradient for {name} has shape {grad.shape}, "
                 f"parameter has {value.shape}"
             )
-        if not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite gradient for {name}")
-        m = state.moment1.get(name)
-        v = state.moment2.get(name)
-        if m is None:
-            m = np.zeros_like(value)
-            v = np.zeros_like(value)
-        m = state.beta1 * m + (1.0 - state.beta1) * grad
-        v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
-        state.moment1[name] = m
-        state.moment2[name] = v
-        m_hat = m / correction1
-        v_hat = v / correction2
-        updated[name] = value - state.learning_rate * m_hat / (
-            np.sqrt(v_hat) + state.eps
-        )
+        flat = _flat(grad)
+        for start, stop in _blocks(grad.size):
+            if not np.isfinite(flat[start:stop]).all():
+                raise NumericError(f"non-finite gradient for {name}")
+    state.step += 1
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    correction1 = 1.0 - b1 ** state.step
+    correction2 = 1.0 - b2 ** state.step
+    scratch = np.empty((2, min(_CHUNK, max((p.size for p in params.values()), default=0))))
+    updated = {}
+    for name, value in params.items():
+        if name not in state.moment1:
+            state.moment1[name] = np.zeros(value.shape)
+            state.moment2[name] = np.zeros(value.shape)
+        out = np.empty(value.shape)
+        moment1, moment2 = state.moment1[name].reshape(-1), state.moment2[name].reshape(-1)
+        grad, param, new = _flat(grads[name]), _flat(value), out.reshape(-1)
+        for start, stop in _blocks(value.size):
+            m, v, g = moment1[start:stop], moment2[start:stop], grad[start:stop]
+            t, u = scratch[0, :stop - start], scratch[1, :stop - start]
+            # The operations and their order are those of the whole-array
+            # formulas, so the results are bitwise equal to them:
+            # m = b1*m + (1-b1)*g
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=t)
+            m += t
+            # v = b2*v + ((1-b2)*g)*g
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=t)
+            t *= g
+            v += t
+            # new = p - (lr*(m/c1)) / (sqrt(v/c2) + eps)
+            np.divide(m, correction1, out=t)
+            t *= lr
+            np.divide(v, correction2, out=u)
+            np.sqrt(u, out=u)
+            u += eps
+            t /= u
+            np.subtract(param[start:stop], t, out=new[start:stop])
+        updated[name] = out
     return updated
 
 

@@ -154,6 +154,20 @@ def test_repeated_or_non_finite_attribute_is_a_data_error(artifacts, attrs):
     assert len(lines) == 1 and lines[0].startswith("error: data: "), lines
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("family", ["attr", "cap"])
+def test_non_finite_features_are_a_numeric_error(artifacts, family, bad):
+    features = Rng(50).normal((4, FEATURE_DIM))
+    features[2, 5] = bad
+    features[3, 0] = np.nan
+    storage.write_features(artifacts / "feats.daef", [1, 2, 3, 4], features)
+    code, lines = run(command(artifacts, family, artifacts / f"{family}.daec"))
+    assert code == 3
+    assert len(lines) == 1 and lines[0].startswith("error: numeric: "), lines
+    assert lines[0].endswith("non-finite feature value for image 3"), lines
+    assert not (artifacts / "out.jsonl").exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: truncations and header mutations
 # ---------------------------------------------------------------------------

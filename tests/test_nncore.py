@@ -1,9 +1,12 @@
 """Numerical-kernel tests: RNG, layers, Adam, init, and check harnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from attrcap.nncore import (
+    _CHUNK,
     AdamState,
     BatchNormState,
     DimensionError,
@@ -89,6 +92,104 @@ def test_rng_permutation_deterministic():
 def test_rng_permutation_varies_with_seed():
     outputs = {tuple(Rng(seed).permutation(8).tolist()) for seed in range(20)}
     assert len(outputs) > 10
+
+
+class ReferenceRng:
+    """The whole-array SplitMix64 formulas that the block kernels
+    replaced: one uint64 array per draw, then shift, convert, scale."""
+
+    GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+    def __init__(self, seed):
+        self.seed = np.uint64(int(seed) & (2 ** 64 - 1))
+        self.position = 0
+
+    @staticmethod
+    def mix64(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def raw(self, count):
+        index = np.arange(self.position + 1, self.position + count + 1, dtype=np.uint64)
+        self.position += count
+        with np.errstate(over="ignore"):
+            return self.mix64(self.seed + index * self.GAMMA)
+
+    def split(self, tag):
+        key = np.uint64((int(tag) & (2 ** 64 - 1)) ^ 0x5851F42D4C957F2D)
+        with np.errstate(over="ignore"):
+            child = self.mix64(np.array([self.seed ^ self.mix64(np.array([key]))[0]],
+                                        dtype=np.uint64))[0]
+        return ReferenceRng(int(child))
+
+    def uniform(self, shape):
+        values = (self.raw(int(np.prod(shape))) >> np.uint64(11)).astype(np.float64)
+        values *= 2.0 ** -53
+        return values.reshape(shape)
+
+    def normal(self, shape):
+        count = int(np.prod(shape))
+        u1 = (self.raw(count) >> np.uint64(11)).astype(np.float64) + 1.0
+        u1 *= 2.0 ** -53
+        u2 = (self.raw(count) >> np.uint64(11)).astype(np.float64)
+        u2 *= 2.0 ** -53
+        return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).reshape(shape)
+
+    def permutation(self, n):
+        order = np.arange(n, dtype=np.int64)
+        if n < 2:
+            return order
+        picks = self.uniform((n - 1,))
+        for i in range(n - 1, 0, -1):
+            j = int(picks[n - 1 - i] * (i + 1))
+            order[i], order[j] = order[j], order[i]
+        return order
+
+    def xavier(self, rows, cols):
+        bound = np.sqrt(6.0 / (rows + cols))
+        return self.uniform((rows, cols)) * (2.0 * bound) - bound
+
+
+BLOCK_COUNTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+def assert_same_draws(rng, reference, count):
+    """Each draw kind, in turn on both streams, gives the same bytes."""
+    assert rng.uniform((count,)).tobytes() == reference.uniform((count,)).tobytes()
+    assert rng.normal((count,)).tobytes() == reference.normal((count,)).tobytes()
+    assert np.array_equal(rng.permutation(count), reference.permutation(count))
+    assert xavier_init(1, count, rng).tobytes() == reference.xavier(1, count).tobytes()
+    assert rng.uniform() == reference.uniform((1,))[0]
+    assert rng.normal() == reference.normal((1,))[0]
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+@pytest.mark.parametrize("consumed", [0, _CHUNK // 2 + 3])
+def test_draws_are_bitwise_the_whole_array_formulas(count, consumed):
+    for seed in (0, 77, 2 ** 64 - 1):
+        rng, reference = Rng(seed), ReferenceRng(seed)
+        # A stream part-way through a block must continue where it was.
+        assert rng.uniform((consumed,)).tobytes() == reference.uniform((consumed,)).tobytes()
+        assert_same_draws(rng, reference, count)
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+def test_split_streams_are_bitwise_the_whole_array_formulas(count):
+    rng, reference = Rng(31), ReferenceRng(31)
+    rng.normal((5,))
+    reference.normal((5,))
+    for tag in (0, 3, 2 ** 64 + 3):
+        child, reference_child = rng.split(tag), reference.split(tag)
+        assert child.seed == int(reference_child.seed)
+        assert_same_draws(child, reference_child, count)
+
+
+def test_xavier_matrix_is_bitwise_the_whole_array_formula():
+    for rows, cols in [(0, 4), (3, 5), (181, 181), (256, 384)]:
+        got = xavier_init(rows, cols, Rng(12))
+        assert got.shape == (rows, cols)
+        assert got.tobytes() == ReferenceRng(12).xavier(rows, cols).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +479,114 @@ def test_adam_rejects_shape_mismatch():
     state = AdamState(learning_rate=0.1)
     with pytest.raises(DimensionError):
         adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, state)
+
+
+def reference_adam_step(params, grads, state):
+    """The whole-array Adam update that the block kernel replaced."""
+    state.step += 1
+    correction1 = 1.0 - state.beta1 ** state.step
+    correction2 = 1.0 - state.beta2 ** state.step
+    updated = {}
+    for name, value in params.items():
+        grad = grads[name]
+        m = state.moment1.get(name, np.zeros_like(value))
+        v = state.moment2.get(name, np.zeros_like(value))
+        m = state.beta1 * m + (1.0 - state.beta1) * grad
+        v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
+        state.moment1[name] = m
+        state.moment2[name] = v
+        updated[name] = value - state.learning_rate * (m / correction1) / (
+            np.sqrt(v / correction2) + state.eps)
+    return updated
+
+
+ADAM_SHAPES = {"scalar": (), "empty": (0,), "short": (7,), "transposed": (5, 9),
+               "fortran": (6, 8), "long": (2, _CHUNK // 2 + 11)}
+
+
+def adam_inputs(rng, params):
+    """A step's gradients and the params laid out as the test wants them:
+    a transposed gradient and a Fortran-order parameter."""
+    grads = {name: np.asarray(rng.normal(shape)) for name, shape in ADAM_SHAPES.items()}
+    grads["transposed"] = rng.normal(ADAM_SHAPES["transposed"][::-1]).T
+    params = dict(params, fortran=np.asfortranarray(params["fortran"]))
+    assert not grads["transposed"].flags.c_contiguous
+    assert not params["fortran"].flags.c_contiguous
+    return params, grads
+
+
+def test_adam_is_bitwise_the_whole_array_update():
+    rng = Rng(40)
+    params = {name: np.asarray(rng.normal(shape)) for name, shape in ADAM_SHAPES.items()}
+    expected = dict(params)
+    state = AdamState(learning_rate=0.01)
+    reference = AdamState(learning_rate=0.01)
+    for _ in range(5):
+        params, grads = adam_inputs(rng, params)
+        inputs = [*params.values(), *grads.values()]
+        copies = [a.copy() for a in inputs]
+        params = adam_step(params, grads, state)
+        expected = reference_adam_step(expected, grads, reference)
+        assert state.step == reference.step
+        for name in ADAM_SHAPES:
+            assert params[name].shape == ADAM_SHAPES[name]
+            assert params[name].tobytes() == expected[name].tobytes(), name
+            assert state.moment1[name].tobytes() == reference.moment1[name].tobytes()
+            assert state.moment2[name].tobytes() == reference.moment2[name].tobytes()
+        # The caller's arrays, parameters and gradients alike, are untouched.
+        for array, copy in zip(inputs, copies):
+            assert array.tobytes() == copy.tobytes()
+
+
+def adam_snapshot(state):
+    return (state.step, {name: m.tobytes() for name, m in state.moment1.items()},
+            {name: v.tobytes() for name, v in state.moment2.items()})
+
+
+@pytest.mark.parametrize("primed", [False, True])
+def test_rejected_adam_step_leaves_the_state_unchanged(primed):
+    rng = Rng(41)
+    params = {"a": rng.normal((3, 4)), "b": rng.normal((_CHUNK + 9,))}
+    state = AdamState(learning_rate=0.01)
+    if primed:
+        adam_step(params, {name: rng.normal(p.shape) for name, p in params.items()}, state)
+    before = adam_snapshot(state)
+    grads = {name: rng.normal(p.shape) for name, p in params.items()}
+    # A non-finite value in the last block of the last tensor, then a
+    # misshapen last tensor: the first tensor has already been checked.
+    for bad in (np.nan, -np.inf):
+        grads["b"][-1] = bad
+        with pytest.raises(NumericError, match="non-finite gradient for b"):
+            adam_step(params, grads, state)
+        assert adam_snapshot(state) == before
+    with pytest.raises(DimensionError, match="gradient for b has shape"):
+        adam_step(params, dict(grads, b=np.zeros(3)), state)
+    assert adam_snapshot(state) == before
+
+
+def peak_traced_bytes(call):
+    """Peak bytes that ``call()`` allocates, as ``tracemalloc`` sees it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adam_step_allocates_its_output_and_little_more():
+    rng = Rng(42)
+    params = {"w": rng.normal((3 * _CHUNK,))}
+    grads = {"w": rng.normal((3 * _CHUNK,))}
+    state = AdamState(learning_rate=0.01)
+    params = adam_step(params, grads, state)  # the moments now exist
+    output = params["w"].nbytes
+    assert peak_traced_bytes(lambda: adam_step(params, grads, state)) < output + 2 ** 20
+
+
+def test_uniform_allocates_its_output_and_little_more():
+    output = 3 * _CHUNK * 8
+    assert peak_traced_bytes(lambda: Rng(0).uniform((3 * _CHUNK,))) < output + 2 ** 20
 
 
 # ---------------------------------------------------------------------------
