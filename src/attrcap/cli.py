@@ -21,8 +21,6 @@ import shlex
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import attrnet as attrnet_mod
 from . import metrics as metrics_mod
 from . import scnlstm as scnlstm_mod
@@ -174,17 +172,6 @@ def _parse_thresholds(text):
     return values
 
 
-def _read_finite_features(path):
-    """``storage.read_features``, with a non-finite value a numeric
-    failure that names the first image holding one."""
-    feature_ids, features = storage.read_features(path)
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        raise NumericError(f"{path}: non-finite feature value for image "
-                           f"{feature_ids[int(np.argmax(bad))]}")
-    return feature_ids, features
-
-
 def _load_documents(path, stem):
     return build_documents(parse_caption_file(path), apply_stemming=stem)
 
@@ -254,7 +241,7 @@ def _cmd_train_attr(args, meta):
 
 
 def _cmd_predict_attr(args, meta):
-    feature_ids, features = _read_finite_features(args.features)
+    feature_ids, features = storage.read_features(args.features)
     members = attrnet_mod.load_attrnet_ensemble(args.model)
     predictions = attrnet_mod.predict_ensemble(members, features)
     storage.write_attributes(args.out_attrs, feature_ids, predictions, meta=meta)
@@ -378,7 +365,7 @@ def _cmd_train_captioner(args, meta):
 
 
 def _cmd_caption(args, meta):
-    feature_ids, features = _read_finite_features(args.features)
+    feature_ids, features = storage.read_features(args.features)
     attr_ids, attrs, _ = storage.load_attributes(args.attrs)
     _, x, d = attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
     models, vocab = scnlstm_mod.load_captioner_ensemble(args.model)
@@ -435,17 +422,18 @@ def _cmd_eval_captions(args, meta):
     candidates = []
     references = []
     for record in records:
-        if "image_id" not in record or "tokens" not in record:
-            raise storage.FormatError(
-                f"{args.candidates}: caption records need image_id and tokens"
-            )
-        image_id = int(record["image_id"])
+        if not (isinstance(record, dict) and type(record.get("image_id")) is int
+                and isinstance(record.get("tokens"), list)
+                and all(isinstance(token, str) for token in record["tokens"])):
+            raise storage.FormatError(f"{args.candidates}: caption records need "
+                                      "an int image_id and a list of string tokens")
+        image_id = record["image_id"]
         refs = references_by_image.get(image_id)
         if not refs:
             raise storage.FormatError(
                 f"no references for image {image_id} in {args.references}"
             )
-        candidates.append([str(t) for t in record["tokens"]])
+        candidates.append(record["tokens"])
         references.append(refs)
     report = metrics_mod.evaluate_captions(
         candidates, references, rouge_beta=args.rouge_beta

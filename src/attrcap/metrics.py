@@ -36,6 +36,17 @@ __all__ = [
 _BIN_EDGES = (0.25, 0.5, 0.75, 1.0)
 
 
+def _bins(values):
+    """Array of :func:`bin_of`, with 0 for an exact zero. A value outside
+    ``[0, 1]``, NaN included, is a ParameterError."""
+    values = np.asarray(values, dtype=np.float64)
+    valid = (values >= 0.0) & (values <= 1.0)
+    if not valid.all():
+        bad = float(values.flat[int(np.argmin(valid))])
+        raise ParameterError(f"attribute value {bad} outside [0, 1]")
+    return np.where(values == 0.0, 0, np.searchsorted(_BIN_EDGES, values) + 1)
+
+
 def bin_of(value):
     """Quarter-width bin of an attribute value in [0, 1].
 
@@ -43,15 +54,7 @@ def bin_of(value):
     ``(0.5, 0.75]``, 4 for ``(0.75, 1]`` and ``None`` for an exact zero
     (excluded from scoring). Values outside ``[0, 1]`` are rejected.
     """
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ParameterError(f"attribute value {value} outside [0, 1]")
-    if value == 0.0:
-        return None
-    for bin_id, edge in enumerate(_BIN_EDGES, start=1):
-        if value <= edge:
-            return bin_id
-    raise AssertionError("unreachable")
+    return int(_bins(float(value))) or None
 
 
 def _f1(tp, fp, fn):
@@ -77,21 +80,14 @@ def attribute_f1(pred, target):
         raise DimensionError(
             f"prediction shape {pred.shape} does not match target {target.shape}"
         )
-    clamped = np.clip(pred, 0.0, 1.0)
-    tp = Counter()
-    fp = Counter()
-    fn = Counter()
-    for t_value, p_value in zip(target.ravel(), clamped.ravel()):
-        t_bin = bin_of(t_value)
-        if t_bin is None:
-            continue
-        p_bin = bin_of(p_value)
-        if p_bin == t_bin:
-            tp[t_bin] += 1
-        else:
-            fn[t_bin] += 1
-            if p_bin is not None:
-                fp[p_bin] += 1
+    t_bins = _bins(target).ravel()
+    scored = t_bins > 0
+    t_bins = t_bins[scored]
+    p_bins = _bins(np.clip(pred.ravel()[scored], 0.0, 1.0))
+    hit = p_bins == t_bins
+    # Counts indexed by bin; a miss predicted as zero lands in fp[0], unread.
+    tp, fn, fp = (np.bincount(bins, minlength=5).tolist()
+                  for bins in (t_bins[hit], t_bins[~hit], p_bins[~hit]))
     per_bin = {}
     macro_scores = []
     for bin_id in (1, 2, 3, 4):
@@ -105,9 +101,7 @@ def attribute_f1(pred, target):
         }
         if support:
             macro_scores.append(f1)
-    total_tp = sum(tp.values())
-    total_fp = sum(fp.values())
-    total_fn = sum(fn.values())
+    total_tp, total_fn, total_fp = sum(tp), sum(fn), sum(fp[1:])
     micro_precision, micro_recall, micro_f1 = _f1(total_tp, total_fp, total_fn)
     return {
         "macro_f1": float(np.mean(macro_scores)) if macro_scores else 0.0,

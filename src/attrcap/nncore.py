@@ -334,11 +334,9 @@ def batchnorm_backward(dout, cache):
 
 def sigmoid(x):
     """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

@@ -149,14 +149,11 @@ def ground_truth_attributes(document, vocabulary):
     nothing to normalize). Entries are always in ``[0, 1]``: products
     are non-negative and no entry can exceed the vector's own norm.
     """
-    tf = averaged_term_frequencies(document)
     values = np.zeros(len(vocabulary.words), dtype=np.float64)
-    for position, (word, word_idf) in enumerate(
-        zip(vocabulary.words, vocabulary.idf)
-    ):
-        freq = tf.get(word)
-        if freq is not None:
-            values[position] = freq * word_idf
+    for word, freq in averaged_term_frequencies(document).items():
+        position = vocabulary.index.get(word)
+        if position is not None:
+            values[position] = freq * vocabulary.idf[position]
     norm = float(np.linalg.norm(values))
     if norm > 0.0:
         values /= norm

@@ -27,6 +27,7 @@ import os
 
 import numpy as np
 
+from .nncore import NumericError
 from .semantics import Vocabulary
 
 __all__ = [
@@ -94,7 +95,8 @@ def read_features(path):
     """Read a DAEF file; returns ``(image_ids, features)``.
 
     Features come back as float64 (they are stored as float32, so the
-    widening is exact).
+    widening is exact). A NaN or infinite value is a :class:`NumericError`
+    naming the first image that holds one.
     """
     try:
         handle = open(path, "rb")
@@ -116,6 +118,10 @@ def read_features(path):
         payload = handle.read(size)
     records = np.frombuffer(payload, np.dtype([("id", "<u8"), ("x", "<f4", (dim,))]),
                             count=count)
+    finite = np.isfinite(records["x"]).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"{path}: non-finite feature value for image "
+                           f"{int(records['id'][np.argmin(finite)])}")
     return records["id"].tolist(), records["x"].astype(np.float64)
 
 
@@ -333,23 +339,33 @@ def write_attributes(path, image_ids, matrix, meta=None):
 
 
 def load_attributes(path):
-    """Read an attribute JSONL file; returns ``(image_ids, matrix, meta)``."""
+    """Read an attribute JSONL file; returns ``(image_ids, matrix, meta)``.
+    Ids, indices and ``_meta.n_words`` must be JSON ints, values numbers."""
     records, meta = read_jsonl(path)
     image_ids, rows = [], []
     for row, record in enumerate(records):
-        if not isinstance(record, dict) or "image_id" not in record:
-            raise FormatError(f"{path}: attribute record {row} lacks image_id")
+        pairs = record.get("attrs", []) if isinstance(record, dict) else None
         try:
-            image_ids.append(int(record["image_id"]))
-            rows.append([(int(index), float(value))
-                         for index, value in record.get("attrs", ())])
-        except (TypeError, ValueError) as exc:
+            if not (isinstance(record, dict) and type(record.get("image_id")) is int
+                    and isinstance(pairs, list)
+                    and all(type(index) is int and type(value) in (int, float)
+                            for index, value in pairs)):
+                raise TypeError("needs an int image_id and attrs as "
+                                "[int index, number] pairs")
+            image_ids.append(record["image_id"])
+            rows.append([(index, float(value)) for index, value in pairs])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: attribute record {row}: {exc}") from exc
     n_words = meta.get("n_words")
     if n_words is None:
         n_words = max([0] + [index + 1 for pairs in rows for index, _ in pairs])
-    n_words = int(n_words)
-    matrix = np.zeros((len(records), n_words), dtype=np.float64)
+    if type(n_words) is not int or n_words < 0:
+        raise FormatError(f"{path}: n_words {n_words!r} is not a non-negative int")
+    try:
+        matrix = np.zeros((len(records), n_words), dtype=np.float64)
+    except (MemoryError, ValueError) as exc:
+        raise FormatError(f"{path}: cannot hold {len(records)} attribute rows of "
+                          f"n_words {n_words}: {exc}") from exc
     for row, pairs in enumerate(rows):
         seen = set()
         for index, value in pairs:

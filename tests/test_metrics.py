@@ -1,7 +1,9 @@
 """Tests for attribute F1 binning and caption quality metrics."""
 
+import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -103,6 +105,118 @@ def test_f1_is_invariant_under_consistent_permutations():
                                 target[np.ix_(row_order, col_order)])
         assert shuffled["macro_f1"] == base["macro_f1"]
         assert shuffled["micro_f1"] == base["micro_f1"]
+
+
+# ---------------------------------------------------------------------------
+# Pins: the array binning against the per-element loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_bin_of(value):
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ParameterError(f"attribute value {value} outside [0, 1]")
+    if value == 0.0:
+        return None
+    for bin_id, edge in enumerate((0.25, 0.5, 0.75, 1.0), start=1):
+        if value <= edge:
+            return bin_id
+    raise AssertionError("unreachable")
+
+
+def reference_attribute_f1(pred, target):
+    """The per-element loop ``attribute_f1`` once ran, with ``_f1`` inlined."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    clamped = np.clip(pred, 0.0, 1.0)
+    tp, fp, fn = Counter(), Counter(), Counter()
+    for t_value, p_value in zip(target.ravel(), clamped.ravel()):
+        t_bin = reference_bin_of(t_value)
+        if t_bin is None:
+            continue
+        p_bin = reference_bin_of(p_value)
+        if p_bin == t_bin:
+            tp[t_bin] += 1
+        else:
+            fn[t_bin] += 1
+            if p_bin is not None:
+                fp[p_bin] += 1
+    per_bin, macro_scores = {}, []
+    for bin_id in (1, 2, 3, 4):
+        support = tp[bin_id] + fn[bin_id]
+        precision = tp[bin_id] / (tp[bin_id] + fp[bin_id]) if tp[bin_id] + fp[bin_id] else 0.0
+        recall = tp[bin_id] / support if support else 0.0
+        f1 = (0.0 if precision + recall == 0.0
+              else 2.0 * precision * recall / (precision + recall))
+        per_bin[bin_id] = {"precision": precision, "recall": recall, "f1": f1,
+                           "support": support}
+        if support:
+            macro_scores.append(f1)
+    total_tp, total_fp, total_fn = sum(tp.values()), sum(fp.values()), sum(fn.values())
+    micro_p = total_tp / (total_tp + total_fp) if total_tp + total_fp else 0.0
+    micro_r = total_tp / (total_tp + total_fn) if total_tp + total_fn else 0.0
+    micro_f1 = (0.0 if micro_p + micro_r == 0.0
+                else 2.0 * micro_p * micro_r / (micro_p + micro_r))
+    return {"macro_f1": float(np.mean(macro_scores)) if macro_scores else 0.0,
+            "micro_f1": micro_f1, "micro_precision": micro_p,
+            "micro_recall": micro_r, "per_bin": per_bin,
+            "n_scored": total_tp + total_fn}
+
+
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, 0.25, np.nextafter(0.25, 1.0), 0.5,
+                        np.nextafter(0.5, 0.0), 0.75, np.nextafter(0.75, 1.0), 1.0,
+                        np.nextafter(1.0, 0.0)])
+
+
+def test_bin_of_matches_the_loop_on_edges_and_random_values():
+    values = np.concatenate([EDGE_VALUES, np.random.default_rng(3).random(1000)])
+    assert [bin_of(v) for v in values] == [reference_bin_of(v) for v in values]
+    assert all(type(bin_of(v)) is int for v in values if v != 0.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (7,), (13, 29), (40, 61)])
+def test_attribute_f1_report_is_byte_equal_to_the_per_element_loop(shape):
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    for trial in range(6):
+        # Targets: exact zeros, values on every bin edge, random values.
+        target = rng.choice(EDGE_VALUES, size=shape)
+        random_cells = rng.random(shape) < 0.4
+        target[random_cells] = rng.random(shape)[random_cells]
+        # Predictions: edges, in-range, far outside [0, 1], and infinities.
+        pred = rng.choice(np.concatenate([EDGE_VALUES, [-0.3, 1.7, -np.inf, np.inf]]),
+                          size=shape)
+        noise = rng.random(shape) < 0.5
+        pred[noise] = rng.uniform(-0.5, 1.5, shape)[noise]
+        if trial == 5:
+            pred = target.copy()
+        got = json.dumps(attribute_f1(pred, target), sort_keys=True)
+        want = json.dumps(reference_attribute_f1(pred, target), sort_keys=True)
+        assert got == want
+
+
+@pytest.mark.parametrize("pred, target", [
+    ([0.5, 0.5, 0.5], [0.2, np.nan, 0.3]),
+    ([0.5, 0.5, 0.5], [0.2, 1.5, np.nan]),
+    ([0.5, 0.5], [-0.1, 0.4]),
+    ([0.5, 0.5, np.nan, 0.5], [0.2, 0.4, 0.1, 0.9]),
+    ([np.nan, 0.5], [0.0, 0.4]),          # NaN prediction on an unscored cell
+    ([0.5, np.nan, 0.2], [0.2, 0.3, 0.0]),
+])
+def test_attribute_f1_errors_match_the_per_element_loop(pred, target):
+    def outcome(function):
+        try:
+            return json.dumps(function(np.array(pred), np.array(target)), sort_keys=True)
+        except ParameterError as exc:
+            return f"ParameterError: {exc}"
+
+    assert outcome(attribute_f1) == outcome(reference_attribute_f1)
+
+
+def test_a_bad_target_is_reported_before_a_nan_prediction():
+    # The loop reported whichever came first in row-major order; the
+    # array rule checks every target before any prediction.
+    with pytest.raises(ParameterError, match="value 1.000000000001 outside"):
+        attribute_f1(np.array([0.5, np.nan, 0.5]), np.array([0.2, 0.4, 1.0 + 1e-12]))
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,29 @@ def test_sigmoid_values_and_stability():
     assert (np.diff(out) >= 0).all()
 
 
+def reference_sigmoid(x):
+    """The boolean-mask formula ``sigmoid`` once used."""
+    out = np.empty_like(x)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+def test_sigmoid_is_bitwise_the_mask_formula():
+    special = np.array([0.0, -0.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf,
+                        5e-324, -5e-324, 36.7, -36.7, 745.2, -745.2, 709.8, -709.8])
+    for x in (special, Rng(17).normal((3, 16, 32)) * 10.0,
+              Rng(18).normal((5, 7)) * 1000.0, np.zeros((0, 4))):
+        got, want = sigmoid(x), reference_sigmoid(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # Only a NaN's sign bit may differ.
+    nan = np.array([np.nan, -np.nan, 1.0])
+    assert np.isnan(sigmoid(nan)[:2]).all() and sigmoid(nan)[2] == reference_sigmoid(nan)[2]
+
+
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     x = Rng(16).normal((5, 7)) * 10.0
     probs = softmax(x)

@@ -8,6 +8,7 @@ sides share no code beyond the corpus tokenizer.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from attrcap.corpus import Document, build_documents
@@ -284,6 +285,41 @@ def test_ground_truth_independent_of_document_order(t1_documents):
         assert vocab2.words == vocab.words
         again = ground_truth_attributes(doc, vocab2)
         assert (reference == again).all()
+
+
+def reference_ground_truth_attributes(document, vocabulary):
+    """The per-vocabulary-word loop ``ground_truth_attributes`` once ran."""
+    tf = averaged_term_frequencies(document)
+    values = np.zeros(len(vocabulary.words), dtype=np.float64)
+    for position, (word, word_idf) in enumerate(
+        zip(vocabulary.words, vocabulary.idf)
+    ):
+        freq = tf.get(word)
+        if freq is not None:
+            values[position] = freq * word_idf
+    norm = float(np.linalg.norm(values))
+    if norm > 0.0:
+        values /= norm
+    return values
+
+
+def test_ground_truth_is_byte_equal_to_the_per_vocabulary_loop(t1_documents):
+    rng = random.Random(47)
+    cases = [(t1_documents, build_vocabulary(t1_documents, 1.4))]
+    for _ in range(25):
+        documents = random_corpus(rng)
+        cases.append((documents, build_vocabulary(documents, rng.uniform(1.0, 2.5))))
+    for documents, vocab in cases:
+        # A document with no vocabulary word keeps the all-zero row.
+        documents = documents + [Document(image_id=-1, captions=[["zebra"]])]
+        matrix = ground_truth_matrix(documents, vocab)
+        want = np.array([reference_ground_truth_attributes(doc, vocab)
+                         for doc in documents]).reshape(matrix.shape)
+        assert matrix.dtype == want.dtype and matrix.tobytes() == want.tobytes()
+        for row, doc in enumerate(documents):
+            got = ground_truth_attributes(doc, vocab)
+            assert got.tobytes() == want[row].tobytes()
+        assert not matrix[-1].any()
 
 
 # ---------------------------------------------------------------------------
