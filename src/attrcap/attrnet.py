@@ -27,16 +27,12 @@ from .nncore import (
     ParameterError,
     Rng,
     adam_step,
-    affine_backward,
-    affine_forward,
     batch_slices,
     batchnorm_backward,
     batchnorm_forward,
     check_shapes,
     dropout_backward,
     dropout_forward,
-    relu_backward,
-    relu_forward,
     xavier_init,
 )
 from .storage import load_ensemble, save_ensemble
@@ -170,50 +166,43 @@ class AttrNet:
         caches = []
         out = x
         for k in range(1, _N_LAYERS + 1):
-            w = p[f"fc{k}.w"]
-            if k in self._bn_layers:
-                bias = np.zeros(w.shape[1], dtype=np.float64)
-            else:
-                bias = p[f"fc{k}.b"]
-            out, fc_cache = affine_forward(out, w, bias)
+            layer_in, w = out, p[f"fc{k}.w"]
+            out = layer_in @ w
+            bn_cache = None
             if k in self._bn_layers:
                 out, bn_cache = batchnorm_forward(
                     out, p[f"bn{k}.gamma"], p[f"bn{k}.beta"],
                     self.bn_states[k], mode,
                 )
             else:
-                bn_cache = None
-            out, relu_cache = relu_forward(out)
+                out += p[f"fc{k}.b"]
+            # ReLU in place; the activation is also the backward mask.
+            active = np.maximum(out, 0.0, out=out)
+            drop_cache = None
             if k < _N_LAYERS:
                 out, drop_cache = dropout_forward(
                     out, self.config.dropout, mode, rng
                 )
-            else:
-                drop_cache = None
-            caches.append((fc_cache, bn_cache, relu_cache, drop_cache))
+            caches.append((layer_in, w, bn_cache, active, drop_cache))
         return out, caches
 
     def backward(self, dout, caches):
         """Backpropagate through the cached forward pass."""
         grads = {}
         for k in range(_N_LAYERS, 0, -1):
-            fc_cache, bn_cache, relu_cache, drop_cache = caches[k - 1]
+            layer_in, w, bn_cache, active, drop_cache = caches[k - 1]
             if drop_cache is not None:
                 dout = dropout_backward(dout, drop_cache)
-            dout = relu_backward(dout, relu_cache)
-            if bn_cache is not None:
-                dout, dgamma, dbeta = batchnorm_backward(dout, bn_cache)
-                grads[f"bn{k}.gamma"] = dgamma
-                grads[f"bn{k}.beta"] = dbeta
-            if k > 1:
-                dout, dw, db = affine_backward(dout, fc_cache)
+            dout = dout * (active > 0.0)
+            if bn_cache is None:
+                grads[f"fc{k}.b"] = dout.sum(axis=0)
             else:
-                # Nothing consumes the gradient of the network's input.
-                x, _ = fc_cache
-                dw, db = x.T @ dout, dout.sum(axis=0)
-            grads[f"fc{k}.w"] = dw
-            if k not in self._bn_layers:
-                grads[f"fc{k}.b"] = db
+                dout, grads[f"bn{k}.gamma"], grads[f"bn{k}.beta"] = (
+                    batchnorm_backward(dout, bn_cache))
+            grads[f"fc{k}.w"] = layer_in.T @ dout
+            # Nothing consumes the gradient of the network's input.
+            if k > 1:
+                dout = dout @ w.T
         return grads
 
     def loss(self, x, target, mode="train", rng=None, params=None):

@@ -17,6 +17,7 @@ with identical inputs and flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import shlex
 import sys
 from dataclasses import replace
@@ -250,7 +251,8 @@ def _cmd_predict_attr(args, meta):
 
 
 def _load_word_embeddings(path, vocab, embed_dim, base):
-    """Overlay word2vec-format text vectors onto initialized embeddings."""
+    """Overlay word2vec-format text vectors onto initialized embeddings;
+    a vocabulary word's values must be finite."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -269,7 +271,11 @@ def _load_word_embeddings(path, vocab, embed_dim, base):
             word = parts[0]
             position = vocab.index.get(word)
             if position is not None and position > scnlstm_mod.UNK_ID:
-                base[position] = [float(v) for v in parts[1:]]
+                row = [float(v) for v in parts[1:]]
+                if not all(map(math.isfinite, row)):
+                    raise storage.FormatError(
+                        f"{path}:{line_no}: non-finite embedding value for {word!r}")
+                base[position] = row
                 loaded += 1
     print(f"initialized {loaded} embedding rows from {path}")
     return base

@@ -1,9 +1,12 @@
 """Neural-network primitives in pure NumPy, all float64.
 
-Layers follow the functional forward/backward convention: each
-``*_forward`` returns ``(out, cache)`` and the matching ``*_backward``
-consumes ``(dout, cache)`` and returns input/parameter gradients. The
-convention keeps every layer independently gradient-checkable.
+The two layers kept here, inverted dropout (``dropout_*``) and batch
+normalization (``batchnorm_*``), follow the functional forward/backward
+convention: each ``*_forward`` returns ``(out, cache)`` and the matching
+``*_backward`` consumes ``(dout, cache)`` and returns input/parameter
+gradients, so each is gradient-checkable on its own. Networks write
+their matrix products and ReLU inline; :func:`sigmoid` and
+:func:`softmax` are plain functions.
 
 Randomness comes from :class:`Rng`, a counter-based SplitMix64 stream:
 every draw is a pure function of ``(seed, position)``, so results are
@@ -29,8 +32,6 @@ __all__ = [
     "ParameterError",
     "Rng",
     "adam_step",
-    "affine_backward",
-    "affine_forward",
     "batch_slices",
     "batchnorm_backward",
     "batchnorm_forward",
@@ -40,9 +41,6 @@ __all__ = [
     "dropout_forward",
     "ensemble_mean",
     "global_norm",
-    "gradient_check",
-    "relu_backward",
-    "relu_forward",
     "sigmoid",
     "softmax",
     "train_members",
@@ -195,40 +193,6 @@ class Rng:
 # --------------------------------------------------------------------------
 
 
-def affine_forward(x, w, b):
-    """Fully connected layer: ``out = x @ w + b``.
-
-    Shapes: x (N, D), w (D, M), b (M,).
-    """
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise DimensionError(
-            f"affine shapes incompatible: x {x.shape}, w {w.shape}"
-        )
-    if b.shape != (w.shape[1],):
-        raise DimensionError(
-            f"affine bias shape {b.shape} does not match weight {w.shape}"
-        )
-    out = x @ w + b
-    return out, (x, w)
-
-
-def affine_backward(dout, cache):
-    x, w = cache
-    dx = dout @ w.T
-    dw = x.T @ dout
-    db = dout.sum(axis=0)
-    return dx, dw, db
-
-
-def relu_forward(x):
-    out = np.maximum(x, 0.0)
-    return out, x
-
-
-def relu_backward(dout, cache):
-    return dout * (cache > 0.0)
-
-
 def dropout_forward(x, rate, mode, rng=None):
     """Inverted dropout.
 
@@ -256,28 +220,25 @@ def dropout_backward(dout, cache):
     return dout * mask * scale
 
 
+# Batch statistics are folded into the running ones as
+# ``running = momentum * running + (1 - momentum) * batch``; ``eps`` keeps
+# the normalizing variance positive.
+_BN_MOMENTUM = 0.9
+_BN_EPS = 1e-5
+
+
 @dataclass
 class BatchNormState:
-    """Running statistics of one batch-normalized layer.
-
-    Statistics are folded in as
-    ``running = momentum * running + (1 - momentum) * batch``; the
-    learnable scale/shift live with the other trainable parameters.
-    """
+    """Running statistics of one batch-normalized layer; the learnable
+    scale/shift live with the other trainable parameters."""
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, dim, momentum=0.9, eps=1e-5):
-        return cls(
-            running_mean=np.zeros(dim, dtype=np.float64),
-            running_var=np.ones(dim, dtype=np.float64),
-            momentum=momentum,
-            eps=eps,
-        )
+    def create(cls, dim):
+        return cls(running_mean=np.zeros(dim, dtype=np.float64),
+                   running_var=np.ones(dim, dtype=np.float64))
 
 
 def batchnorm_forward(x, gamma, beta, state, mode):
@@ -300,18 +261,18 @@ def batchnorm_forward(x, gamma, beta, state, mode):
             )
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + state.eps)
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         x_hat = (x - mean) * inv_std
         out = gamma * x_hat + beta
         state.running_mean = (
-            state.momentum * state.running_mean + (1.0 - state.momentum) * mean
+            _BN_MOMENTUM * state.running_mean + (1.0 - _BN_MOMENTUM) * mean
         )
         state.running_var = (
-            state.momentum * state.running_var + (1.0 - state.momentum) * var
+            _BN_MOMENTUM * state.running_var + (1.0 - _BN_MOMENTUM) * var
         )
         return out, ("train", x_hat, inv_std, gamma)
     if mode == "inference":
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + _BN_EPS)
         x_hat = (x - state.running_mean) * inv_std
         out = gamma * x_hat + beta
         return out, ("inference", x_hat, inv_std, gamma)
@@ -502,41 +463,6 @@ def check_shapes(tensors, shapes, layout):
     if misfits:
         raise DimensionError(f"tensors missing, unknown or misshapen for "
                              f"{layout}: {', '.join(misfits)}")
-
-
-# --------------------------------------------------------------------------
-# Verification helpers
-# --------------------------------------------------------------------------
-
-
-def gradient_check(loss_fn, params, eps=1e-5):
-    """Compare analytic gradients against central differences.
-
-    ``loss_fn(params) -> (loss, grads)`` must be deterministic in its
-    inputs. Every coordinate of every parameter is perturbed by
-    ``+/- eps``; the relative error of a coordinate is
-    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)`` and the
-    maximum over all coordinates is returned.
-    """
-    work = {name: np.array(value, dtype=np.float64) for name, value in params.items()}
-    loss, analytic = loss_fn(work)
-    if not np.isfinite(loss):
-        raise NumericError(f"loss is not finite: {loss}")
-    worst = 0.0
-    for name, value in work.items():
-        grad = analytic[name]
-        for index in np.ndindex(value.shape):
-            original = value[index]
-            value[index] = original + eps
-            loss_plus, _ = loss_fn(work)
-            value[index] = original - eps
-            loss_minus, _ = loss_fn(work)
-            value[index] = original
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            a = float(grad[index])
-            scale = max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, abs(a - numeric) / scale)
-    return worst
 
 
 def ensemble_mean(stack):

@@ -37,7 +37,6 @@ __all__ = [
     "ground_truth_attributes",
     "ground_truth_matrix",
     "select_vocabulary",
-    "term_frequency_avg",
     "vocabulary_report",
 ]
 
@@ -56,14 +55,6 @@ def averaged_term_frequencies(document):
     counts = Counter(document.tokens)
     scale = 1.0 / document.n_captions
     return {word: count * scale for word, count in counts.items()}
-
-
-def term_frequency_avg(document, word):
-    """Averaged term frequency ``TF(w, d) / N_c`` of one word.
-
-    Returns 0.0 when the word does not occur in the document.
-    """
-    return averaged_term_frequencies(document).get(word, 0.0)
 
 
 def compute_idf(df, n_docs):

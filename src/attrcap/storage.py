@@ -68,6 +68,11 @@ def _read_exact(handle, count, path, what):
 # --------------------------------------------------------------------------
 
 
+def _feature_record(dim):
+    """One DAEF record: a u64 image id, then ``dim`` float32 values."""
+    return np.dtype([("id", "<u8"), ("x", "<f4", (dim,))])
+
+
 def write_features(path, image_ids, features):
     """Write per-image feature vectors as a DAEF file.
 
@@ -80,15 +85,15 @@ def write_features(path, image_ids, features):
             f"for array of shape {features.shape}"
         )
     count, dim = features.shape
+    records = np.empty(count, _feature_record(dim))
+    # Python ints, so an id outside [0, 2**64) raises OverflowError.
+    records["id"] = np.array([int(image_id) for image_id in image_ids], "<u8")
+    records["x"] = features
     with open(path, "wb") as handle:
         handle.write(FEATURE_MAGIC)
-        handle.write(np.uint32(FORMAT_VERSION).tobytes())
-        handle.write(np.uint32(dim).tobytes())
-        handle.write(np.uint64(count).tobytes())
-        row_values = features.astype("<f4")
-        for image_id, row in zip(image_ids, row_values):
-            handle.write(np.uint64(int(image_id)).tobytes())
-            handle.write(row.tobytes())
+        handle.write(np.array([FORMAT_VERSION, dim], "<u4").tobytes())
+        handle.write(np.array(count, "<u8").tobytes())
+        handle.write(records.tobytes())
 
 
 def read_features(path):
@@ -116,8 +121,7 @@ def read_features(path):
         if size != record * count:
             raise FormatError(f"{path}: expected {record * count} record bytes, got {size}")
         payload = handle.read(size)
-    records = np.frombuffer(payload, np.dtype([("id", "<u8"), ("x", "<f4", (dim,))]),
-                            count=count)
+    records = np.frombuffer(payload, _feature_record(dim), count=count)
     finite = np.isfinite(records["x"]).all(axis=1)
     if not finite.all():
         raise NumericError(f"{path}: non-finite feature value for image "
@@ -143,8 +147,8 @@ def save_checkpoint(path, tensors, config):
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(CHECKPOINT_MAGIC)
-        handle.write(np.uint32(FORMAT_VERSION).tobytes())
-        handle.write(np.uint64(len(header_bytes)).tobytes())
+        handle.write(np.array(FORMAT_VERSION, "<u4").tobytes())
+        handle.write(np.array(len(header_bytes), "<u8").tobytes())
         handle.write(header_bytes)
         for name in names:
             handle.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())

@@ -38,7 +38,7 @@ from attrcap.attrnet import (
 from attrcap.cli import main
 from attrcap.corpus import build_documents, parse_caption_file, stem, tokenize
 from attrcap.metrics import attribute_f1, bleu, cider_d, rouge_l
-from attrcap.nncore import Rng, gradient_check
+from attrcap.nncore import Rng
 from attrcap.scnlstm import (
     BOS_ID,
     EOS_ID,
@@ -55,6 +55,8 @@ from attrcap.semantics import (
     ground_truth_matrix,
     vocabulary_report,
 )
+
+from gradcheck import gradient_check
 
 # ---------------------------------------------------------------------------
 # Naive TF-IDF oracle: plain loops and ``math`` only, sharing no code with

@@ -22,10 +22,11 @@ from attrcap.nncore import (
     ParameterError,
     Rng,
     batch_slices,
-    gradient_check,
     train_members,
 )
 from attrcap.storage import FormatError, save_checkpoint
+
+from gradcheck import gradient_check
 
 SMALL = AttrNetConfig(n_words=3, feature_dim=6, hidden_dim=8, dropout=0.3)
 
@@ -167,6 +168,86 @@ def test_gradients_with_train_mode_bn_fixed_batch():
         lambda p: net.loss(x, y, mode="train", params=p), net.params,
     )
     assert err < 1e-4
+
+
+def reference_loss(net, x, target, mode, rng):
+    """Loss, gradients, output and running statistics by the layer-wrapper
+    formulas: every layer adds a bias, all-zero in front of batch
+    normalization, ReLU keeps its input as the backward mask, and batch
+    normalization folds in statistics with momentum 0.9 and eps 1e-5."""
+    p, rate = net.params, net.config.dropout
+    stats = {k: (s.running_mean, s.running_var) for k, s in net.bn_states.items()}
+    caches, out = [], x
+    for k in range(1, 5):
+        w = p[f"fc{k}.w"]
+        layer_in, out = out, out @ w + p.get(f"fc{k}.b", np.zeros(w.shape[1]))
+        bn = None
+        if k in stats:
+            mean, var = stats[k]
+            if mode == "train":
+                mean, var = out.mean(axis=0), out.var(axis=0)
+                stats[k] = tuple(0.9 * old + (1.0 - 0.9) * new
+                                 for old, new in zip(stats[k], (mean, var)))
+            inv_std = 1.0 / np.sqrt(var + 1e-5)
+            bn = ((out - mean) * inv_std, inv_std)
+            out = p[f"bn{k}.gamma"] * bn[0] + p[f"bn{k}.beta"]
+        pre, out = out, np.maximum(out, 0.0)
+        mask = None
+        if k < 4 and mode == "train":
+            mask = (rng.uniform(out.shape) >= rate).astype(np.float64)
+            out = out * mask * (1.0 / (1.0 - rate))
+        caches.append((layer_in, w, bn, pre, mask))
+    diff = out - target
+    loss, dout = float(np.mean(diff * diff)), (2.0 / diff.size) * diff
+    grads = {}
+    for k in range(4, 0, -1):
+        layer_in, w, bn, pre, mask = caches[k - 1]
+        if mask is not None:
+            dout = dout * mask * (1.0 / (1.0 - rate))
+        dout = dout * (pre > 0.0)
+        if bn is not None:
+            x_hat, inv_std = bn
+            grads[f"bn{k}.gamma"] = (dout * x_hat).sum(axis=0)
+            grads[f"bn{k}.beta"] = dout.sum(axis=0)
+            dx_hat, n = dout * p[f"bn{k}.gamma"], dout.shape[0]
+            dout = dx_hat * inv_std if mode == "inference" else (inv_std / n) * (
+                n * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0))
+        dx, grads[f"fc{k}.w"], db = dout @ w.T, layer_in.T @ dout, dout.sum(axis=0)
+        if bn is None:
+            grads[f"fc{k}.b"] = db
+        dout = dx
+    return loss, grads, out, stats
+
+
+@pytest.mark.parametrize("mode", ["train", "inference"])
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_forward_backward_are_bitwise_the_layer_wrapper_formulas(mode, bn_on_output):
+    config = AttrNetConfig(n_words=7, feature_dim=9, hidden_dim=16, dropout=0.3,
+                           bn_on_output=bn_on_output)
+    net = AttrNet(config, seed=4)
+    rng = Rng(40)
+    # Away from the initial values, so no bias, shift or scale is trivial.
+    net.params = {name: value + 0.1 * rng.split(len(name)).normal(value.shape)
+                  for name, value in net.params.items()}
+    for k, state in net.bn_states.items():
+        state.running_mean = rng.split(100 + k).normal(state.running_mean.shape)
+        state.running_var = 0.5 + rng.split(200 + k).uniform(state.running_var.shape)
+    x, y = rng.split(1).normal((12, 9)), np.abs(rng.split(2).normal((12, 7)))
+
+    ref_loss, ref_grads, ref_out, ref_stats = reference_loss(net, x, y, mode, Rng(41))
+    out, caches = net.forward(x, mode=mode, rng=Rng(41))
+    loss, dpred = mse_loss(out, y)
+    grads = net.backward(dpred, caches)
+    assert out.tobytes() == ref_out.tobytes()
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert sorted(grads) == sorted(ref_grads) == sorted(net.params)
+    for name, grad in grads.items():
+        assert grad.tobytes() == ref_grads[name].tobytes(), name
+    for k, state in net.bn_states.items():
+        assert state.running_mean.tobytes() == ref_stats[k][0].tobytes()
+        assert state.running_var.tobytes() == ref_stats[k][1].tobytes()
+    _, _, ref_pred, _ = reference_loss(net, x, y, "inference", None)
+    assert net.predict(x).tobytes() == ref_pred.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,7 @@ def expect_error(capsys, argv, code, category):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1, f"expected one error line, got {lines!r}"
     assert lines[0].startswith(f"error: {category}: ")
+    return lines[0]
 
 
 def test_usage_errors_exit_with_one(tmp_path, monkeypatch, capsys):
@@ -210,6 +211,22 @@ def test_data_errors_exit_with_two(tmp_path, monkeypatch, capsys):
                           "--attrs", "partial.jsonl", "--out-model",
                           "m.daec", "--hidden", "4", "--epochs", "1"],
                  2, "data")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+def test_non_finite_embedding_is_a_data_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
+                             np.full((4, 3), 0.5))
+    (tmp_path / "vectors.txt").write_text(f"red 0.5 0 0 0\ndog {value} 0 0 0\n")
+    line = expect_error(capsys, [
+        "train-captioner", "--captions", "captions.json", "--features", "feats.daef",
+        "--attrs", "attrs.jsonl", "--out-model", "cap.daec", "--min-count", "1",
+        "--embed-dim", "4", "--hidden", "4", "--factor", "4", "--epochs", "1",
+        "--init-embeddings", "vectors.txt"], 2, "data")
+    assert "vectors.txt:2:" in line and "'dog'" in line
+    assert not (tmp_path / "cap.daec").exists()
 
 
 def test_per_gate_captioner_checkpoint_is_a_data_error(

@@ -11,7 +11,6 @@ from attrcap.nncore import (
     ParameterError,
     Rng,
     ensemble_mean,
-    gradient_check,
     sigmoid,
     softmax,
     xavier_init,
@@ -33,6 +32,8 @@ from attrcap.scnlstm import (
     save_captioner_ensemble,
     train_captioner,
 )
+
+from gradcheck import gradient_check
 
 TINY = ScnLstmConfig(
     vocab_size=5, n_words=2, feature_dim=3, embed_dim=3,

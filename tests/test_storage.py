@@ -88,6 +88,13 @@ def test_features_layout_is_little_endian(tmp_path):
     assert np.frombuffer(raw[28:36], "<f4").tolist() == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("image_id", [-1, 2**64])
+def test_features_reject_ids_outside_u64(tmp_path, image_id):
+    with pytest.raises(OverflowError):
+        write_features(tmp_path / "f.bin", [1, image_id], np.zeros((2, 3)))
+    assert not (tmp_path / "f.bin").exists()
+
+
 def test_features_bad_magic(tmp_path):
     path = tmp_path / "f.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
