@@ -252,7 +252,7 @@ def _cmd_predict_attr(args, meta):
 
 def _load_word_embeddings(path, vocab, embed_dim, base):
     """Overlay word2vec-format text vectors onto initialized embeddings;
-    a vocabulary word's values must be finite."""
+    a vocabulary word's values must be finite numbers."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -271,7 +271,12 @@ def _load_word_embeddings(path, vocab, embed_dim, base):
             word = parts[0]
             position = vocab.index.get(word)
             if position is not None and position > scnlstm_mod.UNK_ID:
-                row = [float(v) for v in parts[1:]]
+                try:
+                    row = [float(v) for v in parts[1:]]
+                except ValueError as exc:
+                    raise storage.FormatError(
+                        f"{path}:{line_no}: bad embedding value for {word!r}: {exc}"
+                    ) from None
                 if not all(map(math.isfinite, row)):
                     raise storage.FormatError(
                         f"{path}:{line_no}: non-finite embedding value for {word!r}")

@@ -27,6 +27,17 @@ EOS. Teacher-forced training scores steps ``t = 1..T`` predicting
 tokens ``x_1..x_T`` from ``x_0 = BOS``, so EOS is a predicted token and
 losses are reported in nats per predicted token.
 
+Teacher forcing stacks the rows of all steps of a batch, step after
+step. Only the recurrence runs inside the time loop: the h side of the
+factors and the gates (``_recur``) going forward, and their gradients
+back to the previous step's ``h`` and ``c`` (``_recur_backward``) going
+back. The embedding lookup, the x side of the factors, dropout, the
+output layer and every weight gradient are single products over all
+tokens; ``d`` is fixed over a caption, so the ``Wb`` and ``Ub``
+gradients are one product each over every caption's summed rows.
+:meth:`ScnLstm.cell_forward` and :meth:`ScnLstm.cell_backward` run the
+same two halves for a single step, which is how decoding advances.
+
 Beam search decodes a block of N images at once
 (:func:`ensemble_beam_search_block`). The live hypotheses of all N
 images are the rows of one array, at most N * beam_width of them,
@@ -271,33 +282,35 @@ class ScnLstm:
         p = self.params if params is None else params
         a1, b1 = self.attribute_terms(d, p) if d_terms is None else d_terms
         a2 = x @ p["Wc"].T
-        b2 = h_prev @ p["Uc"].T
         x_fact = a1 * a2
-        h_fact = b1 * b2
-        # (4, B, H): one slab of preactivations per gate i, f, o, c.
-        pre = (_per_gate(x_fact) @ p["Wa"].swapaxes(1, 2)
-               + _per_gate(h_fact) @ p["Ua"].swapaxes(1, 2))
-        pre += p["b"].reshape(4, 1, -1)
-        if z is not None:
-            pre += z
-        i, f, o = sigmoid(pre[:3])
-        cand = np.tanh(pre[3])
-        c = i * cand + f * c_prev
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache = (x, h_prev, c_prev, d, (a1, a2, b1, b2, x_fact, h_fact),
-                 (i, f, o, cand), tanh_c, z is not None)
+        h, c, recurrent = self._recur(_per_gate(x_fact) @ p["Wa"].swapaxes(1, 2),
+                                      h_prev, c_prev, b1, z, p)
+        cache = (x, h_prev, c_prev, d, (a1, a2, b1, x_fact), recurrent, z is not None)
         return h, c, cache
 
-    def cell_backward(self, dh, dc_in, cache, grads, params=None):
-        """Backward through one step, accumulating into ``grads``.
+    def _recur(self, x_pre, h_prev, c_prev, b1, z, p):
+        """The part of a step that needs the step before: the h side of
+        the factors and the gates, given the x side's (4, B, H) gate
+        preactivations ``x_pre``. Returns ``(h, c, (b2, h_fact, gates,
+        tanh_c))``; ``gates`` stacks ``i, f, o`` and the candidate."""
+        b2 = h_prev @ p["Uc"].T
+        h_fact = b1 * b2
+        gates = x_pre + _per_gate(h_fact) @ p["Ua"].swapaxes(1, 2)
+        gates += p["b"].reshape(4, 1, -1)
+        if z is not None:
+            gates += z
+        gates[:3] = sigmoid(gates[:3])
+        np.tanh(gates[3], out=gates[3])
+        i, f, o, cand = gates
+        c = i * cand + f * c_prev
+        tanh_c = np.tanh(c)
+        return o * tanh_c, c, (b2, h_fact, gates, tanh_c)
 
-        Returns ``(dx, dh_prev, dc_prev, dd, dz)``; ``dz`` is ``None``
-        unless the forward step received an image term.
-        """
-        p = self.params if params is None else params
-        x, h_prev, c_prev, d, factors, (i, f, o, cand), tanh_c, has_z = cache
-        a1, a2, b1, b2, x_fact, h_fact = factors
+    def _recur_backward(self, dh, dc_in, c_prev, b1, gates, tanh_c, p):
+        """Backward through :meth:`_recur`: returns the (4, B, H) gate
+        preactivation gradient ``dpre``, ``dh_fact`` and the gradients
+        ``dh_prev``, ``dc_prev`` passed to the step before."""
+        i, f, o, cand = gates
         do = dh * tanh_c
         dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c)
         dpre = np.stack([
@@ -306,25 +319,42 @@ class ScnLstm:
             do * o * (1.0 - o),
             dc * i * (1.0 - cand * cand),
         ])
+        dh_fact = _gate_rows(dpre @ p["Ua"])
+        return dpre, dh_fact, (dh_fact * b1) @ p["Uc"], dc * f
+
+    def _inputs_backward(self, dpre, dh_fact, cache, grads, p):
+        """The rest of the backward pass, which needs no recurrence, over
+        the rows of ``cache``: one step's or a whole batch's stacked
+        steps. Accumulates every gradient but those of ``Wb``, ``Ub``
+        and ``Cv`` and returns ``(dx, da1, db1)``."""
+        x, h_prev, _, _, (a1, a2, b1, x_fact), (b2, h_fact, _, _), _ = cache
         dpre_t = dpre.swapaxes(1, 2)
         grads["Wa"] += dpre_t @ _per_gate(x_fact)
         grads["Ua"] += dpre_t @ _per_gate(h_fact)
         grads["b"] += dpre.sum(axis=1).reshape(-1)
         dx_fact = _gate_rows(dpre @ p["Wa"])
-        dh_fact = _gate_rows(dpre @ p["Ua"])
-        da1 = dx_fact * a2
         da2 = dx_fact * a1
-        db1 = dh_fact * b2
-        db2 = dh_fact * b1
-        grads["Wb"] += da1.T @ d
         grads["Wc"] += da2.T @ x
+        grads["Uc"] += (dh_fact * b1).T @ h_prev
+        return da2 @ p["Wc"], dx_fact * a2, dh_fact * b2
+
+    def cell_backward(self, dh, dc_in, cache, grads, params=None):
+        """Backward through one step, accumulating into ``grads``.
+
+        Returns ``(dx, dh_prev, dc_prev, da1, db1, dz)``: ``da1`` and
+        ``db1`` are the gradients of the two :meth:`attribute_terms`, so
+        the gradient of ``d`` is ``da1 @ Wb + db1 @ Ub``. ``dz`` is
+        ``None`` unless the forward step received an image term.
+        """
+        p = self.params if params is None else params
+        _, _, c_prev, d, (_, _, b1, _), (_, _, gates, tanh_c), has_z = cache
+        dpre, dh_fact, dh_prev, dc_prev = self._recur_backward(
+            dh, dc_in, c_prev, b1, gates, tanh_c, p)
+        dx, da1, db1 = self._inputs_backward(dpre, dh_fact, cache, grads, p)
+        grads["Wb"] += da1.T @ d
         grads["Ub"] += db1.T @ d
-        grads["Uc"] += db2.T @ h_prev
-        dd = da1 @ p["Wb"] + db1 @ p["Ub"]
-        dx = da2 @ p["Wc"]
-        dh_prev = db2 @ p["Uc"]
         dz = dpre.sum(axis=0) if has_z else None
-        return dx, dh_prev, dc * f, dd, dz
+        return dx, dh_prev, dc_prev, da1, db1, dz
 
     # -- teacher forcing ------------------------------------------------------
 
@@ -340,10 +370,11 @@ class ScnLstm:
         """Teacher-forced pass over a batch of ``(feature, d, ids)``.
 
         Captions run longest first (a stable sort), so the ``n_t``
-        captions still running at step ``t`` are the leading rows and
-        each step is one cell call. The hidden rows of all steps then go
-        through the output layer together. Returns ``(nll, n_tokens,
-        cache)``; the cache holds the (n_tokens, V) softmax.
+        captions still running at step ``t`` are the leading rows. The
+        per-token arrays stack the rows of all steps, step after step:
+        row ``r`` is caption ``caption[r]`` at step ``step[r]``. Returns
+        ``(nll, n_tokens, cache)``; the cache holds the (n_tokens, V)
+        softmax.
         """
         seqs = [self._check_sequence(ids) for _, _, ids in samples]
         order = sorted(range(len(seqs)), key=lambda j: -len(seqs[j]))
@@ -354,21 +385,36 @@ class ScnLstm:
             tokens[row, :len(seqs[j])] = seqs[j]
         feature = np.array([np.ravel(samples[j][0]) for j in order], dtype=np.float64)
         d = np.array([np.ravel(samples[j][1]) for j in order], dtype=np.float64)
+        ends = np.cumsum(running)
+        step = np.repeat(np.arange(len(running)), running)
+        caption = np.arange(ends[-1]) - (ends - running)[step]
         a1, b1 = self.attribute_terms(d, p)
+        inputs = tokens[caption, step]
+        x = p["embed"][inputs]
+        a2 = x @ p["Wc"].T
+        x_fact = a1[caption] * a2
+        x_pre = _per_gate(x_fact) @ p["Wa"].swapaxes(1, 2)
+        z = feature @ p["Cv"].T
         h = np.zeros((len(seqs), self.config.hidden_dim), dtype=np.float64)
         c = np.zeros_like(h)
-        z = feature @ p["Cv"].T
-        steps, h_rows = [], []
-        for t, n in enumerate(running, start=1):
-            h, c, cell_cache = self.cell_forward(
-                p["embed"][tokens[:n, t - 1]], h[:n], c[:n], d[:n],
-                z=z if t == 1 else None, params=p, d_terms=(a1[:n], b1[:n]),
-            )
-            h_drop, drop_cache = dropout_forward(h, self.config.dropout, mode, rng)
-            steps.append((cell_cache, drop_cache))
-            h_rows.append(h_drop)
-        h_rows = np.concatenate(h_rows)
-        targets = np.concatenate([tokens[:n, t] for t, n in enumerate(running, start=1)])
+        h_prev, c_prev, hs, recurrent = [], [], [], []
+        for t, n in enumerate(running):
+            h_prev.append(h[:n])
+            c_prev.append(c[:n])
+            h, c, step_cache = self._recur(x_pre[:, ends[t] - n:ends[t]], h[:n], c[:n],
+                                           b1[:n], z if t == 0 else None, p)
+            hs.append(h)
+            recurrent.append(step_cache)
+        # One cell cache whose rows are all the tokens: what
+        # :meth:`_inputs_backward` reads of a single step's.
+        cell = (x, np.concatenate(h_prev), np.concatenate(c_prev), d,
+                (a1[caption], a2, b1[caption], x_fact),
+                tuple(np.concatenate(parts, axis=-2) for parts in zip(*recurrent)),
+                True)
+        # One mask over all rows draws what a mask per step would.
+        h_rows, drop_cache = dropout_forward(np.concatenate(hs), self.config.dropout,
+                                             mode, rng)
+        targets = tokens[caption, step + 1]
         # Log-softmax in place: ``probs`` is the only (n_tokens, V) buffer.
         probs = h_rows @ p["Wout"].T
         probs += p["bout"]
@@ -378,32 +424,41 @@ class ScnLstm:
         totals = probs.sum(axis=1)
         nll = float(np.sum(np.log(totals) - target_logits))
         probs /= totals[:, None]
-        cache = (tokens, running, feature, steps, h_rows, targets, probs)
+        cache = (inputs, running, caption, feature, cell, drop_cache,
+                 h_rows, targets, probs)
         return nll, len(targets), cache
 
     def _backward(self, cache, grads, p):
         """Gradients of the summed NLL of a :meth:`_forward` pass,
         accumulated into zero-filled ``grads``."""
-        tokens, running, feature, steps, h_rows, targets, dlogits = cache
+        inputs, running, caption, feature, cell, drop_cache, h_rows, targets, dlogits = cache
+        _, _, c_prev, d, (_, _, b1, _), (_, h_fact, gates, tanh_c), _ = cell
         dlogits[np.arange(len(targets)), targets] -= 1.0
         np.matmul(dlogits.T, h_rows, out=grads["Wout"])
         dlogits.sum(axis=0, out=grads["bout"])
-        dh_rows = dlogits @ p["Wout"]
+        dh_rows = dropout_backward(dlogits @ p["Wout"], drop_cache)
         ends = np.cumsum(running)
+        dpre = np.empty_like(gates)
+        dh_fact = np.empty_like(h_fact)
         # Gradients flowing back from step t + 1; rows of captions that
         # end before it stay zero.
         dh_next = np.zeros((running[0], self.config.hidden_dim), dtype=np.float64)
         dc_next = np.zeros_like(dh_next)
-        for t in range(len(running), 0, -1):
-            n = running[t - 1]
-            cell_cache, drop_cache = steps[t - 1]
-            dh = dropout_backward(dh_rows[ends[t - 1] - n:ends[t - 1]], drop_cache)
-            dx, dh_prev, dc_prev, _, dz = self.cell_backward(
-                dh + dh_next[:n], dc_next[:n], cell_cache, grads, params=p
-            )
-            dh_next[:n], dc_next[:n] = dh_prev, dc_prev
-            np.add.at(grads["embed"], tokens[:n, t - 1], dx)
-        grads["Cv"] += dz.T @ feature  # dz of step 1, the image-term step
+        for t in range(len(running) - 1, -1, -1):
+            n = running[t]
+            rows = slice(ends[t] - n, ends[t])
+            dpre[:, rows], dh_fact[rows], dh_next[:n], dc_next[:n] = self._recur_backward(
+                dh_rows[rows] + dh_next[:n], dc_next[:n], c_prev[rows], b1[rows],
+                gates[:, rows], tanh_c[rows], p)
+        dx, da1, db1 = self._inputs_backward(dpre, dh_fact, cell, grads, p)
+        np.add.at(grads["embed"], inputs, dx)
+        # ``d`` is fixed over a caption, so ``Wb`` and ``Ub`` take one
+        # product each over every caption's summed rows.
+        for name, per_token in (("Wb", da1), ("Ub", db1)):
+            summed = np.zeros((len(d), per_token.shape[1]))
+            np.add.at(summed, caption, per_token)
+            np.matmul(summed.T, d, out=grads[name])
+        grads["Cv"] += dpre[:, :running[0]].sum(axis=0).T @ feature  # step 1 has z
 
     def sequence_log_likelihood(self, ids, feature, d, params=None):
         """Teacher-forced log-likelihood of one BOS..EOS sequence (nats)."""
@@ -506,7 +561,7 @@ def train_captioner(samples, net_config, train_config, val_samples=None,
             history["val_loss"].append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = {k: v.copy() for k, v in model.params.items()}
+                best_params = dict(model.params)  # adam_step never writes in place
                 history["best_epoch"] = epoch
                 stale = 0
             else:

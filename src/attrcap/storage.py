@@ -151,7 +151,7 @@ def save_checkpoint(path, tensors, config):
         handle.write(np.array(len(header_bytes), "<u8").tobytes())
         handle.write(header_bytes)
         for name in names:
-            handle.write(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+            handle.write(np.ascontiguousarray(tensors[name], dtype="<f8"))
 
 
 def load_checkpoint(path):

@@ -78,6 +78,12 @@ def test_every_traced_name_exists_and_every_probe_records(tmp_path, monkeypatch,
         attrs = storage.load_attributes("pred.jsonl")[1]
         scnlstm.ensemble_beam_search(models, features[0], attrs[0], beam_width=2, max_len=3)
         scnlstm.save_captioner("one.daec", models[0], vocab)
+        # Teacher forcing runs no per-step cell, so drive the one-step
+        # backward the tracer wraps directly.
+        model, state = models[0], np.zeros((1, models[0].config.hidden_dim))
+        _, _, cache = model.cell_forward(model.params["embed"][:1], state, state, attrs[:1])
+        model.cell_backward(state + 1.0, state, cache,
+                            {name: np.zeros_like(v) for name, v in model.params.items()})
 
     recorded = {span[3] for span in spans.spans}
     probed = {span[3] for span in spans.spans if span[6] is not None}

@@ -229,6 +229,22 @@ def test_non_finite_embedding_is_a_data_error(tmp_path, monkeypatch, capsys, val
     assert not (tmp_path / "cap.daec").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", ""])
+def test_non_numeric_embedding_names_its_line(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
+                             np.full((4, 3), 0.5))
+    (tmp_path / "vectors.txt").write_text(f"dog 0.5 0 0 0\nred 0.5 {value} 0 0\n")
+    line = expect_error(capsys, [
+        "train-captioner", "--captions", "captions.json", "--features", "feats.daef",
+        "--attrs", "attrs.jsonl", "--out-model", "cap.daec", "--min-count", "1",
+        "--embed-dim", "4", "--hidden", "4", "--factor", "4", "--epochs", "1",
+        "--init-embeddings", "vectors.txt"], 2, "data")
+    assert "vectors.txt:2:" in line and "'red'" in line
+    assert not (tmp_path / "cap.daec").exists()
+
+
 def test_per_gate_captioner_checkpoint_is_a_data_error(
         tmp_path, monkeypatch, capsys, per_gate_checkpoint):
     monkeypatch.chdir(tmp_path)

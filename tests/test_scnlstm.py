@@ -10,6 +10,8 @@ from attrcap.nncore import (
     DimensionError,
     ParameterError,
     Rng,
+    dropout_backward,
+    dropout_forward,
     ensemble_mean,
     sigmoid,
     softmax,
@@ -264,11 +266,12 @@ def test_cell_backward_matches_finite_differences():
             inputs["x"], inputs["h_prev"], inputs["c_prev"], inputs["d"],
             z=inputs["z"],
         )
-        grads = {name: np.zeros_like(value) for name, value in model.params.items()}
-        dx, dh_prev, dc_prev, dd, dz = model.cell_backward(r_h, r_c, cache, grads)
+        p = model.params
+        grads = {name: np.zeros_like(value) for name, value in p.items()}
+        dx, dh_prev, dc_prev, da1, db1, dz = model.cell_backward(r_h, r_c, cache, grads)
         loss = float((h * r_h).sum() + (c * r_c).sum())
         return loss, {"x": dx, "h_prev": dh_prev, "c_prev": dc_prev,
-                      "d": dd, "z": dz}
+                      "d": da1 @ p["Wb"] + db1 @ p["Ub"], "z": dz}
 
     inputs = {"x": x, "h_prev": h_prev, "c_prev": c_prev, "d": d, "z": z}
     assert gradient_check(input_loss, inputs, eps=1e-5) < 1e-4
@@ -335,7 +338,7 @@ def per_caption_reference(model, samples):
             dlogits[0, ids[t]] -= 1.0
             grads["Wout"] += dlogits.T @ h
             grads["bout"] += dlogits[0]
-            dx, dh_next, dc_next, _, dz = model.cell_backward(
+            dx, dh_next, dc_next, _, _, dz = model.cell_backward(
                 dlogits @ p["Wout"] + dh_next, dc_next, cache, grads)
             grads["embed"][ids[t - 1]] += dx[0]
         grads["Cv"] += dz.T @ feature
@@ -359,6 +362,150 @@ def test_batched_loss_matches_the_per_caption_reference():
     for name, ref in ref_grads.items():
         assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), name
     assert model.batch_nll(samples) == loss
+
+
+def per_gate(rows):
+    return rows.reshape(len(rows), 4, -1).swapaxes(0, 1)
+
+
+def gate_rows(slabs):
+    return slabs.swapaxes(0, 1).reshape(slabs.shape[1], -1)
+
+
+def stepwise_cell_forward(x, h_prev, c_prev, a1, b1, z, p):
+    """One step of the decoder as a self-contained cell, the gates as a
+    tuple: the formulas the teacher-forced pass must reproduce."""
+    a2 = x @ p["Wc"].T
+    b2 = h_prev @ p["Uc"].T
+    x_fact = a1 * a2
+    h_fact = b1 * b2
+    pre = (per_gate(x_fact) @ p["Wa"].swapaxes(1, 2)
+           + per_gate(h_fact) @ p["Ua"].swapaxes(1, 2))
+    pre += p["b"].reshape(4, 1, -1)
+    if z is not None:
+        pre += z
+    i, f, o = sigmoid(pre[:3])
+    cand = np.tanh(pre[3])
+    c = i * cand + f * c_prev
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, (x, h_prev, c_prev, (a1, a2, b1, b2, x_fact, h_fact),
+                           (i, f, o, cand), tanh_c, z is not None)
+
+
+def stepwise_cell_backward(dh, dc_in, cache, grads, d, p):
+    """Backward through :func:`stepwise_cell_forward`, every weight
+    gradient of the step formed inside the step."""
+    x, h_prev, c_prev, (a1, a2, b1, b2, x_fact, h_fact), (i, f, o, cand), tanh_c, has_z = cache
+    do = dh * tanh_c
+    dc = dc_in + dh * o * (1.0 - tanh_c * tanh_c)
+    dpre = np.stack([
+        dc * cand * i * (1.0 - i),
+        dc * c_prev * f * (1.0 - f),
+        do * o * (1.0 - o),
+        dc * i * (1.0 - cand * cand),
+    ])
+    dpre_t = dpre.swapaxes(1, 2)
+    grads["Wa"] += dpre_t @ per_gate(x_fact)
+    grads["Ua"] += dpre_t @ per_gate(h_fact)
+    grads["b"] += dpre.sum(axis=1).reshape(-1)
+    dx_fact = gate_rows(dpre @ p["Wa"])
+    dh_fact = gate_rows(dpre @ p["Ua"])
+    da1 = dx_fact * a2
+    da2 = dx_fact * a1
+    db1 = dh_fact * b2
+    db2 = dh_fact * b1
+    grads["Wb"] += da1.T @ d
+    grads["Wc"] += da2.T @ x
+    grads["Ub"] += db1.T @ d
+    grads["Uc"] += db2.T @ h_prev
+    dx = da2 @ p["Wc"]
+    dh_prev = db2 @ p["Uc"]
+    dz = dpre.sum(axis=0) if has_z else None
+    return dx, dh_prev, dc * f, dz
+
+
+def stepwise_batch_loss(model, samples, mode, rng):
+    """``batch_loss`` as one cell call per step, forward and backward,
+    with a dropout mask drawn per step: the teacher-forced pass before
+    the non-recurrent work moved out of the time loop."""
+    p, cfg = model.params, model.config
+    grads = {name: np.zeros_like(value) for name, value in p.items()}
+    seqs = [list(ids) for _, _, ids in samples]
+    order = sorted(range(len(seqs)), key=lambda j: -len(seqs[j]))
+    lengths = np.array([len(seqs[j]) - 1 for j in order])
+    running = [int(np.sum(lengths >= t)) for t in range(1, lengths[0] + 1)]
+    tokens = np.full((len(seqs), lengths[0] + 1), EOS_ID, dtype=np.int64)
+    for row, j in enumerate(order):
+        tokens[row, :len(seqs[j])] = seqs[j]
+    feature = np.array([np.ravel(samples[j][0]) for j in order], dtype=np.float64)
+    d = np.array([np.ravel(samples[j][1]) for j in order], dtype=np.float64)
+    a1, b1 = d @ p["Wb"].T, d @ p["Ub"].T
+    h = np.zeros((len(seqs), cfg.hidden_dim), dtype=np.float64)
+    c = np.zeros_like(h)
+    z = feature @ p["Cv"].T
+    steps, h_rows = [], []
+    for t, n in enumerate(running, start=1):
+        h, c, cell_cache = stepwise_cell_forward(
+            p["embed"][tokens[:n, t - 1]], h[:n], c[:n], a1[:n], b1[:n],
+            z if t == 1 else None, p)
+        h_drop, drop_cache = dropout_forward(h, cfg.dropout, mode, rng)
+        steps.append((cell_cache, drop_cache))
+        h_rows.append(h_drop)
+    h_rows = np.concatenate(h_rows)
+    targets = np.concatenate([tokens[:n, t] for t, n in enumerate(running, start=1)])
+    probs = h_rows @ p["Wout"].T
+    probs += p["bout"]
+    probs -= probs.max(axis=1, keepdims=True)
+    target_logits = probs[np.arange(len(targets)), targets]
+    np.exp(probs, out=probs)
+    totals = probs.sum(axis=1)
+    nll = float(np.sum(np.log(totals) - target_logits))
+    probs /= totals[:, None]
+
+    dlogits = probs
+    dlogits[np.arange(len(targets)), targets] -= 1.0
+    np.matmul(dlogits.T, h_rows, out=grads["Wout"])
+    dlogits.sum(axis=0, out=grads["bout"])
+    dh_rows = dlogits @ p["Wout"]
+    ends = np.cumsum(running)
+    dh_next = np.zeros((running[0], cfg.hidden_dim), dtype=np.float64)
+    dc_next = np.zeros_like(dh_next)
+    for t in range(len(running), 0, -1):
+        n = running[t - 1]
+        cell_cache, drop_cache = steps[t - 1]
+        dh = dropout_backward(dh_rows[ends[t - 1] - n:ends[t - 1]], drop_cache)
+        dx, dh_prev, dc_prev, dz = stepwise_cell_backward(
+            dh + dh_next[:n], dc_next[:n], cell_cache, grads, d[:n], p)
+        dh_next[:n], dc_next[:n] = dh_prev, dc_prev
+        np.add.at(grads["embed"], tokens[:n, t - 1], dx)
+    grads["Cv"] += dz.T @ feature
+    n_tokens = len(targets)
+    for name in grads:
+        grads[name] *= 1.0 / n_tokens
+    return nll / n_tokens, grads, n_tokens
+
+
+@pytest.mark.parametrize("mode", ["train", "inference"])
+@pytest.mark.parametrize("bodies", [
+    [[3, 7, 2], [5, 9, 10, 4, 8], [6, 6, 3], [10], [2, 4, 9, 7, 3, 5, 8]],
+    [[4, 2], [], [9, 9, 9]],
+    [[8, 3, 5]],
+    [[]],
+], ids=["ragged", "with-empty-caption", "one-caption", "only-empty-caption"])
+def test_batch_loss_matches_the_stepwise_cell_loop(mode, bodies):
+    cfg = ScnLstmConfig(vocab_size=11, n_words=4, feature_dim=6, embed_dim=5,
+                        hidden_dim=6, factor_dim=7, dropout=0.5)
+    model = ScnLstm(cfg, seed=42)
+    rng = Rng(43)
+    samples = [(rng.normal((cfg.feature_dim,)), np.abs(rng.normal((cfg.n_words,))),
+                [BOS_ID, *body, EOS_ID]) for body in bodies]
+    loss, grads, n_tokens = model.batch_loss(samples, mode=mode, rng=Rng(44))
+    ref_loss, ref_grads, ref_tokens = stepwise_batch_loss(model, samples, mode, Rng(44))
+    assert n_tokens == ref_tokens == sum(len(body) + 1 for body in bodies)
+    assert loss == ref_loss
+    assert set(grads) == set(ref_grads)
+    for name, ref in ref_grads.items():
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 
 def test_batch_nll_equals_inference_mode_batch_loss():
@@ -481,6 +628,24 @@ def test_early_stopping_restores_the_best_validation_parameters():
     assert model.batch_nll(val) == val_losses[best]
     assert len(val_losses) < tcfg.max_epochs, "expected an early stop"
     assert len(val_losses) == best + 1 + tcfg.patience
+
+
+def test_early_stopping_restores_the_best_epochs_parameters_bitwise():
+    # Validation only reads the parameters and draws nothing, so training
+    # without it for best_epoch + 1 epochs reaches the best epoch's state.
+    samples = train_samples()
+    val = [(Rng(21).normal((TINY.feature_dim,)),
+            np.abs(Rng(22).normal((TINY.n_words,))), [BOS_ID, 4, 4, EOS_ID])]
+    tcfg = CaptionTrainConfig(learning_rate=1e-1, batch_size=2, max_epochs=60,
+                              clip_norm=5.0, patience=3, seed=2)
+    model, history = train_captioner(samples, TINY, tcfg, val_samples=val)
+    best = history["best_epoch"]
+    assert best + 1 < len(history["val_loss"]), "expected epochs after the best"
+    at_best, _ = train_captioner(samples, TINY,
+                                 dataclasses.replace(tcfg, max_epochs=best + 1))
+    assert set(model.params) == set(at_best.params)
+    for name, value in at_best.params.items():
+        assert model.params[name].tobytes() == value.tobytes(), name
 
 
 def test_dropout_training_is_reproducible_byte_for_byte(tmp_path):

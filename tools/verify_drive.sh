@@ -46,6 +46,13 @@ run_pipeline() {
         --embed-dim 6 --hidden 8 --factor 8 --dropout 0.0 \
         --learning-rate 0.01 --batch-size 4 --epochs 8 --val-fraction 0.25 \
         --patience 4 --ensemble 2 --seed 7
+    # Dropout draws one mask per step over the running rows: reruns
+    # must draw the same masks in the same order.
+    attrcap train-captioner --captions captions.json --features feats.daef \
+        --attrs pred.jsonl --out-model cap_drop.daec --min-count 1 \
+        --embed-dim 6 --hidden 8 --factor 8 --dropout 0.3 \
+        --learning-rate 0.01 --batch-size 4 --epochs 8 --val-fraction 0.25 \
+        --patience 4 --ensemble 2 --seed 7
     attrcap caption --features feats.daef --attrs pred.jsonl \
         --model cap.daec --beam 3 --max-len 8 --out decoded.jsonl --seed 7
     attrcap eval-attr --pred pred.jsonl --gt gt.jsonl --out f1.json
@@ -60,10 +67,10 @@ echo "== run 2 (determinism) =="
 run_pipeline run2 > /dev/null
 
 for f in vocab.json gt.jsonl sizes.json attr.daec pred.jsonl cap.daec \
-         decoded.jsonl f1.json scores.json; do
+         cap_drop.daec decoded.jsonl f1.json scores.json; do
     cmp run1/"$f" run2/"$f" || { echo "MISMATCH: $f"; exit 1; }
 done
-echo "determinism: all 9 artifacts byte-identical"
+echo "determinism: all 10 artifacts byte-identical"
 
 echo "== decoded captions =="
 tail -n +2 run1/decoded.jsonl
