@@ -13,6 +13,7 @@ matching suffix tried within each step, and no post-1980 extensions
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -232,8 +233,13 @@ class PorterStemmer:
 _STEMMER = PorterStemmer()
 
 
+@functools.lru_cache(maxsize=None)
 def stem(token):
-    """Stem a single token with the module-level Porter stemmer."""
+    """Stem a single token with the module-level Porter stemmer.
+
+    Memoized per word: a caption corpus repeats a few thousand words
+    over and over, and the stemmer is a pure function of its input.
+    """
     return _STEMMER.stem(token)
 
 

@@ -16,10 +16,24 @@ per-layer, per-epoch, or per-member use.
 
 Draws and the Adam update run in cache-sized blocks with a little reused
 scratch memory, and give bitwise the results of the whole-array formulas.
+
+:func:`worker_pool` is one process-wide pool of threads, started at
+first use, with one worker per CPU the process may run on (at most
+``_MAX_WORKERS``). NumPy releases the interpreter lock inside its loops
+and BLAS calls, so independent pieces of one computation overlap on
+separate cores. Two kinds of work run on it: the blocks of
+:func:`adam_step`, dealt round-robin to the workers, and the ensemble
+members of one beam-search step
+(:func:`attrcap.scnlstm.ensemble_beam_search_block`), each writing its
+own slab of one shared buffer. Every piece runs the same operations in
+the same order, whichever thread runs it, and no piece reads what
+another writes, so results are bitwise the same for any worker count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +45,7 @@ __all__ = [
     "NumericError",
     "ParameterError",
     "Rng",
+    "WorkerPool",
     "adam_step",
     "batch_slices",
     "batchnorm_backward",
@@ -44,6 +59,7 @@ __all__ = [
     "sigmoid",
     "softmax",
     "train_members",
+    "worker_pool",
     "xavier_init",
 ]
 
@@ -58,6 +74,58 @@ class ParameterError(ValueError):
 
 class NumericError(ArithmeticError):
     """Raised when a computation produces or receives non-finite values."""
+
+
+# --------------------------------------------------------------------------
+# Worker pool
+# --------------------------------------------------------------------------
+
+# More threads than this find no more work: a decode step has one piece
+# per ensemble member, and Adam's blocks are bound by memory bandwidth.
+_MAX_WORKERS = 8
+
+
+class WorkerPool:
+    """``workers`` threads that run the calls of one :meth:`map` at once.
+
+    With one worker, or a single call, the calls run in the calling
+    thread.
+    """
+
+    def __init__(self, workers):
+        # Imported here: ``concurrent.futures`` takes longer to import
+        # than this module, and most processes never start the pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.workers = workers
+        self._executor = (ThreadPoolExecutor(workers, thread_name_prefix="attrcap")
+                          if workers > 1 else None)
+
+    def map(self, function, items):
+        """``[function(item) for item in items]``, the calls spread over
+        the workers; the first exception raised by a call propagates."""
+        items = list(items)
+        if self._executor is None or len(items) < 2:
+            return [function(item) for item in items]
+        return list(self._executor.map(function, items))
+
+
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def worker_pool():
+    """The process-wide :class:`WorkerPool`, started at first use with
+    one worker per CPU this process may run on, at most ``_MAX_WORKERS``."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                cpus = os.cpu_count() or 1
+            _POOL = WorkerPool(max(1, min(cpus, _MAX_WORKERS)))
+        return _POOL
 
 
 # --------------------------------------------------------------------------
@@ -89,10 +157,10 @@ def _mix64(z, scratch):
     return z
 
 
-def _blocks(count):
-    """``(start, stop)`` of the consecutive ``_CHUNK``-sized blocks of
+def _blocks(count, size=_CHUNK):
+    """``(start, stop)`` of the consecutive ``size``-long blocks of
     ``range(count)``."""
-    return ((start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK))
+    return ((start, min(start + size, count)) for start in range(0, count, size))
 
 
 def _draw_bits(seed, first, count):
@@ -301,11 +369,16 @@ def sigmoid(x):
     return out
 
 
-def softmax(x):
-    """Row-wise softmax of a (N, V) array; rows sum to one."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def softmax(x, out=None):
+    """Row-wise softmax of a (N, V) array; rows sum to one.
+
+    The result is written into ``out`` when it is given (``x`` itself
+    may be passed), and then no array of ``x``'s size is allocated.
+    """
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -355,6 +428,11 @@ def adam_step(params, grads, state):
     changes, so a rejected step leaves ``state`` as it was. The moments
     are updated in place, block by block, and each new parameter is
     written into a fresh array: the caller's arrays are never modified.
+
+    The checks and the allocations run in the calling thread; the blocks
+    are dealt round-robin to the :func:`worker_pool`, each worker with
+    one block of its own scratch, so all the scratch together holds at
+    most ``2 * _CHUNK`` floats.
     """
     for name, value in params.items():
         grad = grads[name]
@@ -371,18 +449,30 @@ def adam_step(params, grads, state):
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     correction1 = 1.0 - b1 ** state.step
     correction2 = 1.0 - b2 ** state.step
-    scratch = np.empty((2, min(_CHUNK, max((p.size for p in params.values()), default=0))))
+    pool = worker_pool()
+    # Each worker's scratch is one block: 2 * _CHUNK floats in all.
+    size = 2 * _CHUNK // pool.workers
+    blocks = []  # ((moment1, moment2, grad, param, new), start, stop)
     updated = {}
     for name, value in params.items():
         if name not in state.moment1:
             state.moment1[name] = np.zeros(value.shape)
             state.moment2[name] = np.zeros(value.shape)
         out = np.empty(value.shape)
-        moment1, moment2 = state.moment1[name].reshape(-1), state.moment2[name].reshape(-1)
-        grad, param, new = _flat(grads[name]), _flat(value), out.reshape(-1)
-        for start, stop in _blocks(value.size):
-            m, v, g = moment1[start:stop], moment2[start:stop], grad[start:stop]
-            t, u = scratch[0, :stop - start], scratch[1, :stop - start]
+        tensors = (state.moment1[name].reshape(-1), state.moment2[name].reshape(-1),
+                   grads[name], value, out.reshape(-1))
+        blocks.extend((tensors, start, stop) for start, stop in _blocks(value.size, size))
+        updated[name] = out
+    width = max((stop - start for _, start, stop in blocks), default=0)
+
+    def update(worker):
+        scratch = np.empty(width)
+        for (moment1, moment2, grad, param, new), start, stop in blocks[worker::pool.workers]:
+            # A flat iterator per block: a shared one would be moved by
+            # every thread slicing it. The output block is the second
+            # scratch until the last operation writes it.
+            m, v, g = moment1[start:stop], moment2[start:stop], _flat(grad)[start:stop]
+            t, u = scratch[:stop - start], new[start:stop]
             # The operations and their order are those of the whole-array
             # formulas, so the results are bitwise equal to them:
             # m = b1*m + (1-b1)*g
@@ -401,8 +491,9 @@ def adam_step(params, grads, state):
             np.sqrt(u, out=u)
             u += eps
             t /= u
-            np.subtract(param[start:stop], t, out=new[start:stop])
-        updated[name] = out
+            np.subtract(_flat(param)[start:stop], t, out=u)
+
+    pool.map(update, range(min(pool.workers, len(blocks))))
     return updated
 
 
@@ -424,7 +515,8 @@ def global_norm(grads):
     """L2 norm of all gradient tensors stacked into one vector."""
     total = 0.0
     for grad in grads.values():
-        total += float(np.sum(grad * grad))
+        flat = grad.reshape(-1)
+        total += float(np.dot(flat, flat))
     return float(np.sqrt(total))
 
 

@@ -45,7 +45,13 @@ grouped by image and best first within an image; each member keeps its
 ``h``/``c`` as matching (rows, H) arrays, and a step gathers the
 survivors' rows with one index array. A step is one :meth:`step_probs`
 call per member over every row, each row carrying its image's attribute
-terms (and, at the first step, its image term ``z``).
+terms (and, at the first step, its image term ``z``). The members' calls
+run at once on :func:`attrcap.nncore.worker_pool`, each writing its
+softmax into its own slab of one (K, N * beam_width, V) buffer that the
+block allocates once, and :func:`attrcap.nncore.ensemble_mean` reads the
+slabs in place. A member computes the same operations in the same order
+in whichever thread runs it, so decodes do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -429,8 +435,9 @@ class ScnLstm:
         return nll, len(targets), cache
 
     def _backward(self, cache, grads, p):
-        """Gradients of the summed NLL of a :meth:`_forward` pass,
-        accumulated into zero-filled ``grads``."""
+        """Gradients of the summed NLL of a :meth:`_forward` pass: the
+        ``Wout``, ``bout``, ``Wb`` and ``Ub`` gradients are written into
+        ``grads``, the others accumulated into its zero-filled arrays."""
         inputs, running, caption, feature, cell, drop_cache, h_rows, targets, dlogits = cache
         _, _, c_prev, d, (_, _, b1, _), (_, h_fact, gates, tanh_c), _ = cell
         dlogits[np.arange(len(targets)), targets] -= 1.0
@@ -476,7 +483,10 @@ class ScnLstm:
         if not samples:
             raise ParameterError("batch contains no predicted tokens")
         p = self.params if params is None else params
-        grads = {name: np.zeros_like(value) for name, value in p.items()}
+        # :meth:`_backward` overwrites these four; it adds into the rest.
+        overwritten = ("Wout", "bout", "Wb", "Ub")
+        grads = {name: (np.empty_like if name in overwritten else np.zeros_like)(value)
+                 for name, value in p.items()}
         nll, n_tokens, cache = self._forward(samples, mode, rng, p)
         self._backward(cache, grads, p)
         scale = 1.0 / n_tokens
@@ -497,17 +507,20 @@ class ScnLstm:
             total_tokens += n_tokens
         return total_nll / total_tokens
 
-    def step_probs(self, last_ids, h, c, d, z=None, params=None, d_terms=None):
+    def step_probs(self, last_ids, h, c, d, z=None, params=None, d_terms=None,
+                   out=None):
         """Advance one step for a batch of hypotheses.
 
         Returns ``(probs, h, c)`` where ``probs`` is the (B, V) softmax
-        over the next token. Inference mode: no dropout.
+        over the next token, computed in ``out`` when it is given (then
+        no (B, V) array is allocated). Inference mode: no dropout.
         """
         p = self.params if params is None else params
         x = p["embed"][np.asarray(last_ids, dtype=np.int64)]
         h, c, _ = self.cell_forward(x, h, c, d, z=z, params=p, d_terms=d_terms)
-        logits = h @ p["Wout"].T + p["bout"]
-        return softmax(logits), h, c
+        logits = np.matmul(h, p["Wout"].T, out=out)
+        logits += p["bout"]
+        return softmax(logits, out=logits), h, c
 
     def tensors(self):
         return dict(self.params)
@@ -622,21 +635,29 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
         return []
     z = [features @ m.params["Cv"].T for m in models]
     d_terms = [m.attribute_terms(d) for m in models]
+    # Member k's next-token distributions over a step's rows go to
+    # ``probs[k, :rows]``: one buffer for the whole block, allocated here
+    # rather than by the pool's threads, whose freed arrays would stay
+    # in their own allocator arenas.
+    probs = np.empty((len(models), n_images * beam_width, models[0].config.vocab_size))
 
     def step(image, last_ids, h, c, first_step):
         """Log of the ensemble mean of the next-token distributions of
-        the given rows, and each member's new ``(h, c)`` rows."""
+        the given rows, and each member's new ``(h, c)`` rows. The
+        members run at once on the worker pool."""
+        rows = probs[:, :len(image)]
         d_rows = d[image]
-        member_probs, states = [], []
-        for k, model in enumerate(models):
+
+        def advance(k):
             a1, b1 = d_terms[k]
-            probs, h_k, c_k = model.step_probs(
+            _, h_k, c_k = models[k].step_probs(
                 last_ids, h[k], c[k], d_rows, z=z[k][image] if first_step else None,
-                d_terms=(a1[image], b1[image]))
-            member_probs.append(probs)
-            states.append((h_k, c_k))
+                d_terms=(a1[image], b1[image]), out=rows[k])
+            return h_k, c_k
+
+        states = nncore.worker_pool().map(advance, range(len(models)))
         with np.errstate(divide="ignore"):
-            return np.log(nncore.ensemble_mean(np.stack(member_probs))), states
+            return np.log(nncore.ensemble_mean(rows)), states
 
     # Live rows, grouped by image in ascending order and best first
     # within an image: image index, score, token history from BOS, and

@@ -46,3 +46,15 @@ def per_gate_checkpoint():
                                         "vocab_words": list(vocab_words)})
 
     return write
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Installer of a fresh process-wide worker pool of a given size,
+    undone after the test."""
+    from attrcap import nncore
+
+    def install(workers):
+        monkeypatch.setattr(nncore, "_POOL", nncore.WorkerPool(workers))
+
+    return install

@@ -1,5 +1,6 @@
 """Numerical-kernel tests: RNG, layers, Adam, init, and check harnesses."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -374,6 +375,25 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     assert np.isfinite(softmax(np.array([[1e4, -1e4]]))).all()
 
 
+def reference_softmax(x):
+    """The allocating softmax that the one writing into ``out`` replaced."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def test_softmax_into_a_buffer_is_bitwise_the_allocating_softmax():
+    x = Rng(17).normal((6, 37)) * 20.0
+    want = reference_softmax(x).tobytes()
+    assert softmax(x).tobytes() == want
+    buffer = np.empty_like(x)
+    assert softmax(x, out=buffer) is buffer
+    assert buffer.tobytes() == want
+    inplace = x.copy()
+    assert softmax(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == want
+
+
 # ---------------------------------------------------------------------------
 # xavier init
 # ---------------------------------------------------------------------------
@@ -549,6 +569,39 @@ def test_adam_step_allocates_its_output_and_little_more():
     assert peak_traced_bytes(lambda: adam_step(params, grads, state)) < output + 2 ** 20
 
 
+def adam_run(seed):
+    """Three Adam steps over tensors that span several blocks of every
+    worker, among them a transposed gradient and a Fortran-order
+    parameter, which the workers read through flat iterators."""
+    rng = Rng(seed)
+    shapes = {"long": (3 * _CHUNK + 5,), "wide": (301, 257), "short": (7,), "scalar": ()}
+    params = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
+    state = AdamState(learning_rate=0.01)
+    for _ in range(3):
+        params["wide"] = np.asfortranarray(params["wide"])
+        grads = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
+        grads["wide"] = rng.normal(shapes["wide"][::-1]).T
+        params = adam_step(params, grads, state)
+    return ([p.tobytes() for p in params.values()],
+            [m.tobytes() for m in state.moment1.values()],
+            [v.tobytes() for v in state.moment2.values()])
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_adam_is_bitwise_the_same_for_every_worker_count(pool_of, workers):
+    pool_of(1)
+    alone = adam_run(43)
+    pool_of(workers)
+    # More workers than cores, switching threads as often as possible.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = adam_run(43)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == alone
+
+
 def test_uniform_allocates_its_output_and_little_more():
     output = 3 * _CHUNK * 8
     assert peak_traced_bytes(lambda: Rng(0).uniform((3 * _CHUNK,))) < output + 2 ** 20
@@ -562,6 +615,14 @@ def test_uniform_allocates_its_output_and_little_more():
 def test_global_norm_stacks_all_tensors():
     grads = {"a": np.array([3.0]), "b": np.array([[4.0]])}
     assert global_norm(grads) == pytest.approx(5.0, abs=1e-12)
+
+
+def test_global_norm_is_the_sum_of_squares_norm():
+    rng = Rng(44)
+    grads = {"long": rng.normal((_CHUNK + 3,)) * 1e3, "transposed": rng.normal((40, 30)).T,
+             "scalar": np.asarray(rng.normal(())), "empty": np.zeros((0, 3))}
+    want = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    assert abs(global_norm(grads) - want) <= 1e-12 * want
 
 
 def test_clip_gradients_under_limit_passes_through():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,29 @@ def test_zero_model_predicts_the_uniform_distribution():
         np.asarray(d).reshape(1, -1),
     )
     assert np.allclose(probs, 1.0 / TINY.vocab_size, atol=1e-15)
+
+
+def test_step_probs_into_a_buffer_returns_it_and_allocates_no_row_by_vocab_array():
+    # The decode step's shape: ufunc loops that broadcast keep a buffer
+    # of fixed size, far below one (rows, V) array.
+    cfg = dataclasses.replace(TINY, vocab_size=10000)
+    model = tiny_model(seed=3, scale=3.0, config=cfg)
+    rng = Rng(31)
+    rows = 40
+    last_ids = [int(u * cfg.vocab_size) for u in rng.uniform((rows,))]
+    h, c = rng.normal((rows, cfg.hidden_dim)), rng.normal((rows, cfg.hidden_dim))
+    d = np.abs(rng.normal((rows, cfg.n_words)))
+    want = model.step_probs(last_ids, h, c, d)
+    buffer = np.empty((rows, cfg.vocab_size))
+    tracemalloc.start()
+    try:
+        got = model.step_probs(last_ids, h, c, d, out=buffer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] is buffer
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert peak < buffer.nbytes // 10
 
 
 def per_caption_reference(model, samples):
@@ -901,6 +925,22 @@ def test_block_decoding_matches_the_per_image_reference():
     assert mixed >= 18
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_block_decoding_is_bitwise_the_same_for_every_worker_count(pool_of, workers):
+    cfg = ScnLstmConfig(vocab_size=40, n_words=4, feature_dim=5, embed_dim=4,
+                        hidden_dim=6, factor_dim=5, dropout=0.0)
+    models = [tiny_model(seed=70 + k, scale=3.0, config=cfg) for k in range(2)]
+    rng = Rng(71)
+    features = rng.normal((6, cfg.feature_dim)) * 2.0
+    d = np.abs(rng.normal((6, cfg.n_words))) * 2.0
+    decodes = []
+    for n in (1, workers):
+        pool_of(n)
+        block = ensemble_beam_search_block(models, features, d, beam_width=3, max_len=6)
+        decodes.append([(seq.tokens, seq.log_prob.hex()) for seq in block])
+    assert decodes[0] == decodes[1]
+
+
 class BigramModel(ScnLstm):
     """Constructed step distributions: the next-token distribution is
     the row of ``table`` picked by the last token, whatever the image."""
@@ -909,8 +949,9 @@ class BigramModel(ScnLstm):
         self.table = np.asarray(table, dtype=np.float64)
         super().__init__(dataclasses.replace(TINY, vocab_size=len(self.table)))
 
-    def step_probs(self, last_ids, h, c, d, z=None, params=None, d_terms=None):
-        return self.table[np.asarray(last_ids)], h, c
+    def step_probs(self, last_ids, h, c, d, z=None, params=None, d_terms=None,
+                   out=None):
+        return np.take(self.table, np.asarray(last_ids), axis=0, out=out), h, c
 
 
 def bigram(vocab_size, rows):
