@@ -264,32 +264,39 @@ def cider_d(candidates, references, max_n=4, sigma=6.0):
     """
     _check_caption_tables(candidates, references)
     n_images = len(candidates)
+
+    def counts(tokens):
+        return [_ngram_counts(tokens, n) for n in range(1, max_n + 1)]
+
+    # Each reference's n-grams are counted once: the same counts give
+    # the document frequencies and, below, its weighted vectors.
+    reference_counts = [[counts(ref) for ref in refs] for refs in references]
     document_frequency = Counter()
-    for refs in references:
+    for refs in reference_counts:
         seen = set()
         for ref in refs:
-            for n in range(1, max_n + 1):
-                seen.update(_ngram_counts(ref, n))
+            for order in ref:
+                seen.update(order)
         document_frequency.update(seen)
     log_images = math.log(n_images)
 
-    def weighted(tokens):
+    def weighted(order_counts):
         vectors = [{} for _ in range(max_n)]
         norms = [0.0] * max_n
-        for n in range(1, max_n + 1):
-            for gram, count in _ngram_counts(tokens, n).items():
+        for n, order in enumerate(order_counts):
+            for gram, count in order.items():
                 weight = log_images - math.log(max(document_frequency[gram], 1))
                 value = count * weight
-                vectors[n - 1][gram] = value
-                norms[n - 1] += value * value
+                vectors[n][gram] = value
+                norms[n] += value * value
         return vectors, [math.sqrt(v) for v in norms]
 
     image_scores = []
-    for tokens, refs in zip(candidates, references):
-        cand_vectors, cand_norms = weighted(tokens)
+    for tokens, refs, ref_counts in zip(candidates, references, reference_counts):
+        cand_vectors, cand_norms = weighted(counts(tokens))
         per_order = np.zeros(max_n, dtype=np.float64)
-        for ref in refs:
-            ref_vectors, ref_norms = weighted(ref)
+        for ref, order_counts in zip(refs, ref_counts):
+            ref_vectors, ref_norms = weighted(order_counts)
             delta = float(len(tokens) - len(ref))
             penalty = math.exp(-(delta * delta) / (2.0 * sigma * sigma))
             for n in range(max_n):

@@ -569,18 +569,29 @@ def ensemble_mean(stack):
     network of elementwise minima and maxima over the member axis: the
     same values as ``np.sort(..., axis=0)``, summed in the same order,
     at a fraction of its cost for the few members of an ensemble.
+
+    The stack is overwritten: the reduction runs in it, and the mean is
+    returned as ``stack[0]`` (a view, not a copy), so a float64 array
+    is reduced without allocating anything of its size.
     """
     stack = np.asarray(stack, dtype=np.float64)
     if stack.ndim < 1 or stack.shape[0] < 1:
         raise DimensionError("ensemble mean needs at least one member")
     n = stack.shape[0]
     if n == 1:
-        return stack[0].copy()
+        return stack[0]
     base = stack.min(axis=0)
-    deltas = stack - base
+    stack -= base
+    smaller = np.empty_like(stack[:n // 2])
     for sweep in range(n):
-        lo, hi = deltas[sweep % 2:n - 1:2], deltas[sweep % 2 + 1:n:2]
-        smaller = np.minimum(lo, hi)
+        lo, hi = stack[sweep % 2:n - 1:2], stack[sweep % 2 + 1:n:2]
+        np.minimum(lo, hi, out=smaller[:len(lo)])
         np.maximum(lo, hi, out=hi)
-        lo[...] = smaller
-    return base + deltas.sum(axis=0) / n
+        lo[...] = smaller[:len(lo)]
+    # Slab by slab in member order: the order of ``sum(axis=0)``.
+    total = stack[0]
+    for member in stack[1:]:
+        total += member
+    total /= n
+    total += base
+    return total

@@ -48,10 +48,10 @@ call per member over every row, each row carrying its image's attribute
 terms (and, at the first step, its image term ``z``). The members' calls
 run at once on :func:`attrcap.nncore.worker_pool`, each writing its
 softmax into its own slab of one (K, N * beam_width, V) buffer that the
-block allocates once, and :func:`attrcap.nncore.ensemble_mean` reads the
-slabs in place. A member computes the same operations in the same order
-in whichever thread runs it, so decodes do not depend on the worker
-count.
+block allocates once; :func:`attrcap.nncore.ensemble_mean` then reduces
+the slabs in place into the first, and the log runs there too. A member
+computes the same operations in the same order in whichever thread runs
+it, so decodes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -644,7 +644,11 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
     def step(image, last_ids, h, c, first_step):
         """Log of the ensemble mean of the next-token distributions of
         the given rows, and each member's new ``(h, c)`` rows. The
-        members run at once on the worker pool."""
+        members run at once on the worker pool.
+
+        The mean and its log are computed in place in the buffer, so the
+        log probabilities are a view of ``probs[0, :rows]``: valid only
+        until the next call."""
         rows = probs[:, :len(image)]
         d_rows = d[image]
 
@@ -656,8 +660,9 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
             return h_k, c_k
 
         states = nncore.worker_pool().map(advance, range(len(models)))
+        mean = nncore.ensemble_mean(rows)
         with np.errstate(divide="ignore"):
-            return np.log(nncore.ensemble_mean(rows)), states
+            return np.log(mean, out=mean), states
 
     # Live rows, grouped by image in ascending order and best first
     # within an image: image index, score, token history from BOS, and

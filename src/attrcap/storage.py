@@ -203,11 +203,14 @@ def load_checkpoint(path):
         if size - handle.tell() != payload:
             raise FormatError(f"{path}: header lists {payload} tensor bytes, file "
                               f"holds {size - handle.tell()} (truncated or trailing bytes)")
-        tensors = {
-            name: np.frombuffer(handle.read(8 * math.prod(shape)), "<f8")
-            .astype(np.float64).reshape(shape)
-            for name, shape in entries
-        }
+        tensors = {}
+        for name, shape in entries:
+            # Read straight into the array (the array itself, not a byte
+            # cast of it, which zero-size shapes cannot take).
+            tensor = np.empty(shape, "<f8")
+            if handle.readinto(tensor) != tensor.nbytes:
+                raise FormatError(f"{path}: truncated while reading tensor {name!r}")
+            tensors[name] = tensor.astype(np.float64, copy=False)
     return tensors, config
 
 
@@ -333,10 +336,10 @@ def write_attributes(path, image_ids, matrix, meta=None):
 
     def records():
         for image_id, row in zip(image_ids, matrix):
-            nonzero = np.nonzero(row)[0]
+            nonzero = np.flatnonzero(row)
             yield {
                 "image_id": int(image_id),
-                "attrs": [[int(i), float(row[i])] for i in nonzero],
+                "attrs": list(map(list, zip(nonzero.tolist(), row[nonzero].tolist()))),
             }
 
     write_jsonl(path, records(), meta=meta)
@@ -344,9 +347,11 @@ def write_attributes(path, image_ids, matrix, meta=None):
 
 def load_attributes(path):
     """Read an attribute JSONL file; returns ``(image_ids, matrix, meta)``.
-    Ids, indices and ``_meta.n_words`` must be JSON ints, values numbers."""
+    Ids, indices and ``_meta.n_words`` must be JSON ints, values numbers.
+    The first pair, in file order, whose index is out of range or
+    repeats in its record, or whose value is not finite, is reported."""
     records, meta = read_jsonl(path)
-    image_ids, rows = [], []
+    image_ids, counts, indices, value_rows = [], [], [], []
     for row, record in enumerate(records):
         pairs = record.get("attrs", []) if isinstance(record, dict) else None
         try:
@@ -356,13 +361,16 @@ def load_attributes(path):
                             for index, value in pairs)):
                 raise TypeError("needs an int image_id and attrs as "
                                 "[int index, number] pairs")
-            image_ids.append(record["image_id"])
-            rows.append([(index, float(value)) for index, value in pairs])
+            index, value = zip(*pairs) if pairs else ((), ())
+            value_rows.append(np.array(value, dtype=np.float64))
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: attribute record {row}: {exc}") from exc
+        image_ids.append(record["image_id"])
+        counts.append(len(pairs))
+        indices.extend(index)
     n_words = meta.get("n_words")
     if n_words is None:
-        n_words = max([0] + [index + 1 for pairs in rows for index, _ in pairs])
+        n_words = max(0, max(indices, default=-1) + 1)
     if type(n_words) is not int or n_words < 0:
         raise FormatError(f"{path}: n_words {n_words!r} is not a non-negative int")
     try:
@@ -370,21 +378,32 @@ def load_attributes(path):
     except (MemoryError, ValueError) as exc:
         raise FormatError(f"{path}: cannot hold {len(records)} attribute rows of "
                           f"n_words {n_words}: {exc}") from exc
-    for row, pairs in enumerate(rows):
-        seen = set()
-        for index, value in pairs:
-            if not 0 <= index < n_words:
-                raise FormatError(
-                    f"{path}: attribute index {index} out of range "
-                    f"for width {n_words}"
-                )
-            if index in seen or not math.isfinite(value):
-                raise FormatError(
-                    f"{path}: image {image_ids[row]}: attribute index {index} "
-                    f"repeated or its value {value!r} not finite"
-                )
-            seen.add(index)
-            matrix[row, index] = value
+    # ``in_range`` pairs lead up to the first out-of-range index; only
+    # they become arrays, as the indices are Python ints of any size.
+    in_range = len(indices)
+    if indices and not (min(indices) >= 0 and max(indices) < n_words):
+        in_range = next(p for p, index in enumerate(indices) if not 0 <= index < n_words)
+    rows = np.repeat(np.arange(len(records)), counts)[:in_range]
+    columns = np.array(indices[:in_range], dtype=np.int64)
+    values = np.concatenate([np.zeros(0), *value_rows])[:in_range]
+    # A pair repeats when an earlier pair of its record has its index:
+    # the stable sort puts that pair first among equal keys.
+    keys = rows * n_words + columns
+    order = np.argsort(keys, kind="stable")
+    bad = ~np.isfinite(values)
+    bad[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise FormatError(
+            f"{path}: image {image_ids[rows[p]]}: attribute index {indices[p]} "
+            f"repeated or its value {float(values[p])!r} not finite"
+        )
+    if in_range < len(indices):
+        raise FormatError(
+            f"{path}: attribute index {indices[in_range]} out of range "
+            f"for width {n_words}"
+        )
+    matrix[rows, columns] = values
     return image_ids, matrix, meta
 
 

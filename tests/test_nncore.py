@@ -730,7 +730,8 @@ def test_ensemble_mean_two_members():
 
 def test_ensemble_mean_matches_plain_mean():
     stack = Rng(8).normal((6, 10, 3))
-    assert np.allclose(ensemble_mean(stack), stack.mean(axis=0), atol=1e-12)
+    want = stack.mean(axis=0)  # before the mean overwrites the stack
+    assert np.allclose(ensemble_mean(stack), want, atol=1e-12)
 
 
 def sorted_ensemble_mean(stack):
@@ -742,8 +743,25 @@ def sorted_ensemble_mean(stack):
     return base + np.sort(stack - base, axis=0).sum(axis=0) / stack.shape[0]
 
 
-def test_ensemble_mean_network_is_bitwise_the_sorted_formula():
-    rng = Rng(9)
+def allocating_ensemble_mean(stack):
+    """The network formula on a fresh difference array, returning a
+    fresh mean: what the in-place reduction replaced."""
+    n = stack.shape[0]
+    if n == 1:
+        return stack[0].copy()
+    base = stack.min(axis=0)
+    deltas = stack - base
+    for sweep in range(n):
+        lo, hi = deltas[sweep % 2:n - 1:2], deltas[sweep % 2 + 1:n:2]
+        smaller = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = smaller
+    return base + deltas.sum(axis=0) / n
+
+
+def tied_stacks(seed):
+    """``(k, trial, stack)`` for K = 1..6 members of (7, 9) values."""
+    rng = Rng(seed)
     for k in range(1, 7):
         for trial in range(4):
             # Few distinct values, zeros among them, so members repeat
@@ -755,8 +773,25 @@ def test_ensemble_mean_network_is_bitwise_the_sorted_formula():
                                  rng.normal((k, 7, 9)), stack)
             if trial == 3:
                 stack[1:] = stack[0]  # identical members
-            got = ensemble_mean(stack)
-            assert got.tobytes() == sorted_ensemble_mean(stack).tobytes(), (k, trial)
+            yield k, trial, stack
+
+
+def test_ensemble_mean_network_is_bitwise_the_sorted_formula():
+    for k, trial, stack in tied_stacks(9):
+        want = sorted_ensemble_mean(stack)  # before the mean overwrites the stack
+        assert ensemble_mean(stack).tobytes() == want.tobytes(), (k, trial)
+
+
+def test_ensemble_mean_in_place_is_bitwise_the_allocating_formula():
+    for k, trial, stack in tied_stacks(10):
+        want = allocating_ensemble_mean(stack)
+        # The decoder's stack: the leading rows of a larger buffer.
+        buffer = np.full((k, 10, 9), np.nan)
+        buffer[:, :7] = stack
+        got = ensemble_mean(buffer[:, :7])
+        assert np.shares_memory(got, buffer[0, :7]) and got.shape == (7, 9), (k, trial)
+        assert got.tobytes() == want.tobytes(), (k, trial)
+        assert np.isnan(buffer[:, 7:]).all(), (k, trial)
 
 
 def test_ensemble_mean_needs_members():

@@ -1,10 +1,13 @@
 """Artifact format tests: binary round trips, corruption detection, JSON."""
 
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from attrcap import storage
 from attrcap.nncore import Rng
 from attrcap.semantics import Vocabulary
 from attrcap.storage import (
@@ -160,6 +163,40 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     loaded, config = load_checkpoint(a)
     save_checkpoint(b, loaded, config)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_checkpoint_zero_size_and_0d_tensors_round_trip(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tensors = {"empty": np.zeros((0, 3)), "inner_empty": np.zeros((2, 0, 4)),
+               "scalar": np.array(2.5), "w": Rng(6).normal((3, 4))}
+    save_checkpoint(path, tensors, {})
+    loaded, _ = load_checkpoint(path)
+    for name, tensor in tensors.items():
+        assert loaded[name].shape == tensor.shape
+        assert loaded[name].tobytes() == tensor.tobytes()
+
+
+def test_checkpoint_tensors_are_writable_arrays_owning_their_memory(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": Rng(7).normal((3, 4)), "b": np.zeros(0),
+                           "s": np.array(1.0)}, {})
+    loaded, _ = load_checkpoint(path)
+    for tensor in loaded.values():
+        assert tensor.dtype == np.float64 and tensor.dtype.isnative
+        assert tensor.flags.writeable and tensor.flags.c_contiguous
+        assert tensor.flags.owndata
+
+
+def test_checkpoint_short_read_mid_tensor_detected(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"b": np.ones(2), "w": Rng(5).normal((8, 8))}, {})
+    # The file shrinks after its size was taken, so a read comes up short
+    # in the middle of ``w``.
+    stat = os.stat(path)
+    monkeypatch.setattr(storage, "os", SimpleNamespace(fstat=lambda fd: stat))
+    path.write_bytes(path.read_bytes()[:-100])
+    with pytest.raises(FormatError, match="truncated while reading tensor 'w'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -332,6 +369,22 @@ def test_attributes_repeated_index_or_non_finite_value(tmp_path, attrs):
         '{"image_id": 1, "attrs": ' + attrs + '}\n'
     )
     with pytest.raises(FormatError, match="repeated or its value"):
+        load_attributes(path)
+
+
+@pytest.mark.parametrize("records, message", [
+    (['[[0, 0.5], [5, 0.25]]', '[[1, NaN]]'], "index 5 out of range"),
+    (['[[0, 0.5], [1, NaN], [5, 0.25]]', '[[9, 1]]'], "image 0: attribute index 1 repeated"),
+    (['[[1, 0.5]]', '[[0, 0.5], [1, 0.5], [0, 0.25], [7, 0.5]]'],
+     "image 1: attribute index 0 repeated"),
+    (['[[1, 0.5], [0, 0.5]]', '[[2, 0.5], [-1, 0.5]]', '[[0, 0.5], [0, 0.5]]'],
+     "index -1 out of range"),
+])
+def test_attributes_first_bad_pair_in_file_order_is_reported(tmp_path, records, message):
+    path = tmp_path / "attrs.jsonl"
+    path.write_text('{"_meta": {"n_words": 3}}\n' + "".join(
+        f'{{"image_id": {row}, "attrs": {attrs}}}\n' for row, attrs in enumerate(records)))
+    with pytest.raises(FormatError, match=message):
         load_attributes(path)
 
 
