@@ -283,7 +283,8 @@ def train_attrnet(x, y, net_config, train_config):
         for start, stop in batch_slices(m, train_config.batch_size, min_size=2):
             batch = order[start:stop]
             loss, grads = net.loss(x[batch], y[batch], mode="train", rng=epoch_rng)
-            net.params = adam_step(net.params, grads, adam)
+            adam_step(net.params, grads, adam)
+            del grads  # not alive while the next batch's are built
             total += loss * len(batch)
         epoch_losses.append(total / m)
     return net, epoch_losses

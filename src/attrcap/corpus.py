@@ -248,8 +248,10 @@ class Document:
     """All reference captions of one image, tokenized.
 
     ``captions`` holds one token list per caption, in caption order; the
-    flattened view ``tokens`` and the count ``n_captions`` derive from it,
-    so they can never disagree with the underlying captions.
+    flattened list ``tokens`` and the count ``n_captions`` derive from it.
+    ``tokens`` is built at its first read and kept, so a document's
+    captions must be complete before anything reads its tokens, as
+    :func:`build_documents` leaves them.
     """
 
     image_id: int
@@ -259,7 +261,7 @@ class Document:
     def n_captions(self):
         return len(self.captions)
 
-    @property
+    @functools.cached_property
     def tokens(self):
         flat = []
         for caption in self.captions:

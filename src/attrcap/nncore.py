@@ -16,14 +16,18 @@ per-layer, per-epoch, or per-member use.
 
 Draws and the Adam update run in cache-sized blocks with a little reused
 scratch memory, and give bitwise the results of the whole-array formulas.
+Adam writes each new parameter into the caller's array and clipping
+scales the caller's gradients, so a training step holds one copy each
+of the parameters, the two moments and the gradients.
 
 :func:`worker_pool` is one process-wide pool of threads, started at
 first use, with one worker per CPU the process may run on (at most
 ``_MAX_WORKERS``). NumPy releases the interpreter lock inside its loops
 and BLAS calls, so independent pieces of one computation overlap on
 separate cores. Two kinds of work run on it: the blocks of
-:func:`adam_step`, dealt round-robin to the workers, and the ensemble
-members of one beam-search step
+:func:`adam_step`, dealt round-robin to the workers (first its
+finiteness check, then its update), and the ensemble members of one
+beam-search step
 (:func:`attrcap.scnlstm.ensemble_beam_search_block`), each writing its
 own slab of one shared buffer. Every piece runs the same operations in
 the same order, whichever thread runs it, and no piece reads what
@@ -421,18 +425,19 @@ def _flat(array):
 
 
 def adam_step(params, grads, state):
-    """One Adam update; returns a new params dict, mutating ``state``.
+    """One Adam update of ``params`` in place; returns ``None``.
 
     Moments are bias-corrected. Gradients must be finite and shaped
     like their parameters; every gradient is checked before anything
-    changes, so a rejected step leaves ``state`` as it was. The moments
-    are updated in place, block by block, and each new parameter is
-    written into a fresh array: the caller's arrays are never modified.
+    is written, so a rejected step leaves ``params`` and ``state`` as
+    they were. Each parameter array, whatever its memory layout, is
+    overwritten with its new value, and the moments are updated in
+    place; the gradients are only read.
 
-    The checks and the allocations run in the calling thread; the blocks
-    are dealt round-robin to the :func:`worker_pool`, each worker with
-    one block of its own scratch, so all the scratch together holds at
-    most ``2 * _CHUNK`` floats.
+    The blocks are dealt round-robin to the :func:`worker_pool`: one
+    pass checks them, a second updates them. Each worker keeps two
+    blocks of scratch, so all the scratch together holds ``2 * _CHUNK``
+    floats.
     """
     for name, value in params.items():
         grad = grads[name]
@@ -441,38 +446,40 @@ def adam_step(params, grads, state):
                 f"gradient for {name} has shape {grad.shape}, "
                 f"parameter has {value.shape}"
             )
-        flat = _flat(grad)
-        for start, stop in _blocks(grad.size):
-            if not np.isfinite(flat[start:stop]).all():
-                raise NumericError(f"non-finite gradient for {name}")
+    names = list(params)
+    pool = worker_pool()
+    blocks = [(k, start, stop) for k, name in enumerate(names)
+              for start, stop in _blocks(params[name].size, _CHUNK // pool.workers)]
+    workers = range(min(pool.workers, len(blocks)))
+
+    # A flat iterator per block in both passes: a shared one would be
+    # moved by every thread slicing it.
+    def first_bad(worker):
+        return min((k for k, start, stop in blocks[worker::pool.workers]
+                    if not np.isfinite(_flat(grads[names[k]])[start:stop]).all()),
+                   default=len(names))
+
+    bad = min(pool.map(first_bad, workers), default=len(names))
+    if bad < len(names):
+        raise NumericError(f"non-finite gradient for {names[bad]}")
     state.step += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     correction1 = 1.0 - b1 ** state.step
     correction2 = 1.0 - b2 ** state.step
-    pool = worker_pool()
-    # Each worker's scratch is one block: 2 * _CHUNK floats in all.
-    size = 2 * _CHUNK // pool.workers
-    blocks = []  # ((moment1, moment2, grad, param, new), start, stop)
-    updated = {}
-    for name, value in params.items():
+    for name in names:
         if name not in state.moment1:
-            state.moment1[name] = np.zeros(value.shape)
-            state.moment2[name] = np.zeros(value.shape)
-        out = np.empty(value.shape)
-        tensors = (state.moment1[name].reshape(-1), state.moment2[name].reshape(-1),
-                   grads[name], value, out.reshape(-1))
-        blocks.extend((tensors, start, stop) for start, stop in _blocks(value.size, size))
-        updated[name] = out
+            state.moment1[name] = np.zeros(params[name].shape)
+            state.moment2[name] = np.zeros(params[name].shape)
+    tensors = [(state.moment1[name].reshape(-1), state.moment2[name].reshape(-1),
+                grads[name], params[name]) for name in names]
     width = max((stop - start for _, start, stop in blocks), default=0)
 
     def update(worker):
-        scratch = np.empty(width)
-        for (moment1, moment2, grad, param, new), start, stop in blocks[worker::pool.workers]:
-            # A flat iterator per block: a shared one would be moved by
-            # every thread slicing it. The output block is the second
-            # scratch until the last operation writes it.
+        scratch = np.empty((2, width))
+        for k, start, stop in blocks[worker::pool.workers]:
+            moment1, moment2, grad, param = tensors[k]
             m, v, g = moment1[start:stop], moment2[start:stop], _flat(grad)[start:stop]
-            t, u = scratch[:stop - start], new[start:stop]
+            t, u = scratch[:, :stop - start]
             # The operations and their order are those of the whole-array
             # formulas, so the results are bitwise equal to them:
             # m = b1*m + (1-b1)*g
@@ -484,17 +491,21 @@ def adam_step(params, grads, state):
             np.multiply(g, 1.0 - b2, out=t)
             t *= g
             v += t
-            # new = p - (lr*(m/c1)) / (sqrt(v/c2) + eps)
+            # p = p - (lr*(m/c1)) / (sqrt(v/c2) + eps)
             np.divide(m, correction1, out=t)
             t *= lr
             np.divide(v, correction2, out=u)
             np.sqrt(u, out=u)
             u += eps
             t /= u
-            np.subtract(_flat(param)[start:stop], t, out=u)
+            # A view of the parameter, or a copy of this range written
+            # back when the parameter is not C-contiguous.
+            p = _flat(param)[start:stop]
+            p -= t
+            if not param.flags.c_contiguous:
+                param.flat[start:stop] = p
 
-    pool.map(update, range(min(pool.workers, len(blocks))))
-    return updated
+    pool.map(update, workers)
 
 
 def batch_slices(n, batch_size, min_size=1):
@@ -523,8 +534,9 @@ def global_norm(grads):
 def clip_gradients(grads, max_norm):
     """Scale all gradients down so their global norm is at most ``max_norm``.
 
-    Returns ``(clipped, norm)`` where ``norm`` is the pre-clip global
-    norm. Gradients under the limit pass through unchanged.
+    Returns ``(grads, norm)`` where ``norm`` is the pre-clip global
+    norm. The caller's arrays are scaled in place and returned in the
+    same dict; gradients under the limit are left as they are.
     """
     if max_norm <= 0:
         raise ParameterError(f"clip norm must be positive, got {max_norm}")
@@ -534,7 +546,9 @@ def clip_gradients(grads, max_norm):
     if norm <= max_norm:
         return grads, norm
     scale = max_norm / norm
-    return {name: grad * scale for name, grad in grads.items()}, norm
+    for grad in grads.values():
+        grad *= scale
+    return grads, norm
 
 
 def train_members(n_members, seed, train):
@@ -568,7 +582,9 @@ def ensemble_mean(stack):
     The differences are sorted in place by an odd-even transposition
     network of elementwise minima and maxima over the member axis: the
     same values as ``np.sort(..., axis=0)``, summed in the same order,
-    at a fraction of its cost for the few members of an ensemble.
+    at a fraction of its cost for the few members of an ensemble. With
+    at most three members one difference is exactly ``+0``, so the sum
+    is the same in any order and the network is skipped.
 
     The stack is overwritten: the reduction runs in it, and the mean is
     returned as ``stack[0]`` (a view, not a copy), so a float64 array
@@ -582,12 +598,13 @@ def ensemble_mean(stack):
         return stack[0]
     base = stack.min(axis=0)
     stack -= base
-    smaller = np.empty_like(stack[:n // 2])
-    for sweep in range(n):
-        lo, hi = stack[sweep % 2:n - 1:2], stack[sweep % 2 + 1:n:2]
-        np.minimum(lo, hi, out=smaller[:len(lo)])
-        np.maximum(lo, hi, out=hi)
-        lo[...] = smaller[:len(lo)]
+    if n > 3:
+        smaller = np.empty_like(stack[:n // 2])
+        for sweep in range(n):
+            lo, hi = stack[sweep % 2:n - 1:2], stack[sweep % 2 + 1:n:2]
+            np.minimum(lo, hi, out=smaller[:len(lo)])
+            np.maximum(lo, hi, out=hi)
+            lo[...] = smaller[:len(lo)]
     # Slab by slab in member order: the order of ``sum(axis=0)``.
     total = stack[0]
     for member in stack[1:]:

@@ -555,6 +555,10 @@ def train_captioner(samples, net_config, train_config, val_samples=None,
     best_params = None
     stale = 0
     for epoch in range(train_config.max_epochs):
+        if best_params is model.params:
+            # Adam writes into the parameters: copy the best epoch's only
+            # when training goes on after it.
+            best_params = {name: value.copy() for name, value in best_params.items()}
         epoch_rng = root.split(epoch + 1)
         order = epoch_rng.permutation(n)
         epoch_nll = 0.0
@@ -564,8 +568,9 @@ def train_captioner(samples, net_config, train_config, val_samples=None,
             loss, grads, n_tokens = model.batch_loss(
                 batch, mode="train", rng=epoch_rng
             )
-            grads, _ = clip_gradients(grads, train_config.clip_norm)
-            model.params = adam_step(model.params, grads, adam)
+            clip_gradients(grads, train_config.clip_norm)
+            adam_step(model.params, grads, adam)
+            del grads  # not alive while the next batch's are built
             epoch_nll += loss * n_tokens
             epoch_tokens += n_tokens
         history["train_loss"].append(epoch_nll / epoch_tokens)
@@ -574,7 +579,7 @@ def train_captioner(samples, net_config, train_config, val_samples=None,
             history["val_loss"].append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = dict(model.params)  # adam_step never writes in place
+                best_params = model.params
                 history["best_epoch"] = epoch
                 stale = 0
             else:

@@ -1,5 +1,6 @@
 """Attribute-predictor tests: joins, forward/backward, training, ensembles."""
 
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -322,6 +323,28 @@ def test_train_rejects_row_mismatch_and_tiny_sets():
     with pytest.raises(ParameterError, match="at least 2"):
         train_attrnet(np.zeros((1, 6)), np.zeros((1, 3)), SMALL,
                       AttrTrainConfig(epochs=1))
+
+
+def test_training_holds_four_parameter_sets():
+    # The parameters, Adam's two moments and one step's gradients: Adam
+    # writes into the parameters and a step's gradients are dropped
+    # before the next batch's are built. The parameters dominate at these
+    # shapes; half a set of slack covers a batch's activations and Adam's
+    # scratch. Three batches, so two steps' gradients could overlap.
+    config = AttrNetConfig(n_words=512, feature_dim=512, hidden_dim=512)
+    rng = Rng(47)
+    x = rng.normal((24, config.feature_dim))
+    y = np.abs(rng.normal((24, config.n_words)))
+    train_config = AttrTrainConfig(batch_size=8, epochs=1, seed=5)
+    assert len(batch_slices(24, train_config.batch_size, min_size=2)) == 3
+    tracemalloc.start()
+    try:
+        net, _ = train_attrnet(x, y, config, train_config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    param_set = sum(value.nbytes for value in net.params.values())
+    assert 4 * param_set <= peak < 4.5 * param_set
 
 
 # ---------------------------------------------------------------------------

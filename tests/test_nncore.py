@@ -421,17 +421,19 @@ def test_xavier_variance_matches_uniform_law():
 
 def test_adam_zero_gradient_keeps_parameters():
     params = {"w": Rng(1).normal((3, 3))}
+    before = params["w"].copy()
     state = AdamState(learning_rate=0.1)
-    updated = adam_step(params, {"w": np.zeros((3, 3))}, state)
-    assert np.array_equal(updated["w"], params["w"])
+    assert adam_step(params, {"w": np.zeros((3, 3))}, state) is None
+    assert np.array_equal(params["w"], before)
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
     params = {"w": np.array([1.0, -1.0, 2.0])}
     grads = {"w": np.array([0.3, -0.7, 0.001])}
+    before = params["w"].copy()
     state = AdamState(learning_rate=0.05)
-    updated = adam_step(params, grads, state)
-    delta = updated["w"] - params["w"]
+    adam_step(params, grads, state)
+    delta = params["w"] - before
     assert np.allclose(delta, -np.sign(grads["w"]) * 0.05, rtol=1e-4)
 
 
@@ -439,17 +441,17 @@ def test_adam_descends_quadratic():
     params = {"w": np.array([1.0])}
     state = AdamState(learning_rate=0.1)
     for _ in range(200):
-        params = adam_step(params, {"w": 2.0 * params["w"]}, state)
+        adam_step(params, {"w": 2.0 * params["w"]}, state)
     assert abs(params["w"][0]) < 1e-2
 
 
 def test_adam_zero_learning_rate_is_identity():
     params = {"w": Rng(2).normal((4,))}
+    before = params["w"].copy()
     state = AdamState(learning_rate=0.0)
-    out = dict(params)
     for _ in range(5):
-        out = adam_step(out, {"w": Rng(3).normal((4,))}, state)
-    assert np.array_equal(out["w"], params["w"])
+        adam_step(params, {"w": Rng(3).normal((4,))}, state)
+    assert np.array_equal(params["w"], before)
 
 
 def test_adam_rejects_non_finite_gradients():
@@ -467,7 +469,8 @@ def test_adam_rejects_shape_mismatch():
 
 
 def reference_adam_step(params, grads, state):
-    """The whole-array Adam update that the block kernel replaced."""
+    """The whole-array Adam update that the block kernel replaced; it
+    returns new parameter arrays."""
     state.step += 1
     correction1 = 1.0 - state.beta1 ** state.step
     correction2 = 1.0 - state.beta2 ** state.step
@@ -503,28 +506,31 @@ def adam_inputs(rng, params):
 def test_adam_is_bitwise_the_whole_array_update():
     rng = Rng(40)
     params = {name: np.asarray(rng.normal(shape)) for name, shape in ADAM_SHAPES.items()}
-    expected = dict(params)
     state = AdamState(learning_rate=0.01)
     reference = AdamState(learning_rate=0.01)
     for _ in range(5):
         params, grads = adam_inputs(rng, params)
-        inputs = [*params.values(), *grads.values()]
-        copies = [a.copy() for a in inputs]
-        params = adam_step(params, grads, state)
-        expected = reference_adam_step(expected, grads, reference)
+        passed = dict(params)
+        grad_copies = {name: grad.copy() for name, grad in grads.items()}
+        expected = reference_adam_step({name: p.copy() for name, p in params.items()},
+                                       grads, reference)
+        assert adam_step(params, grads, state) is None
         assert state.step == reference.step
+        assert not params["fortran"].flags.c_contiguous
         for name in ADAM_SHAPES:
+            # The new values are written into the very arrays passed in.
+            assert params[name] is passed[name], name
             assert params[name].shape == ADAM_SHAPES[name]
             assert params[name].tobytes() == expected[name].tobytes(), name
             assert state.moment1[name].tobytes() == reference.moment1[name].tobytes()
             assert state.moment2[name].tobytes() == reference.moment2[name].tobytes()
-        # The caller's arrays, parameters and gradients alike, are untouched.
-        for array, copy in zip(inputs, copies):
-            assert array.tobytes() == copy.tobytes()
+            # The gradients are only read.
+            assert grads[name].tobytes() == grad_copies[name].tobytes(), name
 
 
-def adam_snapshot(state):
-    return (state.step, {name: m.tobytes() for name, m in state.moment1.items()},
+def adam_snapshot(params, state):
+    return ({name: p.tobytes() for name, p in params.items()}, state.step,
+            {name: m.tobytes() for name, m in state.moment1.items()},
             {name: v.tobytes() for name, v in state.moment2.items()})
 
 
@@ -535,7 +541,7 @@ def test_rejected_adam_step_leaves_the_state_unchanged(primed):
     state = AdamState(learning_rate=0.01)
     if primed:
         adam_step(params, {name: rng.normal(p.shape) for name, p in params.items()}, state)
-    before = adam_snapshot(state)
+    before = adam_snapshot(params, state)
     grads = {name: rng.normal(p.shape) for name, p in params.items()}
     # A non-finite value in the last block of the last tensor, then a
     # misshapen last tensor: the first tensor has already been checked.
@@ -543,10 +549,36 @@ def test_rejected_adam_step_leaves_the_state_unchanged(primed):
         grads["b"][-1] = bad
         with pytest.raises(NumericError, match="non-finite gradient for b"):
             adam_step(params, grads, state)
-        assert adam_snapshot(state) == before
+        assert adam_snapshot(params, state) == before
     with pytest.raises(DimensionError, match="gradient for b has shape"):
         adam_step(params, dict(grads, b=np.zeros(3)), state)
-    assert adam_snapshot(state) == before
+    assert adam_snapshot(params, state) == before
+
+
+@pytest.mark.parametrize("primed", [False, True])
+def test_rejected_adam_step_names_the_first_bad_tensor_whichever_worker_checks_it(
+        pool_of, primed):
+    # Two workers deal blocks of _CHUNK // 2 round-robin: "a" spans
+    # blocks 0-2 and "b" blocks 3-4. Block 1 of "a" goes to worker 1 and
+    # block 4 of "b" to worker 0, which checks it while worker 1 may
+    # still be on block 1.
+    pool_of(2)
+    half = _CHUNK // 2
+    rng = Rng(46)
+    params = {"a": rng.normal((3 * half,)), "b": rng.normal((2 * half,))}
+    state = AdamState(learning_rate=0.01)
+    if primed:
+        adam_step(params, {name: rng.normal(p.shape) for name, p in params.items()}, state)
+    before = adam_snapshot(params, state)
+    grads = {name: rng.normal(p.shape) for name, p in params.items()}
+    grads["b"][half + 1] = np.inf
+    with pytest.raises(NumericError, match="non-finite gradient for b"):
+        adam_step(params, grads, state)
+    assert adam_snapshot(params, state) == before
+    grads["a"][half + 5] = np.nan
+    with pytest.raises(NumericError, match="non-finite gradient for a"):
+        adam_step(params, grads, state)
+    assert adam_snapshot(params, state) == before
 
 
 def peak_traced_bytes(call):
@@ -559,14 +591,13 @@ def peak_traced_bytes(call):
         tracemalloc.stop()
 
 
-def test_adam_step_allocates_its_output_and_little_more():
+def test_adam_step_allocates_little_beyond_its_scratch():
     rng = Rng(42)
     params = {"w": rng.normal((3 * _CHUNK,))}
     grads = {"w": rng.normal((3 * _CHUNK,))}
     state = AdamState(learning_rate=0.01)
-    params = adam_step(params, grads, state)  # the moments now exist
-    output = params["w"].nbytes
-    assert peak_traced_bytes(lambda: adam_step(params, grads, state)) < output + 2 ** 20
+    adam_step(params, grads, state)  # the moments now exist
+    assert peak_traced_bytes(lambda: adam_step(params, grads, state)) < 2 ** 20
 
 
 def adam_run(seed):
@@ -581,7 +612,7 @@ def adam_run(seed):
         params["wide"] = np.asfortranarray(params["wide"])
         grads = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
         grads["wide"] = rng.normal(shapes["wide"][::-1]).T
-        params = adam_step(params, grads, state)
+        adam_step(params, grads, state)
     return ([p.tobytes() for p in params.values()],
             [m.tobytes() for m in state.moment1.values()],
             [v.tobytes() for v in state.moment2.values()])
@@ -638,6 +669,20 @@ def test_clip_gradients_rescales_to_limit():
     assert norm == pytest.approx(5.0, abs=1e-12)
     assert global_norm(clipped) == pytest.approx(1.0, abs=1e-12)
     assert clipped["a"][0] / clipped["b"][0] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_clip_gradients_scales_the_callers_arrays_in_place():
+    rng = Rng(45)
+    grads = {"long": rng.normal((_CHUNK + 3,)) * 10.0, "transposed": rng.normal((40, 30)).T,
+             "scalar": np.asarray(rng.normal(()))}
+    passed = dict(grads)
+    copies = {name: grad.copy() for name, grad in grads.items()}
+    clipped, norm = clip_gradients(grads, 1.0)
+    assert norm == global_norm(copies) > 1.0
+    scale = 1.0 / norm
+    for name, copy in copies.items():
+        assert clipped[name] is passed[name], name
+        assert clipped[name].tobytes() == (copy * scale).tobytes(), name
 
 
 def test_clip_gradients_parameter_errors():

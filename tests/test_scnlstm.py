@@ -7,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from attrcap import scnlstm
 from attrcap.nncore import (
     DimensionError,
     ParameterError,
     Rng,
+    clip_gradients,
     dropout_backward,
     dropout_forward,
     ensemble_mean,
@@ -670,6 +672,42 @@ def test_early_stopping_restores_the_best_epochs_parameters_bitwise():
     assert set(model.params) == set(at_best.params)
     for name, value in at_best.params.items():
         assert model.params[name].tobytes() == value.tobytes(), name
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_training_holds_four_parameter_sets_and_the_best_epochs_copy(monkeypatch, epochs):
+    # The parameters, Adam's two moments and one step's gradients, which
+    # clipping scales in place; from the second epoch on, the copy of the
+    # best epoch's parameters is a fifth set. The embedding and output
+    # layer make the parameters dominate; half a set of slack covers the
+    # activations and Adam's scratch.
+    config = ScnLstmConfig(vocab_size=8000, n_words=32, feature_dim=64, embed_dim=64,
+                           hidden_dim=64, factor_dim=64, dropout=0.5)
+    rng = Rng(48)
+    samples = [(rng.normal((64,)), np.abs(rng.normal((32,))),
+                [BOS_ID, *(3 + 1999 * k + 7 * i for k in range(4)), EOS_ID])
+               for i in range(4)]
+    clipped = []
+
+    def recording_clip(grads, max_norm):
+        result = clip_gradients(grads, max_norm)
+        clipped.append(result[1] > max_norm)
+        return result
+
+    monkeypatch.setattr(scnlstm, "clip_gradients", recording_clip)
+    tcfg = CaptionTrainConfig(learning_rate=1e-3, batch_size=2, max_epochs=epochs,
+                              clip_norm=1e-3, seed=4)
+    tracemalloc.start()
+    try:
+        model, history = train_captioner(samples[:3], config, tcfg, val_samples=samples[3:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clipped == [True] * 2 * epochs
+    assert len(history["val_loss"]) == epochs
+    param_set = sum(value.nbytes for value in model.params.values())
+    sets = 4 if epochs == 1 else 5
+    assert sets * param_set <= peak < (sets + 0.5) * param_set
 
 
 def test_dropout_training_is_reproducible_byte_for_byte(tmp_path):
