@@ -35,13 +35,14 @@ from .nncore import (
     dropout_forward,
     xavier_init,
 )
-from .storage import load_ensemble, save_ensemble
+from .storage import ensemble_writer, load_ensemble
 
 __all__ = [
     "AttrNet",
     "AttrNetConfig",
     "AttrTrainConfig",
     "JoinError",
+    "attrnet_writer",
     "join_on_image_id",
     "load_attrnet_ensemble",
     "mse_loss",
@@ -299,7 +300,15 @@ def predict_ensemble(nets, x):
     """
     if not nets:
         raise ParameterError("ensemble prediction needs at least one member")
-    return nncore.ensemble_mean(np.stack([net.predict(x) for net in nets]))
+    # One (K, N, A) buffer filled member by member: K + 1 prediction
+    # matrices at most, where stacking a list of them holds 2K.
+    first = nets[0].predict(x)
+    stack = np.empty((len(nets), *first.shape))
+    stack[0] = first
+    del first  # not alive while the other members predict
+    for k in range(1, len(nets)):
+        stack[k] = nets[k].predict(x)
+    return nncore.ensemble_mean(stack)
 
 
 # --------------------------------------------------------------------------
@@ -307,10 +316,18 @@ def predict_ensemble(nets, x):
 # --------------------------------------------------------------------------
 
 
+def attrnet_writer(path, config, n_members, extra_meta=None):
+    """A checkpoint writer for ``n_members`` members of ``config``: hand
+    it each member's :meth:`AttrNet.tensors` as the member is trained."""
+    return ensemble_writer(path, "attrnet", n_members, {"net": asdict(config)},
+                           meta=extra_meta)
+
+
 def save_attrnet_ensemble(path, nets, extra_meta=None):
     """Store all members in one checkpoint."""
-    save_ensemble(path, "attrnet", [net.tensors() for net in nets],
-                  {"net": asdict(nets[0].config)}, meta=extra_meta)
+    with attrnet_writer(path, nets[0].config, len(nets), extra_meta) as writer:
+        for net in nets:
+            writer.add(net.tensors())
 
 
 def load_attrnet_ensemble(path):

@@ -11,7 +11,9 @@ format errors, 3 on numeric failures. Errors print exactly one
 machine-parsable line ``error: <category>: <reason>`` to stderr. All
 randomness derives from ``--seed``, every artifact embeds the producing
 command line and seed, and no output contains timestamps, so reruns
-with identical inputs and flags are byte-identical.
+with identical inputs and flags are byte-identical. The training
+commands write each ensemble member to the checkpoint as it finishes
+and drop it; the checkpoint appears at its path only once complete.
 """
 
 from __future__ import annotations
@@ -230,13 +232,15 @@ def _cmd_train_attr(args, meta):
         batch_size=args.batch_size,
         epochs=args.epochs,
     )
-    results = train_members(args.ensemble, args.seed, lambda seed: (
+    members = train_members(args.ensemble, args.seed, lambda seed: (
         attrnet_mod.train_attrnet(x, y, net_config, replace(train_config, seed=seed))))
-    for m, (_, losses) in enumerate(results):
-        if losses:
-            print(f"member {m}: final training mse: {losses[-1]!r}")
-    attrnet_mod.save_attrnet_ensemble(
-        args.out_model, [net for net, _ in results], extra_meta=meta)
+    with attrnet_mod.attrnet_writer(args.out_model, net_config, args.ensemble,
+                                    extra_meta=meta) as writer:
+        for net, losses in members:
+            if losses:
+                print(f"member {writer.count}: final training mse: {losses[-1]!r}")
+            writer.add(net.tensors())
+            del net, losses  # not alive while the next member trains
     print(f"trained on {x.shape[0]} images")
     return 0
 
@@ -357,19 +361,21 @@ def _cmd_train_captioner(args, meta):
         clip_norm=args.clip_norm,
         patience=args.patience,
     )
-    results = train_members(args.ensemble, args.seed, lambda seed: (
+    members = train_members(args.ensemble, args.seed, lambda seed: (
         scnlstm_mod.train_captioner(
             train_samples, net_config, replace(train_config, seed=seed),
             val_samples=val_samples or None, embeddings=embeddings)))
-    for m, (_, history) in enumerate(results):
-        if history["train_loss"]:
-            print(f"member {m}: final training loss: "
-                  f"{history['train_loss'][-1]!r} nats/token")
-        if history["val_loss"]:
-            print(f"member {m}: best validation loss: "
-                  f"{min(history['val_loss'])!r} nats/token")
-    scnlstm_mod.save_captioner_ensemble(
-        args.out_model, [model for model, _ in results], vocab, extra_meta=meta)
+    with scnlstm_mod.captioner_writer(args.out_model, net_config, vocab, args.ensemble,
+                                      extra_meta=meta) as writer:
+        for model, history in members:
+            if history["train_loss"]:
+                print(f"member {writer.count}: final training loss: "
+                      f"{history['train_loss'][-1]!r} nats/token")
+            if history["val_loss"]:
+                print(f"member {writer.count}: best validation loss: "
+                      f"{min(history['val_loss'])!r} nats/token")
+            writer.add(model.tensors())
+            del model, history  # not alive while the next member trains
     print(f"trained on {len(train_samples)} captions "
           f"({len(val_samples)} held out), vocabulary {len(vocab)} tokens")
     return 0

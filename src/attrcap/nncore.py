@@ -14,11 +14,13 @@ reproducible bit for bit regardless of platform or draw batching, and
 ``split`` derives statistically independent child streams for
 per-layer, per-epoch, or per-member use.
 
-Draws and the Adam update run in cache-sized blocks with a little reused
-scratch memory, and give bitwise the results of the whole-array formulas.
+Draws, Glorot initialization and the Adam update run in cache-sized
+blocks with a little reused scratch memory, and give bitwise the results
+of the whole-array formulas.
 Adam writes each new parameter into the caller's array and clipping
 scales the caller's gradients, so a training step holds one copy each
-of the parameters, the two moments and the gradients.
+of the parameters, the two moments and the gradients. :func:`train_members`
+trains an ensemble's members one at a time, as its caller asks for them.
 
 :func:`worker_pool` is one process-wide pool of threads, started at
 first use, with one worker per CPU the process may run on (at most
@@ -390,18 +392,28 @@ def softmax(x, out=None):
 # --------------------------------------------------------------------------
 
 
-def xavier_init(rows, cols, rng):
+def xavier_init(rows, cols, rng, out=None):
     """Uniform Glorot initialization on ``+/- sqrt(6 / (rows + cols))``.
 
     ``rng`` may be an :class:`Rng` or an integer seed; the same seed
-    always yields the same matrix.
+    always yields the same matrix. The draws are scaled and shifted
+    block by block, while each block is in cache, and written into
+    ``out`` (a C-contiguous (rows, cols) array) when it is given.
     """
     if isinstance(rng, (int, np.integer)):
         rng = Rng(rng)
     bound = np.sqrt(6.0 / (rows + cols))
-    weights = rng.uniform((rows, cols))
-    weights *= 2.0 * bound
-    weights -= bound
+    weights = np.empty((rows, cols)) if out is None else out
+    if weights.shape != (rows, cols) or not weights.flags.c_contiguous:
+        raise DimensionError(f"xavier_init writes a C-contiguous ({rows}, {cols}) "
+                             f"array, got {weights.shape}")
+    flat = weights.reshape(-1)
+    # The operations of ``uniform(...) * (2 * bound) - bound``, in order.
+    for start, bits in rng._bits(rows * cols):
+        block = flat[start:start + len(bits)]
+        np.multiply(bits, _INV_2_53, out=block)
+        block *= 2.0 * bound
+        block -= bound
     return weights
 
 
@@ -435,9 +447,10 @@ def adam_step(params, grads, state):
     place; the gradients are only read.
 
     The blocks are dealt round-robin to the :func:`worker_pool`: one
-    pass checks them, a second updates them. Each worker keeps two
-    blocks of scratch, so all the scratch together holds ``2 * _CHUNK``
-    floats.
+    pass checks them, a second updates them. Each worker keeps one
+    block of scratch, so all the scratch together holds ``2 * _CHUNK``
+    floats; the last stage runs over each half of a block in turn,
+    with the scratch halves holding its numerator and denominator.
     """
     for name, value in params.items():
         grad = grads[name]
@@ -449,7 +462,7 @@ def adam_step(params, grads, state):
     names = list(params)
     pool = worker_pool()
     blocks = [(k, start, stop) for k, name in enumerate(names)
-              for start, stop in _blocks(params[name].size, _CHUNK // pool.workers)]
+              for start, stop in _blocks(params[name].size, 2 * _CHUNK // pool.workers)]
     workers = range(min(pool.workers, len(blocks)))
 
     # A flat iterator per block in both passes: a shared one would be
@@ -472,14 +485,14 @@ def adam_step(params, grads, state):
             state.moment2[name] = np.zeros(params[name].shape)
     tensors = [(state.moment1[name].reshape(-1), state.moment2[name].reshape(-1),
                 grads[name], params[name]) for name in names]
-    width = max((stop - start for _, start, stop in blocks), default=0)
+    half = (max((stop - start for _, start, stop in blocks), default=0) + 1) // 2
 
     def update(worker):
-        scratch = np.empty((2, width))
+        scratch = np.empty(2 * half)
         for k, start, stop in blocks[worker::pool.workers]:
             moment1, moment2, grad, param = tensors[k]
             m, v, g = moment1[start:stop], moment2[start:stop], _flat(grad)[start:stop]
-            t, u = scratch[:, :stop - start]
+            t = scratch[:stop - start]
             # The operations and their order are those of the whole-array
             # formulas, so the results are bitwise equal to them:
             # m = b1*m + (1-b1)*g
@@ -491,17 +504,19 @@ def adam_step(params, grads, state):
             np.multiply(g, 1.0 - b2, out=t)
             t *= g
             v += t
-            # p = p - (lr*(m/c1)) / (sqrt(v/c2) + eps)
-            np.divide(m, correction1, out=t)
-            t *= lr
-            np.divide(v, correction2, out=u)
-            np.sqrt(u, out=u)
-            u += eps
-            t /= u
-            # A view of the parameter, or a copy of this range written
-            # back when the parameter is not C-contiguous.
+            # p = p - (lr*(m/c1)) / (sqrt(v/c2) + eps), half a block at a
+            # time. ``p`` is a view of the parameter, or a copy of this
+            # range written back when the parameter is not C-contiguous.
             p = _flat(param)[start:stop]
-            p -= t
+            for lo, hi in _blocks(stop - start, half):
+                t, u = scratch[:hi - lo], scratch[half:half + hi - lo]
+                np.divide(m[lo:hi], correction1, out=t)
+                t *= lr
+                np.divide(v[lo:hi], correction2, out=u)
+                np.sqrt(u, out=u)
+                u += eps
+                t /= u
+                p[lo:hi] -= t
             if not param.flags.c_contiguous:
                 param.flat[start:stop] = p
 
@@ -552,12 +567,18 @@ def clip_gradients(grads, max_norm):
 
 
 def train_members(n_members, seed, train):
-    """Results of ``train(member_seed)`` for an ensemble's members, in
-    order; member ``m`` gets seed ``Rng(seed).split(m + 1).seed``."""
+    """An iterator over ``train(member_seed)`` for an ensemble's members,
+    in order; member ``m`` gets seed ``Rng(seed).split(m + 1).seed``.
+
+    Each member trains only when the next result is asked for, and the
+    iterator keeps no result, so a caller that saves each member and
+    drops it holds one member at a time. ``n_members`` is checked at the
+    call.
+    """
     if n_members < 1:
         raise ParameterError(f"ensemble needs at least one member, got {n_members}")
     root = Rng(seed)
-    return [train(root.split(m + 1).seed) for m in range(n_members)]
+    return (train(root.split(m + 1).seed) for m in range(n_members))
 
 
 def check_shapes(tensors, shapes, layout):

@@ -77,7 +77,7 @@ from .nncore import (
     softmax,
     xavier_init,
 )
-from .storage import FormatError, load_ensemble, save_ensemble
+from .storage import FormatError, ensemble_writer, load_ensemble
 
 __all__ = [
     "BOS_ID",
@@ -89,6 +89,7 @@ __all__ = [
     "ScnLstmConfig",
     "UNK_ID",
     "beam_search",
+    "captioner_writer",
     "ensemble_beam_search",
     "ensemble_beam_search_block",
     "load_captioner_ensemble",
@@ -235,23 +236,23 @@ class ScnLstm:
             h, f = config.hidden_dim, config.factor_dim
             e, a = config.embed_dim, config.n_words
             gate_rngs = [root.split(slot + 1) for slot in range(4)]
-
-            def stacked(rows, cols, stream, join):
-                return join([xavier_init(rows, cols, g.split(stream)) for g in gate_rngs])
-
-            params = {
-                "Wa": stacked(h, f, 0, np.stack),
-                "Wb": stacked(f, a, 1, np.concatenate),
-                "Wc": stacked(f, e, 2, np.concatenate),
-                "Ua": stacked(h, f, 3, np.stack),
-                "Ub": stacked(f, a, 4, np.concatenate),
-                "Uc": stacked(f, h, 5, np.concatenate),
+            params = {}
+            # Gate g's (rows, cols) slab of each stacked tensor is drawn
+            # from stream ``stream`` of gate g's Rng, straight into place.
+            for stream, (name, rows, cols) in enumerate((
+                    ("Wa", h, f), ("Wb", f, a), ("Wc", f, e),
+                    ("Ua", h, f), ("Ub", f, a), ("Uc", f, h))):
+                params[name] = np.empty(shapes[name])
+                slabs = params[name].reshape(4, rows, cols)
+                for gate, gate_rng in enumerate(gate_rngs):
+                    xavier_init(rows, cols, gate_rng.split(stream), out=slabs[gate])
+            params.update({
                 "b": np.zeros(4 * h, dtype=np.float64),
                 "Cv": xavier_init(h, config.feature_dim, root.split(5)),
                 "embed": xavier_init(*shapes["embed"], root.split(6)),
                 "Wout": xavier_init(*shapes["Wout"], root.split(7)),
                 "bout": np.zeros(config.vocab_size, dtype=np.float64),
-            }
+            })
             if embeddings is not None:
                 embeddings = np.asarray(embeddings, dtype=np.float64)
                 if embeddings.shape != shapes["embed"]:
@@ -766,11 +767,21 @@ def save_captioner(path, model, vocab, extra_meta=None):
     save_captioner_ensemble(path, [model], vocab, extra_meta)
 
 
+def captioner_writer(path, config, vocab, n_members, extra_meta=None):
+    """A checkpoint writer for ``n_members`` members of ``config`` with
+    ``vocab``: hand it each member's :meth:`ScnLstm.tensors` as the
+    member is trained."""
+    return ensemble_writer(path, "scnlstm", n_members,
+                           {"net": asdict(config), "vocab_words": list(vocab.words)},
+                           meta=extra_meta)
+
+
 def save_captioner_ensemble(path, models, vocab, extra_meta=None):
     """Store all decoder members and the vocabulary in one checkpoint."""
-    config = {"net": asdict(models[0].config), "vocab_words": list(vocab.words)}
-    save_ensemble(path, "scnlstm", [model.tensors() for model in models],
-                  config, meta=extra_meta)
+    with captioner_writer(path, models[0].config, vocab, len(models),
+                          extra_meta) as writer:
+        for model in models:
+            writer.add(model.tensors())
 
 
 def load_captioner_ensemble(path):

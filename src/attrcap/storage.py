@@ -8,8 +8,12 @@ version word so damaged or foreign files fail fast:
 * checkpoint files (magic ``DAEC``): u32 version, u64 header length,
   a UTF-8 JSON header listing tensor names/shapes plus a config echo,
   then the tensors as float64 in header order. Checkpoints round-trip
-  bit for bit. Models are stored as ensembles of K >= 1 members
-  (:func:`save_ensemble`, :func:`load_ensemble`).
+  bit for bit, and only finite values load. Models are stored as
+  ensembles of K >= 1 members (:func:`ensemble_writer`,
+  :func:`load_ensemble`). One writer, :class:`CheckpointWriter`, writes
+  every checkpoint member by member, so a trained member can go to disk
+  and be dropped before the next one trains; the file appears at its
+  path, replacing any old one, only once it is complete.
 
 Text artifacts are JSON or JSON Lines. Every file written by the CLI
 embeds the producing command line and seed, either as a ``meta`` object
@@ -31,7 +35,9 @@ from .nncore import NumericError
 from .semantics import Vocabulary
 
 __all__ = [
+    "CheckpointWriter",
     "FormatError",
+    "ensemble_writer",
     "load_attributes",
     "load_checkpoint",
     "load_ensemble",
@@ -39,7 +45,6 @@ __all__ = [
     "read_features",
     "read_jsonl",
     "save_checkpoint",
-    "save_ensemble",
     "save_vocabulary",
     "write_attributes",
     "write_features",
@@ -50,6 +55,8 @@ __all__ = [
 FEATURE_MAGIC = b"DAEF"
 CHECKPOINT_MAGIC = b"DAEC"
 FORMAT_VERSION = 1
+# Floats per read of a checkpoint tensor: 256 KB, checked while in cache.
+_CHECKPOINT_SLICE = 1 << 15
 
 
 class FormatError(ValueError):
@@ -134,24 +141,78 @@ def read_features(path):
 # --------------------------------------------------------------------------
 
 
+class CheckpointWriter:
+    """A DAEC checkpoint written one member's tensors at a time.
+
+    ``n_members`` dicts of named tensors go in through :meth:`add`, each
+    with the names and shapes of the first, in the same order; member
+    ``m``'s tensor ``name`` is stored as ``label.format(m=m, name=name)``.
+    The header lists member 0's layout for every member and is written
+    when member 0 arrives; each member goes to the file as it is added,
+    and the writer keeps none of its tensors.
+
+    Use it as a context manager. The file is written to a temporary
+    next to ``path`` and moved onto ``path`` only after the last member;
+    on any failure, a wrong member count included, the temporary is
+    removed and a file already at ``path`` is left as it was.
+    """
+
+    def __init__(self, path, config, n_members=1, label="{name}"):
+        self.path, self.config, self.n_members, self.label = path, config, n_members, label
+        self.count = 0
+        self._layout = None
+        self._temporary = f"{path}.{os.getpid()}.tmp"
+        self._handle = None
+
+    def __enter__(self):
+        try:
+            self._handle = open(self._temporary, "xb")
+        except OSError as exc:
+            raise FormatError(f"cannot write checkpoint {self.path}: "
+                              f"{exc.strerror}") from exc
+        return self
+
+    def add(self, tensors):
+        """Append the next member's tensors (as float64)."""
+        layout = [(name, np.shape(value)) for name, value in tensors.items()]
+        if self._layout is None:
+            self._layout = layout
+            header_bytes = json.dumps({"config": self.config, "tensors": [
+                {"name": self.label.format(m=m, name=name), "shape": list(shape)}
+                for m in range(self.n_members) for name, shape in layout]},
+                sort_keys=True).encode("utf-8")
+            self._handle.write(CHECKPOINT_MAGIC)
+            self._handle.write(np.array(FORMAT_VERSION, "<u4").tobytes())
+            self._handle.write(np.array(len(header_bytes), "<u8").tobytes())
+            self._handle.write(header_bytes)
+        elif layout != self._layout:
+            raise FormatError(f"{self.path}: member {self.count} differs from member 0 "
+                              "in its tensor names or shapes")
+        if self.count == self.n_members:
+            raise FormatError(f"{self.path}: more than {self.n_members} members")
+        for value in tensors.values():
+            self._handle.write(np.ascontiguousarray(value, dtype="<f8"))
+        self.count += 1
+
+    def __exit__(self, exc_type, exc, traceback):
+        replaced = False
+        try:
+            self._handle.close()
+            if exc_type is None:
+                if not 0 < self.count == self.n_members:
+                    raise FormatError(f"{self.path}: {self.count} of "
+                                      f"{self.n_members} members written")
+                os.replace(self._temporary, self.path)
+                replaced = True
+        finally:
+            if not replaced:
+                os.unlink(self._temporary)
+
+
 def save_checkpoint(path, tensors, config):
     """Write named float64 tensors plus a JSON-serializable config echo."""
-    names = list(tensors)
-    header = {
-        "config": config,
-        "tensors": [
-            {"name": name, "shape": list(np.asarray(tensors[name]).shape)}
-            for name in names
-        ],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(np.array(FORMAT_VERSION, "<u4").tobytes())
-        handle.write(np.array(len(header_bytes), "<u8").tobytes())
-        handle.write(header_bytes)
-        for name in names:
-            handle.write(np.ascontiguousarray(tensors[name], dtype="<f8"))
+    with CheckpointWriter(path, config) as writer:
+        writer.add(tensors)
 
 
 def load_checkpoint(path):
@@ -159,7 +220,8 @@ def load_checkpoint(path):
 
     The header must list each tensor as an object with a unique string
     ``name`` and a ``shape`` of non-negative ints, and ``config`` must
-    be an object; the tensor bytes must match the listed shapes exactly.
+    be an object; the tensor bytes must match the listed shapes exactly,
+    and every value must be finite.
     """
     try:
         handle = open(path, "rb")
@@ -205,28 +267,29 @@ def load_checkpoint(path):
                               f"holds {size - handle.tell()} (truncated or trailing bytes)")
         tensors = {}
         for name, shape in entries:
-            # Read straight into the array (the array itself, not a byte
-            # cast of it, which zero-size shapes cannot take).
+            # Read straight into the array, slice by slice, each slice
+            # checked while it is still in cache.
             tensor = np.empty(shape, "<f8")
-            if handle.readinto(tensor) != tensor.nbytes:
-                raise FormatError(f"{path}: truncated while reading tensor {name!r}")
+            flat = tensor.reshape(-1)
+            for start in range(0, flat.size, _CHECKPOINT_SLICE):
+                piece = flat[start:start + _CHECKPOINT_SLICE]
+                if handle.readinto(piece) != piece.nbytes:
+                    raise FormatError(f"{path}: truncated while reading tensor {name!r}")
+                if not np.isfinite(piece).all():
+                    raise FormatError(f"{path}: non-finite value in tensor {name!r}")
             tensors[name] = tensor.astype(np.float64, copy=False)
     return tensors, config
 
 
-def save_ensemble(path, kind, members, config, meta=None):
-    """Write one ``{name: tensor}`` dict per member as a ``<kind>_ensemble``
-    checkpoint: member ``m``'s tensors as ``member{m}.<name>``, and
-    ``config`` plus ``kind``, ``n_members`` and any ``meta``."""
-    tensors = {
-        f"member{m}.{name}": value
-        for m, member in enumerate(members)
-        for name, value in member.items()
-    }
-    config = {**config, "kind": f"{kind}_ensemble", "n_members": len(members)}
+def ensemble_writer(path, kind, n_members, config, meta=None):
+    """A :class:`CheckpointWriter` of a ``<kind>_ensemble`` checkpoint:
+    each member's ``{name: tensor}`` dict goes in through ``add``, and
+    member ``m``'s tensors are stored as ``member{m}.<name>``. The
+    config gets ``kind``, ``n_members`` and any ``meta``."""
+    config = {**config, "kind": f"{kind}_ensemble", "n_members": n_members}
     if meta:
         config["meta"] = meta
-    save_checkpoint(path, tensors, config)
+    return CheckpointWriter(path, config, n_members, "member{m}.{name}")
 
 
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}

@@ -23,6 +23,7 @@ from attrcap.nncore import (
     ParameterError,
     Rng,
     batch_slices,
+    ensemble_mean,
     train_members,
 )
 from attrcap.storage import FormatError, save_checkpoint
@@ -381,6 +382,29 @@ def test_predict_ensemble_identical_members_bitwise_identical():
     for k in [2, 5]:
         out = predict_ensemble([net] * k, x)
         assert np.array_equal(out, net.predict(x))
+
+
+def test_predict_ensemble_fills_one_buffer_member_by_member():
+    # The (K, N, A) buffer and one member's prediction at most: K + 1
+    # prediction matrices, where stacking a list of them holds 2K.
+    x = np.zeros((500, 4))
+    nets = [_StubNet(0.25 * (k + 1), n_words=400) for k in range(3)]
+    want = ensemble_mean(np.stack([net.predict(x) for net in nets]))
+    tracemalloc.start()
+    try:
+        got = predict_ensemble(nets, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 4.5 * want.nbytes
+
+
+def test_predict_ensemble_is_bitwise_the_mean_of_the_stacked_predictions():
+    x, _ = small_dataset()
+    nets = [AttrNet(SMALL, seed=k) for k in range(3)]
+    want = ensemble_mean(np.stack([net.predict(x) for net in nets]))
+    assert predict_ensemble(nets, x).tobytes() == want.tobytes()
 
 
 def test_predict_ensemble_needs_members():

@@ -78,6 +78,9 @@ def test_every_traced_name_exists_and_every_probe_records(tmp_path, monkeypatch,
         attrs = storage.load_attributes("pred.jsonl")[1]
         scnlstm.ensemble_beam_search(models, features[0], attrs[0], beam_width=2, max_len=3)
         scnlstm.save_captioner("one.daec", models[0], vocab)
+        # The CLI and the model savers stream members through
+        # storage.CheckpointWriter, so drive the one-shot save directly.
+        storage.save_checkpoint("plain.daec", models[0].tensors(), {})
         # Teacher forcing runs no per-step cell, so drive the one-step
         # backward the tracer wraps directly.
         model, state = models[0], np.zeros((1, models[0].config.hidden_dim))

@@ -1,13 +1,14 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from attrcap import storage
+from attrcap import attrnet, scnlstm, storage
 from attrcap.cli import main
-from attrcap.nncore import Rng
+from attrcap.nncore import NumericError, Rng
 from attrcap.scnlstm import ScnLstmConfig
 
 FEATURE_DIM = 12
@@ -272,3 +273,106 @@ def test_numeric_failures_exit_with_three(tmp_path, monkeypatch, capsys):
                           "--attrs", "attrs.jsonl", "--out-model", "m.daec",
                           "--hidden", "4", "--epochs", "2", "--batch-size",
                           "4", "--ensemble", "1"], 3, "numeric")
+
+
+# ---------------------------------------------------------------------------
+# Ensemble training writes each member as it finishes
+# ---------------------------------------------------------------------------
+
+
+def member_sets(argv, model):
+    """Peak ``tracemalloc`` bytes of one successful CLI run, in sets of
+    member 0's tensors as the run saved them in ``model``."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    tensors, _ = storage.load_checkpoint(model)
+    return peak / sum(value.nbytes for name, value in tensors.items()
+                      if name.startswith("member0."))
+
+
+def test_train_attr_holds_one_member_at_a_time(tmp_path, monkeypatch, capsys):
+    # The one-member budget of training: parameters, two Adam moments and
+    # one step's gradients, plus half a set of slack. Each finished member
+    # is written and dropped before the next trains, so three members fit
+    # it too; keeping them until the end costs a set per finished member.
+    monkeypatch.chdir(tmp_path)
+    rng = Rng(47)
+    storage.write_features("feats.daef", list(range(24)), rng.normal((24, 512)))
+    storage.write_attributes("attrs.jsonl", list(range(24)),
+                             np.abs(rng.normal((24, 512))))
+    capsys.readouterr()
+    sets = member_sets(["train-attr", "--features", "feats.daef", "--attrs",
+                        "attrs.jsonl", "--out-model", "attr.daec", "--hidden", "512",
+                        "--epochs", "1", "--batch-size", "8", "--ensemble", "3"],
+                       "attr.daec")
+    assert 4 <= sets < 4.5
+    assert len(attrnet.load_attrnet_ensemble("attr.daec")) == 3
+
+
+def test_train_captioner_holds_one_member_at_a_time(tmp_path, monkeypatch, capsys):
+    # As for the attribute predictor. Wide features and attribute vectors
+    # make Cv, Wb and Ub, whose gradients are single products, dominate
+    # the parameters.
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_features("feats.daef", [1, 2, 3, 4], Rng(50).normal((4, 4096)))
+    storage.write_attributes("attrs.jsonl", [1, 2, 3, 4],
+                             np.abs(Rng(48).normal((4, 2048))))
+    sets = member_sets(["train-captioner", "--captions", "captions.json",
+                        "--features", "feats.daef", "--attrs", "attrs.jsonl",
+                        "--out-model", "cap.daec", "--min-count", "1",
+                        "--embed-dim", "32", "--hidden", "64", "--factor", "64",
+                        "--epochs", "1", "--batch-size", "4", "--ensemble", "3"],
+                       "cap.daec")
+    assert 4 <= sets < 4.5
+    assert len(scnlstm.load_captioner_ensemble("cap.daec")[0]) == 3
+
+
+def fail_at_second_call(module, name, monkeypatch):
+    """Make ``module.name`` raise a NumericError on its second call."""
+    function, calls = getattr(module, name), []
+
+    def second_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericError("member 1 diverged")
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, second_fails)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("family", ["train-attr", "train-captioner"])
+def test_a_failing_member_leaves_no_checkpoint_and_no_temporary(
+        tmp_path, monkeypatch, capsys, family, existing):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes("attrs.jsonl", [1, 2, 3, 4], np.full((4, 3), 0.5))
+    if existing:
+        (tmp_path / "out.daec").write_bytes(b"an earlier checkpoint")
+    before = sorted(tmp_path.iterdir())
+    common = ["--features", "feats.daef", "--attrs", "attrs.jsonl",
+              "--out-model", "out.daec", "--epochs", "1", "--batch-size", "2",
+              "--ensemble", "3"]
+    if family == "train-attr":
+        fail_at_second_call(attrnet, "train_attrnet", monkeypatch)
+        argv = ["train-attr", *common, "--hidden", "4"]
+    else:
+        fail_at_second_call(scnlstm, "train_captioner", monkeypatch)
+        argv = ["train-captioner", *common, "--captions", "captions.json",
+                "--min-count", "1", "--embed-dim", "4", "--hidden", "4",
+                "--factor", "4"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.splitlines() == ["error: numeric: member 1 diverged"]
+    # Member 0 finished and reported before member 1 failed.
+    assert captured.out.startswith("member 0: final training ")
+    assert sorted(tmp_path.iterdir()) == before
+    if existing:
+        assert (tmp_path / "out.daec").read_bytes() == b"an earlier checkpoint"

@@ -179,6 +179,21 @@ def test_repeated_or_non_finite_attribute_is_a_data_error(artifacts, attrs):
     assert len(lines) == 1 and lines[0].startswith("error: data: "), lines
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family, name", [("attr", "member0.fc2.w"),
+                                          ("cap", "member1.Wout")])
+def test_non_finite_checkpoint_value_is_a_data_error(artifacts, family, name, bad):
+    # Rewritten through the checkpoint codec, so only the one value differs.
+    path = artifacts / f"{family}.daec"
+    tensors, config = storage.load_checkpoint(path)
+    tensors[name].reshape(-1)[tensors[name].size // 2] = bad
+    storage.save_checkpoint(path, tensors, config)
+    code, lines = run(command(artifacts, family, path))
+    assert code == 2
+    assert lines == [f"error: data: {path}: non-finite value in tensor {name!r}"]
+    assert not list(artifacts.glob("out.*"))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("family", ["attr", "cap", "train-attr", "train-captioner"])
 def test_non_finite_features_are_a_numeric_error(artifacts, family, bad):

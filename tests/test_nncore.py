@@ -188,6 +188,18 @@ def test_xavier_matrix_is_bitwise_the_whole_array_formula():
         got = xavier_init(rows, cols, Rng(12))
         assert got.shape == (rows, cols)
         assert got.tobytes() == ReferenceRng(12).xavier(rows, cols).tobytes()
+        # Drawn into a slab of a larger array, as the decoder's stacked gates are.
+        stacked = np.full((2, rows, cols), 7.0)
+        slab = stacked[1]
+        assert xavier_init(rows, cols, Rng(12), out=slab) is slab
+        assert stacked[1].tobytes() == got.tobytes()
+        assert (stacked[0] == 7.0).all()
+
+
+def test_xavier_rejects_an_output_it_cannot_fill_in_place():
+    for out in [np.empty((4, 3)), np.empty((6, 4))[::2], np.empty((4, 3)).T]:
+        with pytest.raises(DimensionError, match="C-contiguous"):
+            xavier_init(3, 4, Rng(1), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -558,24 +570,24 @@ def test_rejected_adam_step_leaves_the_state_unchanged(primed):
 @pytest.mark.parametrize("primed", [False, True])
 def test_rejected_adam_step_names_the_first_bad_tensor_whichever_worker_checks_it(
         pool_of, primed):
-    # Two workers deal blocks of _CHUNK // 2 round-robin: "a" spans
-    # blocks 0-2 and "b" blocks 3-4. Block 1 of "a" goes to worker 1 and
-    # block 4 of "b" to worker 0, which checks it while worker 1 may
-    # still be on block 1.
+    # Two workers deal blocks of _CHUNK (2 * _CHUNK // 2) round-robin:
+    # "a" spans blocks 0-2 and "b" blocks 3-4. Block 1 of "a" goes to
+    # worker 1 and block 4 of "b" to worker 0, which checks it while
+    # worker 1 may still be on block 1.
     pool_of(2)
-    half = _CHUNK // 2
+    block = _CHUNK
     rng = Rng(46)
-    params = {"a": rng.normal((3 * half,)), "b": rng.normal((2 * half,))}
+    params = {"a": rng.normal((3 * block,)), "b": rng.normal((2 * block,))}
     state = AdamState(learning_rate=0.01)
     if primed:
         adam_step(params, {name: rng.normal(p.shape) for name, p in params.items()}, state)
     before = adam_snapshot(params, state)
     grads = {name: rng.normal(p.shape) for name, p in params.items()}
-    grads["b"][half + 1] = np.inf
+    grads["b"][block + 1] = np.inf
     with pytest.raises(NumericError, match="non-finite gradient for b"):
         adam_step(params, grads, state)
     assert adam_snapshot(params, state) == before
-    grads["a"][half + 5] = np.nan
+    grads["a"][block + 5] = np.nan
     with pytest.raises(NumericError, match="non-finite gradient for a"):
         adam_step(params, grads, state)
     assert adam_snapshot(params, state) == before

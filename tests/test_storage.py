@@ -12,7 +12,9 @@ from attrcap.nncore import Rng
 from attrcap.semantics import Vocabulary
 from attrcap.storage import (
     FEATURE_MAGIC,
+    CheckpointWriter,
     FormatError,
+    ensemble_writer,
     load_attributes,
     load_checkpoint,
     load_vocabulary,
@@ -197,6 +199,80 @@ def test_checkpoint_short_read_mid_tensor_detected(tmp_path, monkeypatch):
     path.write_bytes(path.read_bytes()[:-100])
     with pytest.raises(FormatError, match="truncated while reading tensor 'w'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value_names_its_tensor(tmp_path, bad):
+    # One bad value past the first read slice of a tensor.
+    path = tmp_path / "model.ckpt"
+    w = Rng(5).normal((3, storage._CHECKPOINT_SLICE))
+    w[2, 7] = bad
+    save_checkpoint(path, {"b": np.ones(2), "w": w}, {})
+    with pytest.raises(FormatError, match=f"{path}: non-finite value in tensor 'w'"):
+        load_checkpoint(path)
+
+
+def two_members(m):
+    """Member ``m`` of a two-tensor ensemble."""
+    return {"w": Rng(m).normal((3, 4)), "b": Rng(10 + m).normal((4,))}
+
+
+def test_ensemble_writer_is_one_checkpoint_of_prefixed_tensors(tmp_path):
+    # Members streamed one by one give the bytes of one checkpoint of
+    # every member's tensors, named member{m}.<name>.
+    streamed, flat = tmp_path / "streamed.daec", tmp_path / "flat.daec"
+    with ensemble_writer(streamed, "toy", 3, {"net": {"w": 4}}, meta={"seed": 1}) as writer:
+        for m in range(3):
+            writer.add(two_members(m))
+    save_checkpoint(flat, {f"member{m}.{name}": value for m in range(3)
+                           for name, value in two_members(m).items()},
+                    {"net": {"w": 4}, "kind": "toy_ensemble", "n_members": 3,
+                     "meta": {"seed": 1}})
+    assert streamed.read_bytes() == flat.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [flat, streamed]
+
+
+@pytest.mark.parametrize("second", [
+    {"w": np.zeros((3, 5)), "b": np.zeros(4)},
+    {"b": np.zeros(4), "w": np.zeros((3, 4))},
+    {"w": np.zeros((3, 4)), "c": np.zeros(4)},
+    {"w": np.zeros((3, 4))},
+])
+def test_checkpoint_writer_rejects_a_member_unlike_member_0(tmp_path, second):
+    path = tmp_path / "model.daec"
+    path.write_bytes(b"an earlier checkpoint")
+    with pytest.raises(FormatError, match="member 1 differs from member 0"):
+        with ensemble_writer(path, "toy", 2, {}) as writer:
+            writer.add(two_members(0))
+            writer.add(second)
+    assert path.read_bytes() == b"an earlier checkpoint"
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("added", [0, 1, 3])
+def test_checkpoint_writer_needs_exactly_its_member_count(tmp_path, added):
+    path = tmp_path / "model.daec"
+    with pytest.raises(FormatError, match="members"):
+        with CheckpointWriter(path, {}, 2, "member{m}.{name}") as writer:
+            for m in range(added):
+                writer.add(two_members(m))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_writer_failure_leaves_the_old_file(tmp_path):
+    path = tmp_path / "model.daec"
+    save_checkpoint(path, two_members(0), {})
+    before = path.read_bytes()
+    with pytest.raises(KeyboardInterrupt):
+        with CheckpointWriter(path, {}) as writer:
+            writer.add(two_members(1))
+            raise KeyboardInterrupt
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+    # An unwritable directory fails before any member is trained.
+    with pytest.raises(FormatError, match="cannot write checkpoint"):
+        with CheckpointWriter(tmp_path / "missing" / "model.daec", {}):
+            pass
 
 
 def test_checkpoint_bad_magic(tmp_path):
