@@ -7,10 +7,13 @@ ReLU keeps predictions non-negative, matching the non-negative target
 vectors. Batch normalization on the output layer can be disabled via
 configuration; it is on by default.
 
-Training minimizes mean squared error with Adam. The dataset is the
-inner join of a feature table and an attribute table on ``image_id``;
-any mismatch between the two id sets is a hard error, because silent
-misalignment of rows would corrupt training undetectably.
+Training minimizes mean squared error with Adam, which updates each
+layer as soon as the backward pass yields that layer's gradients, so a
+step holds the parameters, the two moments and one layer's gradients.
+There is no gradient clipping, so no step needs them all at once. The
+dataset is the inner join of a feature table and an attribute table on
+``image_id``; any mismatch between the two id sets is a hard error,
+because silent misalignment of rows would corrupt training undetectably.
 """
 
 from __future__ import annotations
@@ -187,23 +190,42 @@ class AttrNet:
             caches.append((layer_in, w, bn_cache, active, drop_cache))
         return out, caches
 
-    def backward(self, dout, caches):
-        """Backpropagate through the cached forward pass."""
-        grads = {}
+    def backward_groups(self, dout, caches):
+        """Backpropagate through the cached forward pass, one layer at a
+        time: yields each layer's parameter gradients as one dict, the
+        output layer first.
+
+        Everything a layer's backward step reads of the parameters (its
+        batch-normalization scale and the weights that carry ``dout`` to
+        the layer below) is used before its group is yielded, so the
+        caller may update that layer's parameters in place before asking
+        for the next group. ``caches`` is consumed: each layer's entry is
+        released once its group is out.
+        """
         for k in range(_N_LAYERS, 0, -1):
-            layer_in, w, bn_cache, active, drop_cache = caches[k - 1]
+            layer_in, w, bn_cache, active, drop_cache = caches.pop()
             if drop_cache is not None:
                 dout = dropout_backward(dout, drop_cache)
             dout = dout * (active > 0.0)
+            group = {}
             if bn_cache is None:
-                grads[f"fc{k}.b"] = dout.sum(axis=0)
+                group[f"fc{k}.b"] = dout.sum(axis=0)
             else:
-                dout, grads[f"bn{k}.gamma"], grads[f"bn{k}.beta"] = (
+                dout, group[f"bn{k}.gamma"], group[f"bn{k}.beta"] = (
                     batchnorm_backward(dout, bn_cache))
-            grads[f"fc{k}.w"] = layer_in.T @ dout
+            group[f"fc{k}.w"] = layer_in.T @ dout
+            del layer_in, bn_cache, active, drop_cache
             # Nothing consumes the gradient of the network's input.
             if k > 1:
                 dout = dout @ w.T
+            yield group
+            del group  # not alive while the next layer's are built
+
+    def backward(self, dout, caches):
+        """All parameter gradients of :meth:`backward_groups` in one dict."""
+        grads = {}
+        for group in self.backward_groups(dout, caches):
+            grads.update(group)
         return grads
 
     def loss(self, x, target, mode="train", rng=None, params=None):
@@ -283,9 +305,11 @@ def train_attrnet(x, y, net_config, train_config):
         total = 0.0
         for start, stop in batch_slices(m, train_config.batch_size, min_size=2):
             batch = order[start:stop]
-            loss, grads = net.loss(x[batch], y[batch], mode="train", rng=epoch_rng)
-            adam_step(net.params, grads, adam)
-            del grads  # not alive while the next batch's are built
+            pred, caches = net.forward(x[batch], mode="train", rng=epoch_rng)
+            loss, dpred = mse_loss(pred, y[batch])
+            # Adam updates each layer as soon as backward yields its
+            # gradients, which are dropped before the next layer's.
+            adam_step(net.params, net.backward_groups(dpred, caches), adam)
             total += loss * len(batch)
         epoch_losses.append(total / m)
     return net, epoch_losses

@@ -24,6 +24,8 @@ import shlex
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import attrnet as attrnet_mod
 from . import metrics as metrics_mod
 from . import scnlstm as scnlstm_mod
@@ -486,7 +488,11 @@ def main(argv=None):
         if not args.command:
             raise UsageError("a subcommand is required (see --help)")
         handler = _HANDLERS[args.command]
-        return handler(args, _meta(argv, args.seed))
+        # Every non-finite result is checked explicitly and reported as
+        # one ``error: numeric:`` line, so NumPy's warnings would only
+        # add lines before it.
+        with np.errstate(all="ignore"):
+            return handler(args, _meta(argv, args.seed))
     except UsageError as exc:
         _report_error("usage", exc)
         return 1

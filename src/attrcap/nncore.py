@@ -19,7 +19,10 @@ blocks with a little reused scratch memory, and give bitwise the results
 of the whole-array formulas.
 Adam writes each new parameter into the caller's array and clipping
 scales the caller's gradients, so a training step holds one copy each
-of the parameters, the two moments and the gradients. :func:`train_members`
+of the parameters, the two moments and the gradients. Adam also takes
+the gradients as groups, each checked and applied before the next is
+asked for: a backward pass that yields one layer's group at a time
+then holds one layer's gradients, not the whole set. :func:`train_members`
 trains an ensemble's members one at a time, as its caller asks for them.
 
 :func:`worker_pool` is one process-wide pool of threads, started at
@@ -38,6 +41,7 @@ another writes, so results are bitwise the same for any worker count.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass, field
@@ -109,11 +113,15 @@ class WorkerPool:
 
     def map(self, function, items):
         """``[function(item) for item in items]``, the calls spread over
-        the workers; the first exception raised by a call propagates."""
+        the workers; the first exception raised by a call propagates.
+        Each call runs in a copy of the caller's context, so NumPy's
+        error state (``np.errstate``) holds on the workers too."""
         items = list(items)
         if self._executor is None or len(items) < 2:
             return [function(item) for item in items]
-        return list(self._executor.map(function, items))
+        context = contextvars.copy_context()
+        return list(self._executor.map(
+            lambda item: context.copy().run(function, item), items))
 
 
 _POOL = None
@@ -439,27 +447,46 @@ def _flat(array):
 def adam_step(params, grads, state):
     """One Adam update of ``params`` in place; returns ``None``.
 
-    Moments are bias-corrected. Gradients must be finite and shaped
-    like their parameters; every gradient is checked before anything
-    is written, so a rejected step leaves ``params`` and ``state`` as
-    they were. Each parameter array, whatever its memory layout, is
-    overwritten with its new value, and the moments are updated in
-    place; the gradients are only read.
+    ``grads`` is a dict with a gradient for every parameter, or an
+    iterator of dicts (groups), each for some of them. Each group is
+    checked, then applied, before the next is requested, so a generator
+    of groups holds one at a time. The step count, and with it the bias
+    correction, advances once per call.
 
-    The blocks are dealt round-robin to the :func:`worker_pool`: one
-    pass checks them, a second updates them. Each worker keeps one
-    block of scratch, so all the scratch together holds ``2 * _CHUNK``
-    floats; the last stage runs over each half of a block in turn,
-    with the scratch halves holding its numerator and denominator.
+    Gradients must be finite and shaped like their parameters. A
+    rejected group leaves its parameters and moments as they were and
+    the next group is never requested; the groups before it stay
+    applied. A dict is one group, so a rejected dict leaves ``params``
+    and ``state`` as they were. Each parameter array, whatever its
+    memory layout, is overwritten with its new value, and the moments
+    are updated in place; the gradients are only read.
+
+    Each group's blocks are dealt round-robin to the
+    :func:`worker_pool`: one pass checks them, a second updates them.
+    Each worker keeps one block of scratch, so all the scratch together
+    holds ``2 * _CHUNK`` floats; the last stage runs over each half of a
+    block in turn, with the scratch halves holding its numerator and
+    denominator.
     """
-    for name, value in params.items():
-        grad = grads[name]
+    step = state.step + 1
+    groups = [{name: grads[name] for name in params}] if isinstance(grads, dict) else grads
+    for group in groups:
+        _adam_group(params, group, state, step)
+        del group  # not alive while the next group is computed
+    state.step = step
+
+
+def _adam_group(params, grads, state, step):
+    """Check the gradients of one group, then apply them as update
+    ``step`` (1-based), setting ``state.step`` to it."""
+    names = list(grads)
+    for name in names:
+        grad, value = grads[name], params[name]
         if grad.shape != value.shape:
             raise DimensionError(
                 f"gradient for {name} has shape {grad.shape}, "
                 f"parameter has {value.shape}"
             )
-    names = list(params)
     pool = worker_pool()
     blocks = [(k, start, stop) for k, name in enumerate(names)
               for start, stop in _blocks(params[name].size, 2 * _CHUNK // pool.workers)]
@@ -475,10 +502,10 @@ def adam_step(params, grads, state):
     bad = min(pool.map(first_bad, workers), default=len(names))
     if bad < len(names):
         raise NumericError(f"non-finite gradient for {names[bad]}")
-    state.step += 1
+    state.step = step
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
-    correction1 = 1.0 - b1 ** state.step
-    correction2 = 1.0 - b2 ** state.step
+    correction1 = 1.0 - b1 ** step
+    correction2 = 1.0 - b2 ** step
     for name in names:
         if name not in state.moment1:
             state.moment1[name] = np.zeros(params[name].shape)

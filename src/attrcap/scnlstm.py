@@ -105,6 +105,8 @@ _SPECIALS = ("<bos>", "<eos>", "<unk>")
 # Captions per teacher-forced pass when only scoring: bounds the
 # (tokens, V) softmax buffer on large validation sets.
 _SCORING_BATCH = 64
+# The gradients that :meth:`ScnLstm._inputs_backward` writes.
+_INPUT_GRADS = ("Wa", "Ua", "b", "Wc", "Uc")
 
 
 @dataclass
@@ -332,17 +334,17 @@ class ScnLstm:
     def _inputs_backward(self, dpre, dh_fact, cache, grads, p):
         """The rest of the backward pass, which needs no recurrence, over
         the rows of ``cache``: one step's or a whole batch's stacked
-        steps. Accumulates every gradient but those of ``Wb``, ``Ub``
-        and ``Cv`` and returns ``(dx, da1, db1)``."""
+        steps. Writes the gradients named in ``_INPUT_GRADS`` into the
+        arrays of ``grads`` and returns ``(dx, da1, db1)``."""
         x, h_prev, _, _, (a1, a2, b1, x_fact), (b2, h_fact, _, _), _ = cache
         dpre_t = dpre.swapaxes(1, 2)
-        grads["Wa"] += dpre_t @ _per_gate(x_fact)
-        grads["Ua"] += dpre_t @ _per_gate(h_fact)
-        grads["b"] += dpre.sum(axis=1).reshape(-1)
+        np.matmul(dpre_t, _per_gate(x_fact), out=grads["Wa"])
+        np.matmul(dpre_t, _per_gate(h_fact), out=grads["Ua"])
+        dpre.sum(axis=1, out=grads["b"].reshape(4, -1))
         dx_fact = _gate_rows(dpre @ p["Wa"])
         da2 = dx_fact * a1
-        grads["Wc"] += da2.T @ x
-        grads["Uc"] += (dh_fact * b1).T @ h_prev
+        np.matmul(da2.T, x, out=grads["Wc"])
+        np.matmul((dh_fact * b1).T, h_prev, out=grads["Uc"])
         return da2 @ p["Wc"], dx_fact * a2, dh_fact * b2
 
     def cell_backward(self, dh, dc_in, cache, grads, params=None):
@@ -357,7 +359,10 @@ class ScnLstm:
         _, _, c_prev, d, (_, _, b1, _), (_, _, gates, tanh_c), has_z = cache
         dpre, dh_fact, dh_prev, dc_prev = self._recur_backward(
             dh, dc_in, c_prev, b1, gates, tanh_c, p)
-        dx, da1, db1 = self._inputs_backward(dpre, dh_fact, cache, grads, p)
+        step = {name: np.empty_like(p[name]) for name in _INPUT_GRADS}
+        dx, da1, db1 = self._inputs_backward(dpre, dh_fact, cache, step, p)
+        for name, grad in step.items():
+            grads[name] += grad
         grads["Wb"] += da1.T @ d
         grads["Ub"] += db1.T @ d
         dz = dpre.sum(axis=0) if has_z else None
@@ -436,9 +441,9 @@ class ScnLstm:
         return nll, len(targets), cache
 
     def _backward(self, cache, grads, p):
-        """Gradients of the summed NLL of a :meth:`_forward` pass: the
-        ``Wout``, ``bout``, ``Wb`` and ``Ub`` gradients are written into
-        ``grads``, the others accumulated into its zero-filled arrays."""
+        """Gradients of the summed NLL of a :meth:`_forward` pass,
+        written into the arrays of ``grads``; that of ``embed`` is
+        accumulated into its zero-filled array."""
         inputs, running, caption, feature, cell, drop_cache, h_rows, targets, dlogits = cache
         _, _, c_prev, d, (_, _, b1, _), (_, h_fact, gates, tanh_c), _ = cell
         dlogits[np.arange(len(targets)), targets] -= 1.0
@@ -466,7 +471,8 @@ class ScnLstm:
             summed = np.zeros((len(d), per_token.shape[1]))
             np.add.at(summed, caption, per_token)
             np.matmul(summed.T, d, out=grads[name])
-        grads["Cv"] += dpre[:, :running[0]].sum(axis=0).T @ feature  # step 1 has z
+        # Only step 1 has the image term z.
+        np.matmul(dpre[:, :running[0]].sum(axis=0).T, feature, out=grads["Cv"])
 
     def sequence_log_likelihood(self, ids, feature, d, params=None):
         """Teacher-forced log-likelihood of one BOS..EOS sequence (nats)."""
@@ -484,9 +490,9 @@ class ScnLstm:
         if not samples:
             raise ParameterError("batch contains no predicted tokens")
         p = self.params if params is None else params
-        # :meth:`_backward` overwrites these four; it adds into the rest.
-        overwritten = ("Wout", "bout", "Wb", "Ub")
-        grads = {name: (np.empty_like if name in overwritten else np.zeros_like)(value)
+        # :meth:`_backward` overwrites all but the embedding's, which it
+        # adds into row by row.
+        grads = {name: (np.zeros_like if name == "embed" else np.empty_like)(value)
                  for name, value in p.items()}
         nll, n_tokens, cache = self._forward(samples, mode, rng, p)
         self._backward(cache, grads, p)

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from attrcap import attrnet
 from attrcap.attrnet import (
     AttrNet,
     AttrNetConfig,
@@ -19,9 +20,11 @@ from attrcap.attrnet import (
     train_attrnet,
 )
 from attrcap.nncore import (
+    AdamState,
     DimensionError,
     ParameterError,
     Rng,
+    adam_step,
     batch_slices,
     ensemble_mean,
     train_members,
@@ -326,12 +329,14 @@ def test_train_rejects_row_mismatch_and_tiny_sets():
                       AttrTrainConfig(epochs=1))
 
 
-def test_training_holds_four_parameter_sets():
-    # The parameters, Adam's two moments and one step's gradients: Adam
-    # writes into the parameters and a step's gradients are dropped
-    # before the next batch's are built. The parameters dominate at these
-    # shapes; half a set of slack covers a batch's activations and Adam's
-    # scratch. Three batches, so two steps' gradients could overlap.
+def test_training_holds_three_parameter_sets_and_one_layers_gradients():
+    # The parameters, Adam's two moments and one layer's gradients: Adam
+    # writes into the parameters as soon as the backward pass yields a
+    # layer's gradients, which are dropped before the next layer's are
+    # built. The four weight matrices are alike at these shapes, so one
+    # layer's gradients are a quarter of a set; another quarter covers a
+    # batch's activations and Adam's scratch. Three batches, so two
+    # steps' gradients could overlap.
     config = AttrNetConfig(n_words=512, feature_dim=512, hidden_dim=512)
     rng = Rng(47)
     x = rng.normal((24, config.feature_dim))
@@ -345,7 +350,53 @@ def test_training_holds_four_parameter_sets():
     finally:
         tracemalloc.stop()
     param_set = sum(value.nbytes for value in net.params.values())
-    assert 4 * param_set <= peak < 4.5 * param_set
+    assert 3.25 * param_set <= peak < 3.5 * param_set
+
+
+def reference_train(x, y, net_config, train_config):
+    """The training loop that computes every gradient of a batch with
+    :meth:`AttrNet.loss` before one whole-dict Adam step; returns the
+    net, the epoch losses and the Adam state."""
+    root = Rng(train_config.seed)
+    net = AttrNet(net_config, seed=root.split(0).seed)
+    adam = AdamState(learning_rate=train_config.learning_rate)
+    losses = []
+    for epoch in range(train_config.epochs):
+        epoch_rng = root.split(epoch + 1)
+        order = epoch_rng.permutation(len(x))
+        total = 0.0
+        for start, stop in batch_slices(len(x), train_config.batch_size, min_size=2):
+            batch = order[start:stop]
+            loss, grads = net.loss(x[batch], y[batch], mode="train", rng=epoch_rng)
+            adam_step(net.params, grads, adam)
+            total += loss * len(batch)
+        losses.append(total / len(x))
+    return net, losses, adam
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_per_layer_training_is_bitwise_the_whole_step_loop(monkeypatch, bn_on_output):
+    config = replace(SMALL, bn_on_output=bn_on_output)
+    assert config.dropout > 0.0
+    x, y = small_dataset(n=11)
+    train_config = AttrTrainConfig(learning_rate=0.02, batch_size=4, epochs=6, seed=61)
+    ref_net, ref_losses, ref_adam = reference_train(x, y, config, train_config)
+    states = []
+    monkeypatch.setattr(attrnet, "AdamState",
+                        lambda **kwargs: states.append(AdamState(**kwargs)) or states[-1])
+    net, losses = train_attrnet(x, y, config, train_config)
+    (adam,) = states
+    assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
+    assert adam.step == ref_adam.step == 6 * 3
+    assert sorted(net.params) == sorted(ref_net.params)
+    for name in net.params:
+        assert net.params[name].tobytes() == ref_net.params[name].tobytes(), name
+        assert adam.moment1[name].tobytes() == ref_adam.moment1[name].tobytes(), name
+        assert adam.moment2[name].tobytes() == ref_adam.moment2[name].tobytes(), name
+    assert sorted(net.bn_states) == sorted(ref_net.bn_states)
+    for k, state in net.bn_states.items():
+        assert state.running_mean.tobytes() == ref_net.bn_states[k].running_mean.tobytes()
+        assert state.running_var.tobytes() == ref_net.bn_states[k].running_var.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from attrcap import cli, scnlstm, storage
+from attrcap import attrnet, cli, scnlstm, storage
 from attrcap.nncore import Rng
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -81,6 +81,11 @@ def test_every_traced_name_exists_and_every_probe_records(tmp_path, monkeypatch,
         # The CLI and the model savers stream members through
         # storage.CheckpointWriter, so drive the one-shot save directly.
         storage.save_checkpoint("plain.daec", models[0].tensors(), {})
+        # Training updates the attribute predictor layer by layer as its
+        # backward pass runs, not through the whole-batch loss: drive
+        # that directly.
+        net = attrnet.load_attrnet_ensemble("attr.daec")[0]
+        net.loss(features, storage.load_attributes("gt.jsonl")[1], mode="inference")
         # Teacher forcing runs no per-step cell, so drive the one-step
         # backward the tracer wraps directly.
         model, state = models[0], np.zeros((1, models[0].config.hidden_dim))

@@ -24,6 +24,7 @@ from attrcap.nncore import (
     global_norm,
     sigmoid,
     softmax,
+    worker_pool,
     xavier_init,
 )
 
@@ -593,6 +594,66 @@ def test_rejected_adam_step_names_the_first_bad_tensor_whichever_worker_checks_i
     assert adam_snapshot(params, state) == before
 
 
+def adam_groups(groups, requested):
+    """Yield ``groups`` one at a time, recording each request."""
+    for k, group in enumerate(groups):
+        requested.append(k)
+        yield group
+
+
+@pytest.mark.parametrize("primed", [False, True])
+def test_adam_groups_are_bitwise_one_whole_dict_step(primed):
+    rng = Rng(44)
+    shapes = {"a": (3, 4), "b": (_CHUNK + 9,), "c": (), "d": (5,)}
+    params = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
+    state = AdamState(learning_rate=0.01)
+    if primed:
+        adam_step(params, {name: np.asarray(rng.normal(p.shape))
+                           for name, p in params.items()}, state)
+    whole_params = {name: p.copy() for name, p in params.items()}
+    whole = AdamState(learning_rate=0.01, step=state.step,
+                      moment1={n: m.copy() for n, m in state.moment1.items()},
+                      moment2={n: v.copy() for n, v in state.moment2.items()})
+    for _ in range(2):
+        grads = {name: np.asarray(rng.normal(p.shape)) for name, p in params.items()}
+        adam_step(whole_params, grads, whole)
+        requested = []
+        # In any order; the step advances once per call, not per group.
+        assert adam_step(params, adam_groups([{"d": grads["d"], "b": grads["b"]},
+                                              {"c": grads["c"]}, {"a": grads["a"]}],
+                                             requested), state) is None
+        assert requested == [0, 1, 2]
+        assert adam_snapshot(params, state) == adam_snapshot(whole_params, whole)
+
+
+@pytest.mark.parametrize("primed", [False, True])
+def test_rejected_adam_group_is_untouched_and_ends_the_step(primed):
+    rng = Rng(45)
+    params = {"a": rng.normal((3, 4)), "b": rng.normal((_CHUNK + 9,)),
+              "c": rng.normal((6,))}
+    state = AdamState(learning_rate=0.01)
+    if primed:
+        adam_step(params, {name: rng.normal(p.shape) for name, p in params.items()}, state)
+    grads = {name: rng.normal(p.shape) for name, p in params.items()}
+    # The expected state: group {"a"} applied as this call's step.
+    expected_params = {name: p.copy() for name, p in params.items()}
+    expected = AdamState(learning_rate=0.01, step=state.step,
+                         moment1={n: m.copy() for n, m in state.moment1.items()},
+                         moment2={n: v.copy() for n, v in state.moment2.items()})
+    adam_step(expected_params, adam_groups([{"a": grads["a"]}], []), expected)
+    assert expected.step == state.step + 1
+    grads["b"][-1] = np.inf
+    grads["c"][0] = np.nan
+    requested = []
+    # The second group is named by its first bad tensor in the group's
+    # order, and the third is never requested.
+    with pytest.raises(NumericError, match="non-finite gradient for c"):
+        adam_step(params, adam_groups([{"a": grads["a"]}, {"c": grads["c"], "b": grads["b"]},
+                                       {}], requested), state)
+    assert requested == [0, 1]
+    assert adam_snapshot(params, state) == adam_snapshot(expected_params, expected)
+
+
 def peak_traced_bytes(call):
     """Peak bytes that ``call()`` allocates, as ``tracemalloc`` sees it."""
     tracemalloc.start()
@@ -628,6 +689,14 @@ def adam_run(seed):
     return ([p.tobytes() for p in params.values()],
             [m.tobytes() for m in state.moment1.values()],
             [v.tobytes() for v in state.moment2.values()])
+
+
+def test_pool_calls_run_under_the_callers_errstate(pool_of):
+    pool_of(2)
+    pool = worker_pool()
+    with np.errstate(all="ignore"):
+        assert pool.map(lambda _: np.geterr()["over"], range(4)) == ["ignore"] * 4
+    assert pool.map(lambda _: np.geterr()["over"], range(4)) == [np.geterr()["over"]] * 4
 
 
 @pytest.mark.parametrize("workers", [2, 3, 5])

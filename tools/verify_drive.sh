@@ -83,12 +83,15 @@ attrcap 2>/dev/null; [ $? -eq 1 ] || { echo "BAD: no-args exit"; exit 1; }
 attrcap extract --captions missing.json --idf-threshold 2 \
     --out-vocab v --out-attrs a 2>/dev/null
 [ $? -eq 2 ] || { echo "BAD: missing-file exit"; exit 1; }
-# A diverging run fails as a numeric error and leaves neither a
-# checkpoint nor the temporary it was being written to.
+# A diverging run fails as a numeric error, prints exactly one line to
+# stderr and leaves neither a checkpoint nor the temporary it was being
+# written to.
 attrcap train-attr --features run1/feats.daef --attrs run1/gt.jsonl \
     --out-model diverged.daec --hidden 16 --epochs 40 --batch-size 2 \
-    --learning-rate 1e300 --ensemble 2 --seed 5 2>/dev/null
+    --learning-rate 1e300 --ensemble 2 --seed 5 2>diverged.stderr
 [ $? -eq 3 ] || { echo "BAD: diverging train-attr exit"; exit 1; }
+[ "$(wc -l < diverged.stderr)" -eq 1 ] && grep -q '^error: numeric: ' diverged.stderr \
+    || { echo "BAD: diverging train-attr stderr:"; cat diverged.stderr; exit 1; }
 for f in diverged.daec*; do
     [ -e "$f" ] && { echo "BAD: diverging train-attr left $f"; exit 1; }
 done
