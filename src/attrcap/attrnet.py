@@ -14,6 +14,10 @@ There is no gradient clipping, so no step needs them all at once. The
 dataset is the inner join of a feature table and an attribute table on
 ``image_id``; any mismatch between the two id sets is a hard error,
 because silent misalignment of rows would corrupt training undetectably.
+
+Prediction runs over fixed blocks of rows, with an ensemble's members at
+once on the worker pool, so its memory beyond the output does not grow
+with the number of images.
 """
 
 from __future__ import annotations
@@ -55,6 +59,9 @@ __all__ = [
 ]
 
 _N_LAYERS = 4
+# Rows per block of a prediction: bounds the activations that each
+# member holds at once, and with them the memory of ``predict-attr``.
+_PREDICT_BLOCK = 512
 
 
 class JoinError(ValueError):
@@ -190,7 +197,7 @@ class AttrNet:
             caches.append((layer_in, w, bn_cache, active, drop_cache))
         return out, caches
 
-    def backward_groups(self, dout, caches):
+    def backward_groups(self, dout, caches, buffer=None):
         """Backpropagate through the cached forward pass, one layer at a
         time: yields each layer's parameter gradients as one dict, the
         output layer first.
@@ -201,6 +208,11 @@ class AttrNet:
         caller may update that layer's parameters in place before asking
         for the next group. ``caches`` is consumed: each layer's entry is
         released once its group is out.
+
+        With ``buffer``, a flat float64 array at least as long as the
+        largest weight, each ``fc{k}.w`` gradient is written into its
+        leading elements instead of a fresh array, so a group's weight
+        gradient is valid only until the next group is asked for.
         """
         for k in range(_N_LAYERS, 0, -1):
             layer_in, w, bn_cache, active, drop_cache = caches.pop()
@@ -213,8 +225,9 @@ class AttrNet:
             else:
                 dout, group[f"bn{k}.gamma"], group[f"bn{k}.beta"] = (
                     batchnorm_backward(dout, bn_cache))
-            group[f"fc{k}.w"] = layer_in.T @ dout
-            del layer_in, bn_cache, active, drop_cache
+            out = None if buffer is None else buffer[:w.size].reshape(w.shape)
+            group[f"fc{k}.w"] = np.matmul(layer_in.T, dout, out=out)
+            del layer_in, bn_cache, active, drop_cache, out
             # Nothing consumes the gradient of the network's input.
             if k > 1:
                 dout = dout @ w.T
@@ -236,9 +249,10 @@ class AttrNet:
         return value, grads
 
     def predict(self, x):
-        """Inference-mode attribute predictions (non-negative)."""
-        out, _ = self.forward(x, mode="inference")
-        return out
+        """Inference-mode attribute predictions (non-negative), computed
+        in blocks of ``_PREDICT_BLOCK`` rows: bitwise
+        ``predict_ensemble([self], x)``."""
+        return _in_row_blocks(lambda rows: self.forward(rows, mode="inference")[0], x)
 
     # -- checkpoint plumbing -------------------------------------------------
 
@@ -297,6 +311,8 @@ def train_attrnet(x, y, net_config, train_config):
     root = Rng(train_config.seed)
     net = AttrNet(net_config, seed=root.split(0).seed)
     adam = AdamState(learning_rate=train_config.learning_rate)
+    # Every step's weight gradients, one layer at a time.
+    buffer = np.empty(max(net.params[f"fc{k}.w"].size for k in range(1, _N_LAYERS + 1)))
     m = x.shape[0]
     epoch_losses = []
     for epoch in range(train_config.epochs):
@@ -308,11 +324,30 @@ def train_attrnet(x, y, net_config, train_config):
             pred, caches = net.forward(x[batch], mode="train", rng=epoch_rng)
             loss, dpred = mse_loss(pred, y[batch])
             # Adam updates each layer as soon as backward yields its
-            # gradients, which are dropped before the next layer's.
-            adam_step(net.params, net.backward_groups(dpred, caches), adam)
+            # gradients, which are dropped, or overwritten in the
+            # buffer, before the next layer's.
+            adam_step(net.params, net.backward_groups(dpred, caches, buffer), adam)
             total += loss * len(batch)
         epoch_losses.append(total / m)
     return net, epoch_losses
+
+
+def _in_row_blocks(predict, x):
+    """``predict`` applied to consecutive blocks of ``_PREDICT_BLOCK``
+    rows of ``x``, the results stacked into one fresh array. An input of
+    one block goes to ``predict`` whole, and so does one that is not
+    2-D, to be rejected there."""
+    x = np.asarray(x)
+    if x.ndim != 2 or len(x) <= _PREDICT_BLOCK:
+        return predict(x)
+    out = None
+    for start in range(0, len(x), _PREDICT_BLOCK):
+        rows = predict(x[start:start + _PREDICT_BLOCK])
+        if out is None:  # allocated once the width is known
+            out = np.empty((len(x), *rows.shape[1:]))
+        out[start:start + len(rows)] = rows
+        del rows  # not alive while the next block is predicted
+    return out
 
 
 def predict_ensemble(nets, x):
@@ -321,18 +356,20 @@ def predict_ensemble(nets, x):
     Uses the order-invariant mean, so a one-member ensemble returns
     exactly that member's predictions and identical members yield
     predictions identical to any one of them.
+
+    Rows go in fixed blocks of ``_PREDICT_BLOCK``. Within a block the
+    members predict at once on the :func:`attrcap.nncore.worker_pool`,
+    and :func:`attrcap.nncore.ensemble_mean` reduces their predictions
+    in place, so memory beyond the output is bounded by the block, not
+    by the number of rows. Up to one block the result is that of one
+    whole-matrix pass per member; beyond it, the matrix products round
+    each row as its block does, a change in the last digits.
     """
     if not nets:
         raise ParameterError("ensemble prediction needs at least one member")
-    # One (K, N, A) buffer filled member by member: K + 1 prediction
-    # matrices at most, where stacking a list of them holds 2K.
-    first = nets[0].predict(x)
-    stack = np.empty((len(nets), *first.shape))
-    stack[0] = first
-    del first  # not alive while the other members predict
-    for k in range(1, len(nets)):
-        stack[k] = nets[k].predict(x)
-    return nncore.ensemble_mean(stack)
+    pool = nncore.worker_pool()
+    return _in_row_blocks(lambda rows: nncore.ensemble_mean(
+        pool.map(lambda net: net.predict(rows), nets)), x)
 
 
 # --------------------------------------------------------------------------

@@ -29,14 +29,22 @@ trains an ensemble's members one at a time, as its caller asks for them.
 first use, with one worker per CPU the process may run on (at most
 ``_MAX_WORKERS``). NumPy releases the interpreter lock inside its loops
 and BLAS calls, so independent pieces of one computation overlap on
-separate cores. Two kinds of work run on it: the blocks of
-:func:`adam_step`, dealt round-robin to the workers (first its
-finiteness check, then its update), and the ensemble members of one
-beam-search step
-(:func:`attrcap.scnlstm.ensemble_beam_search_block`), each writing its
-own slab of one shared buffer. Every piece runs the same operations in
-the same order, whichever thread runs it, and no piece reads what
-another writes, so results are bitwise the same for any worker count.
+separate cores. These kinds of work run on it:
+
+* the blocks of :func:`adam_step`, dealt round-robin to the workers
+  (first its finiteness check, then its update);
+* the tensors of a checkpoint (:func:`attrcap.storage.load_checkpoint`),
+  dealt round-robin, each worker reading through its own file handle;
+* the ensemble members of one beam-search step
+  (:func:`attrcap.scnlstm.ensemble_beam_search_block`), each writing its
+  own slab of one shared buffer, and then the step's rows, one slab per
+  worker, each reduced by :func:`ensemble_mean`, logged and ranked;
+* the ensemble members of one block of rows of an attribute prediction
+  (:func:`attrcap.attrnet.predict_ensemble`).
+
+Every piece runs the same operations in the same order, whichever thread
+runs it, and no piece reads what another writes, so results are bitwise
+the same for any worker count. No piece submits work to the pool itself.
 """
 
 from __future__ import annotations
@@ -90,8 +98,9 @@ class NumericError(ArithmeticError):
 # Worker pool
 # --------------------------------------------------------------------------
 
-# More threads than this find no more work: a decode step has one piece
-# per ensemble member, and Adam's blocks are bound by memory bandwidth.
+# More threads than this find little more work: a decode step and a
+# prediction block have one piece per ensemble member, and Adam's blocks
+# and checkpoint reads are bound by memory bandwidth.
 _MAX_WORKERS = 8
 
 
@@ -634,26 +643,35 @@ def ensemble_mean(stack):
     at most three members one difference is exactly ``+0``, so the sum
     is the same in any order and the network is skipped.
 
-    The stack is overwritten: the reduction runs in it, and the mean is
-    returned as ``stack[0]`` (a view, not a copy), so a float64 array
-    is reduced without allocating anything of its size.
+    ``stack`` is a (K, ...) array, or a list of K float64 arrays of one
+    shape, such as the members' own outputs, which then need no stacking
+    copy. It is overwritten: the reduction runs in it, and the mean is
+    returned as ``stack[0]`` (a view of an array, not a copy), so a
+    float64 stack is reduced without allocating anything of its size.
     """
-    stack = np.asarray(stack, dtype=np.float64)
-    if stack.ndim < 1 or stack.shape[0] < 1:
+    if not isinstance(stack, list):
+        stack = np.asarray(stack, dtype=np.float64)
+        if stack.ndim < 1:
+            raise DimensionError("ensemble mean needs at least one member")
+        stack = [stack[k, ...] for k in range(len(stack))]  # views, 0-d ones too
+    n = len(stack)
+    if n < 1:
         raise DimensionError("ensemble mean needs at least one member")
-    n = stack.shape[0]
     if n == 1:
         return stack[0]
-    base = stack.min(axis=0)
-    stack -= base
+    # Member by member, the order of ``min(axis=0)`` and ``sum(axis=0)``.
+    base = np.minimum(stack[0], stack[1])
+    for member in stack[2:]:
+        np.minimum(base, member, out=base)
+    for member in stack:
+        member -= base
     if n > 3:
-        smaller = np.empty_like(stack[:n // 2])
+        smaller = np.empty_like(base)
         for sweep in range(n):
-            lo, hi = stack[sweep % 2:n - 1:2], stack[sweep % 2 + 1:n:2]
-            np.minimum(lo, hi, out=smaller[:len(lo)])
-            np.maximum(lo, hi, out=hi)
-            lo[...] = smaller[:len(lo)]
-    # Slab by slab in member order: the order of ``sum(axis=0)``.
+            for lo, hi in zip(stack[sweep % 2:n - 1:2], stack[sweep % 2 + 1:n:2]):
+                np.minimum(lo, hi, out=smaller)
+                np.maximum(lo, hi, out=hi)
+                lo[...] = smaller
     total = stack[0]
     for member in stack[1:]:
         total += member

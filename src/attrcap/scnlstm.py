@@ -48,10 +48,13 @@ call per member over every row, each row carrying its image's attribute
 terms (and, at the first step, its image term ``z``). The members' calls
 run at once on :func:`attrcap.nncore.worker_pool`, each writing its
 softmax into its own slab of one (K, N * beam_width, V) buffer that the
-block allocates once; :func:`attrcap.nncore.ensemble_mean` then reduces
-the slabs in place into the first, and the log runs there too. A member
-computes the same operations in the same order in whichever thread runs
-it, so decodes do not depend on the worker count.
+block allocates once. Then the step's rows are cut into one slab per
+worker, and on each at once :func:`attrcap.nncore.ensemble_mean`
+reduces the members in place into the first, the log runs there too,
+and each row's best continuations are ranked. A member, or a slab of
+rows, computes the same operations in the same order in whichever
+thread runs it, and every operation after the members is row-local, so
+decodes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -652,16 +655,21 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
     # rather than by the pool's threads, whose freed arrays would stay
     # in their own allocator arenas.
     probs = np.empty((len(models), n_images * beam_width, models[0].config.vocab_size))
+    pool = nncore.worker_pool()
 
-    def step(image, last_ids, h, c, first_step):
+    def step(image, last_ids, h, c, first_step, rank=True):
         """Log of the ensemble mean of the next-token distributions of
-        the given rows, and each member's new ``(h, c)`` rows. The
-        members run at once on the worker pool.
+        the given rows, each member's new ``(h, c)`` rows, and, when
+        ``rank`` is set, the :func:`_best_continuations` of the rows.
 
-        The mean and its log are computed in place in the buffer, so the
-        log probabilities are a view of ``probs[0, :rows]``: valid only
-        until the next call."""
-        rows = probs[:, :len(image)]
+        The members run at once on the worker pool. Then the rows are
+        cut into one slab per worker, and each slab's mean, log and
+        ranking run at once: all three are row-local, so the result is
+        the same for any cut. The mean and its log are computed in
+        place in the buffer, so the log probabilities are a view of
+        ``probs[0, :rows]``: valid only until the next call."""
+        n_rows = len(image)
+        rows = probs[:, :n_rows]
         d_rows = d[image]
 
         def advance(k):
@@ -671,10 +679,21 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
                 d_terms=(a1[image], b1[image]), out=rows[k])
             return h_k, c_k
 
-        states = nncore.worker_pool().map(advance, range(len(models)))
-        mean = nncore.ensemble_mean(rows)
+        def reduce(slab):
+            lo, hi = slab
+            mean = nncore.ensemble_mean(rows[:, lo:hi])
+            np.log(mean, out=mean)
+            if rank:
+                row, token = _best_continuations(mean, beam_width)
+                return row + lo, token
+            return None
+
+        states = pool.map(advance, range(len(models)))
+        bounds = sorted({n_rows * w // pool.workers for w in range(pool.workers + 1)})
         with np.errstate(divide="ignore"):
-            return np.log(mean, out=mean), states
+            ranked = pool.map(reduce, zip(bounds, bounds[1:]))
+        continuations = tuple(map(np.concatenate, zip(*ranked))) if rank else None
+        return rows[0], states, continuations
 
     # Live rows, grouped by image in ascending order and best first
     # within an image: image index, score, token history from BOS, and
@@ -687,8 +706,8 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
     best = [None] * n_images  # (-log_prob, tokens) of each image's best finished
 
     for t in range(1, max_len + 1):
-        log_probs, states = step(image, tokens[:, -1], h, c, first_step=(t == 1))
-        row, token = _best_continuations(log_probs, beam_width)
+        log_probs, states, (row, token) = step(image, tokens[:, -1], h, c,
+                                               first_step=(t == 1))
         score = scores[row] + log_probs[row, token]
         # Cut each image's pool by (image, -log p, token tuple); every
         # candidate has the same length, so the tuple order is the
@@ -715,8 +734,8 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
     forced = [i for i in range(n_images) if best[i] is None]
     if forced:
         rows = np.searchsorted(image, forced)
-        log_probs, _ = step(image[rows], tokens[rows, -1], [h_k[rows] for h_k in h],
-                            [c_k[rows] for c_k in c], first_step=False)
+        log_probs, _, _ = step(image[rows], tokens[rows, -1], [h_k[rows] for h_k in h],
+                               [c_k[rows] for c_k in c], first_step=False, rank=False)
         for i, r, eos in zip(forced, rows, log_probs[:, EOS_ID]):
             best[i] = (-float(scores[r] + eos), tuple(tokens[r].tolist()) + (EOS_ID,))
     return [CaptionSequence(tokens=ids, log_prob=-cost) for cost, ids in best]

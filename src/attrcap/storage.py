@@ -8,7 +8,9 @@ version word so damaged or foreign files fail fast:
 * checkpoint files (magic ``DAEC``): u32 version, u64 header length,
   a UTF-8 JSON header listing tensor names/shapes plus a config echo,
   then the tensors as float64 in header order. Checkpoints round-trip
-  bit for bit, and only finite values load. Models are stored as
+  bit for bit, and only finite values load; the tensors load on the
+  :func:`attrcap.nncore.worker_pool`, dealt round-robin to its workers,
+  each reading through its own file handle. Models are stored as
   ensembles of K >= 1 members (:func:`ensemble_writer`,
   :func:`load_ensemble`). One writer, :class:`CheckpointWriter`, writes
   every checkpoint member by member, so a trained member can go to disk
@@ -20,18 +22,21 @@ embeds the producing command line and seed, either as a ``meta`` object
 (JSON) or as a first-line ``_meta`` record (JSON Lines). Floats are
 serialized with Python's shortest round-trip ``repr``, which preserves
 the exact binary value (at least 9 significant digits survive).
+Attribute lines are assembled from one ``json.dumps`` of each row's
+values, byte for byte what ``json.dumps`` of the whole record gives.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 
 import numpy as np
 
-from .nncore import NumericError
+from .nncore import NumericError, worker_pool
 from .semantics import Vocabulary
 
 __all__ = [
@@ -222,6 +227,15 @@ def load_checkpoint(path):
     ``name`` and a ``shape`` of non-negative ints, and ``config`` must
     be an object; the tensor bytes must match the listed shapes exactly,
     and every value must be finite.
+
+    Once the header and the file size check out, the tensors are dealt
+    round-robin to the :func:`attrcap.nncore.worker_pool`. Each worker
+    reads its tensors through its own handle, straight into fresh arrays
+    that the calling thread allocates, and checks each slice while it is
+    in cache. A short read or a non-finite value is reported for the
+    first such tensor in header order, whichever worker finds it.
+    Tensors are native, writable, C-contiguous float64 arrays that own
+    their memory.
     """
     try:
         handle = open(path, "rb")
@@ -261,24 +275,43 @@ def load_checkpoint(path):
                                   "name and a shape of non-negative ints")
         if len(dict(entries)) < len(entries):
             raise FormatError(f"{path}: tensor names repeat in the header")
-        payload = sum(8 * math.prod(shape) for _, shape in entries)
-        if size - handle.tell() != payload:
-            raise FormatError(f"{path}: header lists {payload} tensor bytes, file "
-                              f"holds {size - handle.tell()} (truncated or trailing bytes)")
-        tensors = {}
-        for name, shape in entries:
-            # Read straight into the array, slice by slice, each slice
-            # checked while it is still in cache.
-            tensor = np.empty(shape, "<f8")
-            flat = tensor.reshape(-1)
-            for start in range(0, flat.size, _CHECKPOINT_SLICE):
-                piece = flat[start:start + _CHECKPOINT_SLICE]
-                if handle.readinto(piece) != piece.nbytes:
-                    raise FormatError(f"{path}: truncated while reading tensor {name!r}")
-                if not np.isfinite(piece).all():
-                    raise FormatError(f"{path}: non-finite value in tensor {name!r}")
-            tensors[name] = tensor.astype(np.float64, copy=False)
-    return tensors, config
+        # Where each tensor starts, and where the last one ends.
+        offsets = list(itertools.accumulate(
+            (8 * math.prod(shape) for _, shape in entries), initial=handle.tell()))
+        if size != offsets[-1]:
+            raise FormatError(f"{path}: header lists {offsets[-1] - offsets[0]} tensor "
+                              f"bytes, file holds {size - offsets[0]} "
+                              "(truncated or trailing bytes)")
+    # Allocated here, not by the pool's threads, whose freed arrays would
+    # stay in their own allocator arenas; the pages are first touched by
+    # the reads.
+    tensors = {name: np.empty(shape, "<f8") for name, shape in entries}
+    pool = worker_pool()
+    workers = min(pool.workers, len(entries))
+
+    def read(worker):
+        """Read worker ``worker``'s tensors (every ``workers``-th from it);
+        returns ``(position, message)`` of its first bad one, or ``None``."""
+        with open(path, "rb") as own:
+            for k in range(worker, len(entries), workers):
+                name = entries[k][0]
+                # Straight into the array, slice by slice, each slice
+                # checked while it is still in cache.
+                flat = tensors[name].reshape(-1)
+                own.seek(offsets[k])
+                for start in range(0, flat.size, _CHECKPOINT_SLICE):
+                    piece = flat[start:start + _CHECKPOINT_SLICE]
+                    if own.readinto(piece) != piece.nbytes:
+                        return k, f"{path}: truncated while reading tensor {name!r}"
+                    if not np.isfinite(piece).all():
+                        return k, f"{path}: non-finite value in tensor {name!r}"
+        return None
+
+    bad = min(filter(None, pool.map(read, range(workers))), default=None)
+    if bad is not None:
+        raise FormatError(bad[1])
+    return {name: tensor.astype(np.float64, copy=False)
+            for name, tensor in tensors.items()}, config
 
 
 def ensemble_writer(path, kind, n_members, config, meta=None):
@@ -345,12 +378,17 @@ def write_json(path, payload):
 
 def write_jsonl(path, records, meta=None):
     """Write JSON Lines; an optional ``_meta`` record goes first."""
+    _write_lines(path, (json.dumps(record, sort_keys=True) for record in records), meta)
+
+
+def _write_lines(path, lines, meta):
+    """Write encoded JSON lines after an optional ``_meta`` record."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if meta is not None:
             handle.write(json.dumps({"_meta": meta}, sort_keys=True))
             handle.write("\n")
-        for record in records:
-            handle.write(json.dumps(record, sort_keys=True))
+        for line in lines:
+            handle.write(line)
             handle.write("\n")
 
 
@@ -387,6 +425,11 @@ def write_attributes(path, image_ids, matrix, meta=None):
     listing the nonzero entries in index order. The meta record carries
     ``n_words`` so readers can restore the dense width even when every
     vector is sparse.
+
+    Each line is the bytes ``json.dumps(record, sort_keys=True)`` writes,
+    built without per-pair lists: one ``json.dumps`` of the row's nonzero
+    values, split on ``", "`` (which no float's JSON form contains), and
+    each piece joined with its index.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or len(image_ids) != matrix.shape[0]:
@@ -397,15 +440,15 @@ def write_attributes(path, image_ids, matrix, meta=None):
     meta = dict(meta or {})
     meta["n_words"] = int(matrix.shape[1])
 
-    def records():
+    def lines():
         for image_id, row in zip(image_ids, matrix):
             nonzero = np.flatnonzero(row)
-            yield {
-                "image_id": int(image_id),
-                "attrs": list(map(list, zip(nonzero.tolist(), row[nonzero].tolist()))),
-            }
+            values = json.dumps(row[nonzero].tolist())[1:-1].split(", ")
+            pairs = ", ".join(f"[{index}, {value}]"
+                              for index, value in zip(nonzero.tolist(), values))
+            yield f'{{"attrs": [{pairs}], "image_id": {int(image_id)}}}'
 
-    write_jsonl(path, records(), meta=meta)
+    _write_lines(path, lines(), meta)
 
 
 def load_attributes(path):

@@ -399,6 +399,33 @@ def test_per_layer_training_is_bitwise_the_whole_step_loop(monkeypatch, bn_on_ou
         assert state.running_var.tobytes() == ref_net.bn_states[k].running_var.tobytes()
 
 
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_backward_groups_write_weight_gradients_into_the_buffer(bn_on_output):
+    config = AttrNetConfig(n_words=5, feature_dim=7, hidden_dim=9, dropout=0.3,
+                           bn_on_output=bn_on_output)
+    net = AttrNet(config, seed=8)
+    x, y = Rng(9).normal((6, 7)), np.abs(Rng(10).normal((6, 5)))
+
+    def backward_of(run):
+        pred, caches = net.forward(x, mode="train", rng=Rng(11))
+        return run(mse_loss(pred, y)[1], caches)
+
+    fresh = backward_of(net.backward)
+    # ``backward`` merges the groups, so its arrays are independent.
+    weights = [fresh[f"fc{k}.w"] for k in range(1, 5)]
+    assert not any(np.shares_memory(a, b) for a in weights for b in weights if a is not b)
+    buffer = np.full(max(w.size for w in weights), np.nan)
+    seen = []
+    for group in backward_of(lambda dout, caches: net.backward_groups(dout, caches, buffer)):
+        (name,) = [name for name in group if name.endswith(".w")]
+        # Valid until the next group is asked for, which overwrites it.
+        assert np.shares_memory(group[name], buffer)
+        for grad_name, grad in group.items():
+            assert grad.tobytes() == fresh[grad_name].tobytes(), grad_name
+        seen.extend(group)
+    assert sorted(seen) == sorted(net.params)
+
+
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
@@ -461,6 +488,91 @@ def test_predict_ensemble_is_bitwise_the_mean_of_the_stacked_predictions():
 def test_predict_ensemble_needs_members():
     with pytest.raises(ParameterError):
         predict_ensemble([], np.zeros((1, 6)))
+
+
+BLOCK = attrnet._PREDICT_BLOCK
+
+
+def trained_like_nets(k_members, config=None):
+    """Members with perturbed weights and batch-norm statistics, so no
+    layer of an inference pass is trivial."""
+    config = config or AttrNetConfig(n_words=40, feature_dim=48, hidden_dim=64)
+    nets = []
+    for k in range(k_members):
+        net = AttrNet(config, seed=30 + k)
+        rng = Rng(50 + k)
+        net.params = {name: value + 0.1 * rng.split(len(name)).normal(value.shape)
+                      for name, value in net.params.items()}
+        for j, state in net.bn_states.items():
+            state.running_mean = rng.split(100 + j).normal(state.running_mean.shape)
+            state.running_var = 0.5 + rng.split(200 + j).uniform(state.running_var.shape)
+        nets.append(net)
+    return nets
+
+
+def whole_matrix_ensemble(nets, x):
+    """One inference pass per member over all rows, then the mean: what
+    the block-wise prediction replaced."""
+    return ensemble_mean(np.stack([net.forward(x, mode="inference")[0] for net in nets]))
+
+
+def test_predict_ensemble_beyond_one_block_is_within_1e_10_of_whole_matrix_passes():
+    nets = trained_like_nets(3)
+    x = Rng(31).normal((2 * BLOCK + 77, 48)) * 3.0
+    want = whole_matrix_ensemble(nets, x)
+    got = predict_ensemble(nets, x)
+    assert got.shape == want.shape == (2 * BLOCK + 77, 40)
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert (np.abs(got - want) <= 1e-10 * scale).all()
+    # Up to one block it is the whole-matrix result, bit for bit.
+    for rows in (x[:BLOCK], x[:350], x[:1], x[:0]):
+        assert predict_ensemble(nets, rows).tobytes() == (
+            whole_matrix_ensemble(nets, rows).tobytes())
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_predict_ensemble_is_bitwise_the_same_for_any_worker_count(pool_of, workers):
+    nets = trained_like_nets(3)
+    x = Rng(32).normal((3 * BLOCK + 5, 48)) * 3.0
+    predictions = []
+    for n in (1, workers):
+        pool_of(n)
+        predictions.append(predict_ensemble(nets, x).tobytes())
+        # The one-member identity holds block by block.
+        for net in nets:
+            assert predict_ensemble([net], x).tobytes() == net.predict(x).tobytes()
+    assert predictions[0] == predictions[1]
+
+
+def test_predict_ensemble_memory_beyond_the_output_does_not_grow_with_rows(pool_of):
+    config = AttrNetConfig(n_words=64, feature_dim=32, hidden_dim=256)
+    nets = trained_like_nets(2, config)
+
+    def peak_and_beyond_output(n):
+        x = Rng(n).normal((n, config.feature_dim))
+        tracemalloc.start()
+        try:
+            out = predict_ensemble(nets, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, peak - out.nbytes
+
+    small_objects = 2 ** 16
+    pool_of(1)
+    # A prediction of one block is member 0's own output; beyond one
+    # block the output is an array of its own, and all else that is held
+    # (each member's block output and activations) stays the same.
+    one_block, _ = peak_and_beyond_output(BLOCK)
+    _, two_blocks = peak_and_beyond_output(2 * BLOCK)
+    _, eight_blocks = peak_and_beyond_output(8 * BLOCK)
+    assert eight_blocks <= two_blocks + small_objects
+    assert eight_blocks <= one_block + small_objects
+    # Members at once hold at most each member's share together.
+    pool_of(2)
+    peak_and_beyond_output(2)  # starts the pool's threads
+    _, at_once = peak_and_beyond_output(8 * BLOCK)
+    assert at_once <= len(nets) * one_block + small_objects
 
 
 def train_ensemble(x, y, config, n_members):

@@ -979,6 +979,32 @@ def test_block_decoding_is_bitwise_the_same_for_every_worker_count(pool_of, work
     assert decodes[0] == decodes[1]
 
 
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_row_slabs_decode_forced_and_early_images_bitwise_as_one_slab(pool_of, workers):
+    # One worker ranks each step's rows as one slab; more workers cut
+    # them into slabs that split images' rows, among them the forced
+    # EOS step's rows. Three members, so the mean runs in full.
+    cfg = ScnLstmConfig(vocab_size=9, n_words=4, feature_dim=5, embed_dim=4,
+                        hidden_dim=6, factor_dim=5, dropout=0.0)
+    forced = finished = 0
+    for seed in range(4):
+        models = [tiny_model(seed=60 + 2 * seed + k, scale=3.0, config=cfg)
+                  for k in range(3)]
+        rng = Rng(80 + seed)
+        features = rng.normal((9, cfg.feature_dim)) * 2.0
+        d = np.abs(rng.normal((9, cfg.n_words))) * 2.0
+        for width in (2, 3):
+            decodes = []
+            for n in (1, workers):
+                pool_of(n)
+                block = ensemble_beam_search_block(models, features, d, width, max_len=4)
+                decodes.append([(seq.tokens, seq.log_prob.hex()) for seq in block])
+            assert decodes[0] == decodes[1], (seed, width)
+            forced += sum(len(tokens) == 6 for tokens, _ in decodes[0])
+            finished += sum(len(tokens) < 6 for tokens, _ in decodes[0])
+    assert forced >= 10 and finished >= 30
+
+
 class BigramModel(ScnLstm):
     """Constructed step distributions: the next-token distribution is
     the row of ``table`` picked by the last token, whatever the image."""

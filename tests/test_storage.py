@@ -2,10 +2,13 @@
 
 import json
 import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrcap import storage
 from attrcap.nncore import Rng
@@ -209,6 +212,81 @@ def test_checkpoint_non_finite_value_names_its_tensor(tmp_path, bad):
     w[2, 7] = bad
     save_checkpoint(path, {"b": np.ones(2), "w": w}, {})
     with pytest.raises(FormatError, match=f"{path}: non-finite value in tensor 'w'"):
+        load_checkpoint(path)
+
+
+def assorted_tensors():
+    """More tensors than workers, of every size: several read slices,
+    one slice, empty, 0-d and a partial last slice."""
+    rng = Rng(8)
+    return {"big": rng.normal((3, storage._CHECKPOINT_SLICE + 5)),
+            "scalar": np.array(-2.5), "empty": np.zeros((0, 4)),
+            "w": rng.normal((7, 9)), "slice": rng.normal((storage._CHECKPOINT_SLICE,)),
+            "b": rng.normal((5,))}
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_checkpoint_tensors_are_bitwise_the_same_for_any_worker_count(
+        tmp_path, pool_of, workers):
+    path = tmp_path / "model.ckpt"
+    tensors = assorted_tensors()
+    save_checkpoint(path, tensors, {"k": 1})
+    loads = []
+    interval = sys.getswitchinterval()
+    for n in (1, workers):
+        pool_of(n)
+        # More workers than cores, switching threads as often as possible.
+        sys.setswitchinterval(1e-6)
+        try:
+            loaded, config = load_checkpoint(path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert config == {"k": 1}
+        assert list(loaded) == list(tensors)  # header order
+        for tensor in loaded.values():
+            assert tensor.dtype == np.float64 and tensor.flags.owndata
+            assert tensor.flags.writeable and tensor.flags.c_contiguous
+        loads.append([(name, t.shape, t.tobytes()) for name, t in loaded.items()])
+    assert loads[0] == loads[1]
+    assert loads[0] == [(name, t.shape, t.tobytes()) for name, t in tensors.items()]
+
+
+@pytest.mark.parametrize("first_bad, later_bad", [("big", "w"), ("scalar", "slice")])
+def test_checkpoint_names_the_earlier_bad_tensor_whichever_worker_reads_it(
+        tmp_path, pool_of, first_bad, later_bad):
+    # Two workers deal the six tensors round-robin: "big", "empty" and
+    # "slice" go to worker 0, "scalar", "w" and "b" to worker 1, so each
+    # pair of bad tensors is read by different workers. The bad value in
+    # "big" is in its last read slice, so worker 1 may well find "w"
+    # first.
+    pool_of(2)
+    path = tmp_path / "model.ckpt"
+    tensors = assorted_tensors()
+    for name in (first_bad, later_bad):
+        tensors[name].reshape(-1)[-1] = np.nan if name == later_bad else np.inf
+    save_checkpoint(path, tensors, {})
+    for _ in range(5):
+        with pytest.raises(FormatError, match=f"non-finite value in tensor '{first_bad}'"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad_slice", [True, False])
+def test_checkpoint_short_read_is_reported_after_an_earlier_bad_tensor(
+        tmp_path, pool_of, monkeypatch, bad_slice):
+    pool_of(2)
+    path = tmp_path / "model.ckpt"
+    tensors = assorted_tensors()
+    if bad_slice:
+        tensors["slice"][0] = np.nan
+    save_checkpoint(path, tensors, {})
+    # The file shrinks after its size was taken, so "b", the last tensor
+    # (worker 1's), comes up short; "slice" (worker 0's) comes before it.
+    stat = os.stat(path)
+    monkeypatch.setattr(storage, "os", SimpleNamespace(fstat=lambda fd: stat))
+    path.write_bytes(path.read_bytes()[:-16])
+    message = "non-finite value in tensor 'slice'" if bad_slice else (
+        "truncated while reading tensor 'b'")
+    with pytest.raises(FormatError, match=message):
         load_checkpoint(path)
 
 
@@ -416,6 +494,30 @@ def test_attributes_records_are_sparse_ascending(tmp_path):
     write_attributes(path, [5], np.array([[0.0, 0.25, 0.0, 0.125]]))
     record = json.loads(path.read_text().splitlines()[1])
     assert record == {"image_id": 5, "attrs": [[1, 0.25], [3, 0.125]]}
+
+
+ATTRIBUTE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308,
+                     -1e308, 1.0, -0.1, 2.0 ** -1074, 1e16, 1e-7]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**63 - 1),
+                          st.lists(ATTRIBUTE_VALUES, min_size=5, max_size=5)),
+                max_size=6))
+def test_attribute_lines_are_json_dumps_of_each_record(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("attrs") / "attrs.jsonl"
+    ids = [image_id for image_id, _ in rows]
+    matrix = np.array([values for _, values in rows]).reshape(len(rows), 5)
+    write_attributes(path, ids, matrix, meta={"seed": 3})
+    # The per-pair records that the writer used to pass to json.dumps.
+    want = [json.dumps({"_meta": {"seed": 3, "n_words": 5}}, sort_keys=True)] + [
+        json.dumps({"image_id": image_id, "attrs": [
+            [index, value] for index, value in enumerate(row.tolist()) if value != 0.0]},
+            sort_keys=True)
+        for image_id, row in zip(ids, matrix)]
+    assert path.read_text(encoding="utf-8").split("\n") == want + [""]
 
 
 def test_attributes_zero_row_keeps_width(tmp_path):

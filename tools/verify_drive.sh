@@ -72,6 +72,35 @@ for f in vocab.json gt.jsonl sizes.json attr.daec pred.jsonl cap.daec \
 done
 echo "determinism: all 10 artifacts byte-identical"
 
+# Attribute lines are assembled without json.dumps of each record: they
+# must still be exactly what json.dumps(record, sort_keys=True) writes.
+for f in gt.jsonl pred.jsonl; do
+    python3 -c '
+import json, sys
+for line in sys.stdin:
+    print(json.dumps(json.loads(line), sort_keys=True))
+' < run1/"$f" > "reencoded_$f"
+    cmp run1/"$f" "reencoded_$f" || { echo "MISMATCH: $f is not json.dumps"; exit 1; }
+done
+echo "attribute files: every line is json.dumps of its record"
+
+# Serving on one CPU runs the worker pool with one worker: predictions
+# and decodes must not depend on the worker count.
+if command -v taskset >/dev/null 2>&1; then
+    mkdir -p one_cpu
+    cp captions.json feats.daef run1/attr.daec run1/cap.daec one_cpu/
+    cd one_cpu
+    taskset -c 0 attrcap predict-attr --features feats.daef --model attr.daec \
+        --out-attrs pred.jsonl --seed 5 > /dev/null
+    taskset -c 0 attrcap caption --features feats.daef --attrs pred.jsonl \
+        --model cap.daec --beam 3 --max-len 8 --out decoded.jsonl --seed 7 > /dev/null
+    cd ..
+    for f in pred.jsonl decoded.jsonl; do
+        cmp run1/"$f" one_cpu/"$f" || { echo "MISMATCH: $f on one CPU"; exit 1; }
+    done
+    echo "one CPU: predictions and decodes byte-identical"
+fi
+
 echo "== decoded captions =="
 tail -n +2 run1/decoded.jsonl
 echo "== caption scores =="
