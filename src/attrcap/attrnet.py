@@ -7,13 +7,14 @@ ReLU keeps predictions non-negative, matching the non-negative target
 vectors. Batch normalization on the output layer can be disabled via
 configuration; it is on by default.
 
-Training minimizes mean squared error with Adam, which updates each
-layer as soon as the backward pass yields that layer's gradients, so a
-step holds the parameters, the two moments and one layer's gradients.
-There is no gradient clipping, so no step needs them all at once. The
-dataset is the inner join of a feature table and an attribute table on
-``image_id``; any mismatch between the two id sets is a hard error,
-because silent misalignment of rows would corrupt training undetectably.
+Training minimizes mean squared error with Adam, which applies each
+row slab of a layer's weight gradient as soon as the backward pass
+computes it, so a step holds the parameters, the two moments and one
+row slab of one weight gradient. There is no gradient clipping, so no
+step needs the gradients all at once. The dataset is the inner join of
+a feature table and an attribute table on ``image_id``; any mismatch
+between the two id sets is a hard error, because silent misalignment of
+rows would corrupt training undetectably.
 
 Prediction runs over fixed blocks of rows, with an ensemble's members at
 once on the worker pool, so its memory beyond the output does not grow
@@ -62,6 +63,9 @@ _N_LAYERS = 4
 # Rows per block of a prediction: bounds the activations that each
 # member holds at once, and with them the memory of ``predict-attr``.
 _PREDICT_BLOCK = 512
+# Elements per row slab of a weight gradient in training (4 MiB of
+# float64): bounds the gradient memory that a step holds at once.
+_GRAD_SLAB = 16 * nncore._CHUNK
 
 
 class JoinError(ValueError):
@@ -199,20 +203,25 @@ class AttrNet:
 
     def backward_groups(self, dout, caches, buffer=None):
         """Backpropagate through the cached forward pass, one layer at a
-        time: yields each layer's parameter gradients as one dict, the
-        output layer first.
+        time, the output layer first: yields each layer's parameter
+        gradients as :func:`attrcap.nncore.adam_step` groups.
 
         Everything a layer's backward step reads of the parameters (its
         batch-normalization scale and the weights that carry ``dout`` to
-        the layer below) is used before its group is yielded, so the
-        caller may update that layer's parameters in place before asking
-        for the next group. ``caches`` is consumed: each layer's entry is
-        released once its group is out.
+        the layer below) is used before its first group is yielded, so
+        the caller may update that layer's parameters in place before
+        asking for the next group. ``caches`` is consumed: each layer's
+        entry is released once its last group is out.
 
-        With ``buffer``, a flat float64 array at least as long as the
-        largest weight, each ``fc{k}.w`` gradient is written into its
-        leading elements instead of a fresh array, so a group's weight
-        gradient is valid only until the next group is asked for.
+        Without ``buffer`` a layer is one group, its weight gradient one
+        fresh array under ``fc{k}.w``. With ``buffer``, a flat float64
+        array holding at least one row of every weight, the weight
+        gradient comes in consecutive row slabs of as many rows as fit
+        in ``buffer``, one group each, keyed ``(f"fc{k}.w", start,
+        stop)``; the layer's other gradients ride in its first slab's
+        group. Each slab is computed into ``buffer``, so it is valid only
+        until the next group is asked for, and a step holds one slab of
+        one weight gradient, not a whole layer's.
         """
         for k in range(_N_LAYERS, 0, -1):
             layer_in, w, bn_cache, active, drop_cache = caches.pop()
@@ -225,14 +234,25 @@ class AttrNet:
             else:
                 dout, group[f"bn{k}.gamma"], group[f"bn{k}.beta"] = (
                     batchnorm_backward(dout, bn_cache))
-            out = None if buffer is None else buffer[:w.size].reshape(w.shape)
-            group[f"fc{k}.w"] = np.matmul(layer_in.T, dout, out=out)
-            del layer_in, bn_cache, active, drop_cache, out
+            del bn_cache, active, drop_cache
             # Nothing consumes the gradient of the network's input.
-            if k > 1:
-                dout = dout @ w.T
-            yield group
-            del group  # not alive while the next layer's are built
+            below = dout @ w.T if k > 1 else None
+            if buffer is None:
+                group[f"fc{k}.w"] = layer_in.T @ dout
+                yield group
+            else:
+                rows, cols = w.shape
+                slab = buffer.size // cols
+                # At least one group, so the layer's other gradients go out.
+                for start in range(0, max(rows, 1), slab):
+                    stop = min(start + slab, rows)
+                    group[(f"fc{k}.w", start, stop)] = np.matmul(
+                        layer_in[:, start:stop].T, dout,
+                        out=buffer[:(stop - start) * cols].reshape(stop - start, cols))
+                    yield group
+                    group = {}  # the last one is not alive while the next is built
+            del group, layer_in, w
+            dout = below
 
     def backward(self, dout, caches):
         """All parameter gradients of :meth:`backward_groups` in one dict."""
@@ -311,8 +331,10 @@ def train_attrnet(x, y, net_config, train_config):
     root = Rng(train_config.seed)
     net = AttrNet(net_config, seed=root.split(0).seed)
     adam = AdamState(learning_rate=train_config.learning_rate)
-    # Every step's weight gradients, one layer at a time.
-    buffer = np.empty(max(net.params[f"fc{k}.w"].size for k in range(1, _N_LAYERS + 1)))
+    # Every weight gradient of every step, one row slab at a time: a slab
+    # holds at least one row, and no more than its weight.
+    weights = [net.params[f"fc{k}.w"] for k in range(1, _N_LAYERS + 1)]
+    buffer = np.empty(max(min(w.size, max(_GRAD_SLAB, w.shape[1])) for w in weights))
     m = x.shape[0]
     epoch_losses = []
     for epoch in range(train_config.epochs):
@@ -323,9 +345,8 @@ def train_attrnet(x, y, net_config, train_config):
             batch = order[start:stop]
             pred, caches = net.forward(x[batch], mode="train", rng=epoch_rng)
             loss, dpred = mse_loss(pred, y[batch])
-            # Adam updates each layer as soon as backward yields its
-            # gradients, which are dropped, or overwritten in the
-            # buffer, before the next layer's.
+            # Adam applies each row slab of a weight gradient as soon as
+            # backward yields it, before the next slab overwrites it.
             adam_step(net.params, net.backward_groups(dpred, caches, buffer), adam)
             total += loss * len(batch)
         epoch_losses.append(total / m)

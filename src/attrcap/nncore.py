@@ -21,9 +21,10 @@ Adam writes each new parameter into the caller's array and clipping
 scales the caller's gradients, so a training step holds one copy each
 of the parameters, the two moments and the gradients. Adam also takes
 the gradients as groups, each checked and applied before the next is
-asked for: a backward pass that yields one layer's group at a time
-then holds one layer's gradients, not the whole set. :func:`train_members`
-trains an ensemble's members one at a time, as its caller asks for them.
+asked for, and a group may hold a row slab of a parameter: a backward
+pass that yields one row slab of a weight gradient at a time then holds
+that slab, not the whole set. :func:`train_members` trains an
+ensemble's members one at a time, as its caller asks for them.
 
 :func:`worker_pool` is one process-wide pool of threads, started at
 first use, with one worker per CPU the process may run on (at most
@@ -50,6 +51,7 @@ the same for any worker count. No piece submits work to the pool itself.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass, field
@@ -161,8 +163,9 @@ _MIX_2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _INV_2_53 = float(2.0 ** -53)
 
-# Elements per block of the draw and Adam kernels: 256 KB of float64, so
-# the few blocks that one pass of a kernel touches stay in a core's cache.
+# Elements per block of the draw and Adam kernels and of a checkpoint
+# read: 256 KB of float64, so the few blocks that one pass of a kernel
+# touches stay in a core's cache.
 _CHUNK = 1 << 15
 # ``k * GAMMA`` (wrapping) for every offset ``k`` within a block.
 _STRIDES = np.arange(_CHUNK, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -457,18 +460,23 @@ def adam_step(params, grads, state):
     """One Adam update of ``params`` in place; returns ``None``.
 
     ``grads`` is a dict with a gradient for every parameter, or an
-    iterator of dicts (groups), each for some of them. Each group is
-    checked, then applied, before the next is requested, so a generator
-    of groups holds one at a time. The step count, and with it the bias
-    correction, advances once per call.
+    iterator of dicts (groups), each for some of them. A group key is a
+    parameter name, or ``(name, start, stop)`` for the gradient of rows
+    ``start:stop`` (along the leading axis) of that parameter; Adam is
+    elementwise, so a parameter may arrive in row slabs spread over
+    several groups. Each group is checked, then applied, before the next
+    is requested, so a generator of groups holds one at a time. The step
+    count, and with it the bias correction, advances once per call.
+    Moments are allocated whole, at a parameter's first update.
 
-    Gradients must be finite and shaped like their parameters. A
-    rejected group leaves its parameters and moments as they were and
-    the next group is never requested; the groups before it stay
-    applied. A dict is one group, so a rejected dict leaves ``params``
-    and ``state`` as they were. Each parameter array, whatever its
-    memory layout, is overwritten with its new value, and the moments
-    are updated in place; the gradients are only read.
+    Gradients must be finite and shaped like their parameters or rows,
+    and a row range must lie inside its parameter. A rejected group
+    leaves its parameters' rows and moments as they were and the next
+    group is never requested; the groups before it stay applied. A dict
+    is one group, so a rejected dict leaves ``params`` and ``state`` as
+    they were. Each parameter array, whatever its memory layout, is
+    overwritten with its new value, and the moments are updated in
+    place; the gradients are only read.
 
     Each group's blocks are dealt round-robin to the
     :func:`worker_pool`: one pass checks them, a second updates them.
@@ -488,45 +496,56 @@ def adam_step(params, grads, state):
 def _adam_group(params, grads, state, step):
     """Check the gradients of one group, then apply them as update
     ``step`` (1-based), setting ``state.step`` to it."""
-    names = list(grads)
-    for name in names:
-        grad, value = grads[name], params[name]
-        if grad.shape != value.shape:
+    entries = []  # (parameter name, gradient, flat offset of its range)
+    for key, grad in grads.items():
+        name, rows = (key, None) if isinstance(key, str) else (key[0], key[1:])
+        value = params[name]
+        shape, offset, label = value.shape, 0, name
+        if rows is not None:
+            start, stop = rows
+            label = f"rows {start}:{stop} of {name}"
+            if value.ndim == 0 or not 0 <= start <= stop <= len(value):
+                raise DimensionError(f"{label} lie outside its shape {value.shape}")
+            shape = (stop - start, *value.shape[1:])
+            offset = start * math.prod(value.shape[1:])
+        if grad.shape != shape:
             raise DimensionError(
-                f"gradient for {name} has shape {grad.shape}, "
-                f"parameter has {value.shape}"
+                f"gradient for {label} has shape {grad.shape}, "
+                f"parameter has {shape}"
             )
+        entries.append((name, grad, offset))
     pool = worker_pool()
-    blocks = [(k, start, stop) for k, name in enumerate(names)
-              for start, stop in _blocks(params[name].size, 2 * _CHUNK // pool.workers)]
+    blocks = [(k, start, stop) for k, (_, grad, _) in enumerate(entries)
+              for start, stop in _blocks(grad.size, 2 * _CHUNK // pool.workers)]
     workers = range(min(pool.workers, len(blocks)))
 
     # A flat iterator per block in both passes: a shared one would be
     # moved by every thread slicing it.
     def first_bad(worker):
         return min((k for k, start, stop in blocks[worker::pool.workers]
-                    if not np.isfinite(_flat(grads[names[k]])[start:stop]).all()),
-                   default=len(names))
+                    if not np.isfinite(_flat(entries[k][1])[start:stop]).all()),
+                   default=len(entries))
 
-    bad = min(pool.map(first_bad, workers), default=len(names))
-    if bad < len(names):
-        raise NumericError(f"non-finite gradient for {names[bad]}")
+    bad = min(pool.map(first_bad, workers), default=len(entries))
+    if bad < len(entries):
+        raise NumericError(f"non-finite gradient for {entries[bad][0]}")
     state.step = step
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     correction1 = 1.0 - b1 ** step
     correction2 = 1.0 - b2 ** step
-    for name in names:
+    for name, _, _ in entries:
         if name not in state.moment1:
             state.moment1[name] = np.zeros(params[name].shape)
             state.moment2[name] = np.zeros(params[name].shape)
-    tensors = [(state.moment1[name].reshape(-1), state.moment2[name].reshape(-1),
-                grads[name], params[name]) for name in names]
+    tensors = [(state.moment1[name].reshape(-1)[offset:offset + grad.size],
+                state.moment2[name].reshape(-1)[offset:offset + grad.size],
+                grad, params[name], offset) for name, grad, offset in entries]
     half = (max((stop - start for _, start, stop in blocks), default=0) + 1) // 2
 
     def update(worker):
         scratch = np.empty(2 * half)
         for k, start, stop in blocks[worker::pool.workers]:
-            moment1, moment2, grad, param = tensors[k]
+            moment1, moment2, grad, param, offset = tensors[k]
             m, v, g = moment1[start:stop], moment2[start:stop], _flat(grad)[start:stop]
             t = scratch[:stop - start]
             # The operations and their order are those of the whole-array
@@ -543,7 +562,7 @@ def _adam_group(params, grads, state, step):
             # p = p - (lr*(m/c1)) / (sqrt(v/c2) + eps), half a block at a
             # time. ``p`` is a view of the parameter, or a copy of this
             # range written back when the parameter is not C-contiguous.
-            p = _flat(param)[start:stop]
+            p = _flat(param)[offset + start:offset + stop]
             for lo, hi in _blocks(stop - start, half):
                 t, u = scratch[:hi - lo], scratch[half:half + hi - lo]
                 np.divide(m[lo:hi], correction1, out=t)
@@ -554,7 +573,7 @@ def _adam_group(params, grads, state, step):
                 t /= u
                 p[lo:hi] -= t
             if not param.flags.c_contiguous:
-                param.flat[start:stop] = p
+                param.flat[offset + start:offset + stop] = p
 
     pool.map(update, workers)
 

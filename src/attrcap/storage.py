@@ -36,7 +36,7 @@ import os
 
 import numpy as np
 
-from .nncore import NumericError, worker_pool
+from .nncore import _CHUNK, NumericError, worker_pool
 from .semantics import Vocabulary
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
 FEATURE_MAGIC = b"DAEF"
 CHECKPOINT_MAGIC = b"DAEC"
 FORMAT_VERSION = 1
-# Floats per read of a checkpoint tensor: 256 KB, checked while in cache.
-_CHECKPOINT_SLICE = 1 << 15
 
 
 class FormatError(ValueError):
@@ -295,12 +293,12 @@ def load_checkpoint(path):
         with open(path, "rb") as own:
             for k in range(worker, len(entries), workers):
                 name = entries[k][0]
-                # Straight into the array, slice by slice, each slice
-                # checked while it is still in cache.
+                # Straight into the array, slice by slice (``_CHUNK``
+                # floats), each slice checked while it is still in cache.
                 flat = tensors[name].reshape(-1)
                 own.seek(offsets[k])
-                for start in range(0, flat.size, _CHECKPOINT_SLICE):
-                    piece = flat[start:start + _CHECKPOINT_SLICE]
+                for start in range(0, flat.size, _CHUNK):
+                    piece = flat[start:start + _CHUNK]
                     if own.readinto(piece) != piece.nbytes:
                         return k, f"{path}: truncated while reading tensor {name!r}"
                     if not np.isfinite(piece).all():

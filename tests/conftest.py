@@ -11,6 +11,16 @@ DATA_DIR = Path(__file__).parent / "data"
 T1_PATH = DATA_DIR / "t1_captions.json"
 
 
+@pytest.fixture(scope="session", autouse=True)
+def warm_worker_pool():
+    """Start the process-wide worker pool and run it once before any
+    test, so that no test's ``tracemalloc`` gate counts importing
+    ``concurrent.futures`` or starting the pool's threads."""
+    from attrcap import nncore
+
+    nncore.worker_pool().map(abs, [-1, 1])
+
+
 @pytest.fixture(scope="session")
 def t1_pairs():
     return parse_caption_file(T1_PATH)

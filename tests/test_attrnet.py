@@ -329,14 +329,9 @@ def test_train_rejects_row_mismatch_and_tiny_sets():
                       AttrTrainConfig(epochs=1))
 
 
-def test_training_holds_three_parameter_sets_and_one_layers_gradients():
-    # The parameters, Adam's two moments and one layer's gradients: Adam
-    # writes into the parameters as soon as the backward pass yields a
-    # layer's gradients, which are dropped before the next layer's are
-    # built. The four weight matrices are alike at these shapes, so one
-    # layer's gradients are a quarter of a set; another quarter covers a
-    # batch's activations and Adam's scratch. Three batches, so two
-    # steps' gradients could overlap.
+def training_peak_in_parameter_sets():
+    """Peak ``tracemalloc`` bytes of 3 training steps at width 512, in
+    sets of the trained parameters."""
     config = AttrNetConfig(n_words=512, feature_dim=512, hidden_dim=512)
     rng = Rng(47)
     x = rng.normal((24, config.feature_dim))
@@ -349,8 +344,27 @@ def test_training_holds_three_parameter_sets_and_one_layers_gradients():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    param_set = sum(value.nbytes for value in net.params.values())
-    assert 3.25 * param_set <= peak < 3.5 * param_set
+    return peak / sum(value.nbytes for value in net.params.values())
+
+
+def test_training_holds_three_parameter_sets_and_one_layers_gradients():
+    # The parameters, Adam's two moments and one layer's gradients: Adam
+    # writes into the parameters as soon as the backward pass yields a
+    # layer's gradients, which are dropped before the next layer's are
+    # built. The four weight matrices are alike at these shapes, so one
+    # layer's gradients are a quarter of a set; another quarter covers a
+    # batch's activations and Adam's scratch. Three batches, so two
+    # steps' gradients could overlap. One slab covers each weight here.
+    assert 512 * 512 <= attrnet._GRAD_SLAB
+    assert 3.25 <= training_peak_in_parameter_sets() < 3.5
+
+
+def test_training_holds_three_parameter_sets_and_one_row_slab(monkeypatch):
+    # With slabs of a quarter of a weight, a step's gradients are a
+    # sixteenth of a set; so is Adam's scratch (2 * _CHUNK floats), and
+    # a batch's activations are small beside them.
+    monkeypatch.setattr(attrnet, "_GRAD_SLAB", 512 * 512 // 4)
+    assert training_peak_in_parameter_sets() < 3.25
 
 
 def reference_train(x, y, net_config, train_config):
@@ -399,6 +413,83 @@ def test_per_layer_training_is_bitwise_the_whole_step_loop(monkeypatch, bn_on_ou
         assert state.running_var.tobytes() == ref_net.bn_states[k].running_var.tobytes()
 
 
+# Every weight of these shapes spans 3 or 4 row slabs of ``SLAB``
+# elements, the last one short, and a slab spans more than one of Adam's
+# blocks on two or three workers.
+SLABBED = AttrNetConfig(n_words=420, feature_dim=310, hidden_dim=300, dropout=0.3)
+SLAB = 40000
+
+
+def slab_train(monkeypatch, config, seed=62):
+    """``train_attrnet`` with weight gradients in row slabs of ``SLAB``
+    elements, over 4 epochs of 3 batches; returns the net, the epoch
+    losses, the Adam state, the arguments of the training call and the
+    row ranges applied to each weight."""
+    rng = Rng(seed)
+    x = rng.normal((20, config.feature_dim))
+    y = np.abs(rng.normal((20, config.n_words)))
+    train_config = AttrTrainConfig(learning_rate=0.01, batch_size=8, epochs=4, seed=seed)
+    monkeypatch.setattr(attrnet, "_GRAD_SLAB", SLAB)
+    states, ranges = [], {}
+    monkeypatch.setattr(attrnet, "AdamState",
+                        lambda **kwargs: states.append(AdamState(**kwargs)) or states[-1])
+
+    def recording_adam_step(params, groups, state):
+        def recorded():
+            for group in groups:
+                for key in group:
+                    if isinstance(key, tuple):
+                        ranges.setdefault(key[0], set()).add(key[1:])
+                yield group
+        adam_step(params, recorded(), state)
+
+    monkeypatch.setattr(attrnet, "adam_step", recording_adam_step)
+    net, losses = train_attrnet(x, y, config, train_config)
+    (adam,) = states
+    return net, losses, adam, (x, y, config, train_config), ranges
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_row_slab_training_is_within_1e_10_of_the_whole_step_loop(monkeypatch, bn_on_output):
+    config = replace(SLABBED, bn_on_output=bn_on_output)
+    net, losses, adam, inputs, ranges = slab_train(monkeypatch, config)
+    for k in range(1, 5):
+        rows = net.params[f"fc{k}.w"].shape[0]
+        spans = sorted(ranges[f"fc{k}.w"])
+        size = spans[0][1]
+        assert spans == [(start, min(start + size, rows)) for start in range(0, rows, size)]
+        assert len(spans) >= 3 and rows % size
+    ref_net, ref_losses, ref_adam = reference_train(*inputs)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    assert close(np.array(losses), np.array(ref_losses))
+    assert adam.step == ref_adam.step == 4 * 3
+    ref_tensors = ref_net.tensors()
+    assert sorted(net.tensors()) == sorted(ref_tensors)
+    for name, tensor in net.tensors().items():
+        assert close(tensor, ref_tensors[name]), name
+    for name in net.params:
+        assert close(adam.moment1[name], ref_adam.moment1[name]), name
+        assert close(adam.moment2[name], ref_adam.moment2[name]), name
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_row_slab_training_is_bitwise_the_same_for_any_worker_count(
+        monkeypatch, pool_of, bn_on_output):
+    config = replace(SLABBED, bn_on_output=bn_on_output)
+    runs = []
+    for workers in (1, 2, 3, 2):  # the last one a rerun
+        pool_of(workers)
+        net, losses, adam, _, _ = slab_train(monkeypatch, config)
+        runs.append([np.array(losses).tobytes(), adam.step]
+                    + [tensor.tobytes() for tensor in net.tensors().values()]
+                    + [m.tobytes() for m in adam.moment1.values()]
+                    + [v.tobytes() for v in adam.moment2.values()])
+    assert all(run == runs[0] for run in runs[1:])
+
+
 @pytest.mark.parametrize("bn_on_output", [True, False])
 def test_backward_groups_write_weight_gradients_into_the_buffer(bn_on_output):
     config = AttrNetConfig(n_words=5, feature_dim=7, hidden_dim=9, dropout=0.3,
@@ -412,18 +503,32 @@ def test_backward_groups_write_weight_gradients_into_the_buffer(bn_on_output):
 
     fresh = backward_of(net.backward)
     # ``backward`` merges the groups, so its arrays are independent.
-    weights = [fresh[f"fc{k}.w"] for k in range(1, 5)]
-    assert not any(np.shares_memory(a, b) for a in weights for b in weights if a is not b)
-    buffer = np.full(max(w.size for w in weights), np.nan)
-    seen = []
-    for group in backward_of(lambda dout, caches: net.backward_groups(dout, caches, buffer)):
-        (name,) = [name for name in group if name.endswith(".w")]
-        # Valid until the next group is asked for, which overwrites it.
-        assert np.shares_memory(group[name], buffer)
-        for grad_name, grad in group.items():
-            assert grad.tobytes() == fresh[grad_name].tobytes(), grad_name
-        seen.extend(group)
-    assert sorted(seen) == sorted(net.params)
+    weights = {name: grad for name, grad in fresh.items() if name.endswith(".w")}
+    assert not any(np.shares_memory(a, b) for a in weights.values()
+                   for b in weights.values() if a is not b)
+    whole = max(w.size for w in weights.values())
+    # One slab per weight, then slabs of 1 to 4 rows, the last ones short.
+    for size in (whole, 20):
+        buffer = np.full(size, np.nan)
+        seen, covered, slabs = [], {}, 0
+        for group in backward_of(lambda dout, caches: net.backward_groups(dout, caches, buffer)):
+            ((name, start, stop),) = [key for key in group if isinstance(key, tuple)]
+            slab, want = group[name, start, stop], weights[name][start:stop]
+            # Valid until the next group is asked for, which overwrites it.
+            assert np.shares_memory(slab, buffer)
+            assert covered.get(name, 0) == start < stop
+            covered[name] = stop
+            if size == whole:
+                assert slab.tobytes() == want.tobytes(), name
+            else:
+                assert np.abs(slab - want).max() <= 1e-10 * np.abs(weights[name]).max()
+            for grad_name in set(group) - {(name, start, stop)}:
+                assert group[grad_name].tobytes() == fresh[grad_name].tobytes(), grad_name
+                seen.append(grad_name)
+            slabs += 1
+        assert covered == {name: len(w) for name, w in weights.items()}
+        assert sorted(seen + list(covered)) == sorted(net.params)
+        assert slabs == (4 if size == whole else 4 + 5 + 5 + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +568,9 @@ def test_predict_ensemble_identical_members_bitwise_identical():
 
 
 def test_predict_ensemble_fills_one_buffer_member_by_member():
-    # The (K, N, A) buffer and one member's prediction at most: K + 1
-    # prediction matrices, where stacking a list of them holds 2K.
+    # The members' K predictions, which the mean reduces in place, and
+    # its one scratch matrix: K + 1 prediction matrices, where stacking
+    # them first holds 2K.
     x = np.zeros((500, 4))
     nets = [_StubNet(0.25 * (k + 1), n_words=400) for k in range(3)]
     want = ensemble_mean(np.stack([net.predict(x) for net in nets]))

@@ -654,6 +654,93 @@ def test_rejected_adam_group_is_untouched_and_ends_the_step(primed):
     assert adam_snapshot(params, state) == adam_snapshot(expected_params, expected)
 
 
+def adam_row_slab_steps():
+    """Two Adam steps given as row slabs, an empty one among them, of a
+    C-order matrix whose slabs span several blocks of every worker, of a
+    Fortran-order matrix with a Fortran-order gradient and of a vector,
+    mixed with a whole parameter and in any order, each checked against
+    one whole-dict step (the first allocates the moments)."""
+    rng = Rng(48)
+    shapes = {"long": (5, _CHUNK // 2 + 7), "fortran": (7, 6), "vector": (11,), "whole": (3, 4)}
+    params = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
+    params["fortran"] = np.asfortranarray(params["fortran"])
+    whole_params = {name: p.copy() for name, p in params.items()}
+    state = AdamState(learning_rate=0.01)
+    whole = AdamState(learning_rate=0.01)
+    for _ in range(2):
+        grads = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
+        grads["fortran"] = np.asfortranarray(grads["fortran"])
+        adam_step(whole_params, grads, whole)
+        long, fortran, vector = grads["long"], grads["fortran"], grads["vector"]
+        slabs = [{("long", 2, 5): long[2:], "whole": grads["whole"]},
+                 {("fortran", 0, 3): fortran[:3], ("vector", 4, 11): vector[4:]},
+                 {("long", 0, 2): long[:2], ("fortran", 3, 3): fortran[3:3]},
+                 {("fortran", 3, 7): fortran[3:], ("vector", 0, 4): vector[:4]}]
+        requested = []
+        assert adam_step(params, adam_groups(slabs, requested), state) is None
+        assert requested == [0, 1, 2, 3]
+        assert adam_snapshot(params, state) == adam_snapshot(whole_params, whole)
+    assert not params["fortran"].flags.c_contiguous
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_adam_row_slabs_are_bitwise_one_whole_dict_step(pool_of, workers):
+    pool_of(workers)
+    # Switching threads as often as possible.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        adam_row_slab_steps()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("primed", [False, True])
+def test_rejected_row_slab_ends_the_step_after_the_slabs_before_it(primed):
+    rng = Rng(49)
+    params = {"w": rng.normal((9, 4)), "b": rng.normal((4,))}
+    state = AdamState(learning_rate=0.01)
+    if primed:
+        adam_step(params, {name: rng.normal(p.shape) for name, p in params.items()}, state)
+    grads = {name: rng.normal(p.shape) for name, p in params.items()}
+    step = state.step
+    old = [array.copy() for array in (params["w"], state.moment1.get("w", np.zeros((9, 4))),
+                                      state.moment2.get("w", np.zeros((9, 4))))]
+    # The expected state: the first slab and ``b`` applied as this call's
+    # step, and the rest of ``w`` and of its moments as they were.
+    expected_params = {name: p.copy() for name, p in params.items()}
+    expected = AdamState(learning_rate=0.01, step=state.step,
+                         moment1={n: m.copy() for n, m in state.moment1.items()},
+                         moment2={n: v.copy() for n, v in state.moment2.items()})
+    first = {"b": grads["b"], ("w", 0, 3): grads["w"][:3]}
+    adam_step(expected_params, adam_groups([first], []), expected)
+    grads["w"][4, 1] = np.nan
+    requested = []
+    with pytest.raises(NumericError, match="non-finite gradient for w$"):
+        adam_step(params, adam_groups([first, {("w", 3, 6): grads["w"][3:6]},
+                                       {("w", 6, 9): grads["w"][6:]}], requested), state)
+    assert requested == [0, 1]
+    assert adam_snapshot(params, state) == adam_snapshot(expected_params, expected)
+    assert state.step == step + 1
+    # The first slab's rows and moments are updated, the later ones not.
+    for array, was in zip((params["w"], state.moment1["w"], state.moment2["w"]), old):
+        assert not np.array_equal(array[:3], was[:3])
+        assert array[3:].tobytes() == was[3:].tobytes()
+
+
+def test_adam_rejects_row_ranges_outside_the_parameter():
+    params = {"w": np.zeros((4, 3)), "s": np.zeros(())}
+    state = AdamState(learning_rate=0.1)
+    for name, start, stop in [("w", 3, 5), ("w", -1, 2), ("w", 3, 2), ("s", 0, 0)]:
+        grad = np.zeros((max(stop - start, 0), *params[name].shape[1:]))
+        with pytest.raises(DimensionError, match=f"rows {start}:{stop} of {name} lie outside"):
+            adam_step(params, iter([{(name, start, stop): grad}]), state)
+    with pytest.raises(DimensionError, match="gradient for rows 0:2 of w has shape"):
+        adam_step(params, iter([{("w", 0, 2): np.zeros((3, 3))}]), state)
+    assert state.step == 0 and not state.moment1 and not state.moment2
+    assert not params["w"].any()
+
+
 def peak_traced_bytes(call):
     """Peak bytes that ``call()`` allocates, as ``tracemalloc`` sees it."""
     tracemalloc.start()

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrcap import storage
-from attrcap.nncore import Rng
+from attrcap.nncore import _CHUNK, Rng
 from attrcap.semantics import Vocabulary
 from attrcap.storage import (
     FEATURE_MAGIC,
@@ -208,7 +208,7 @@ def test_checkpoint_short_read_mid_tensor_detected(tmp_path, monkeypatch):
 def test_checkpoint_non_finite_value_names_its_tensor(tmp_path, bad):
     # One bad value past the first read slice of a tensor.
     path = tmp_path / "model.ckpt"
-    w = Rng(5).normal((3, storage._CHECKPOINT_SLICE))
+    w = Rng(5).normal((3, _CHUNK))
     w[2, 7] = bad
     save_checkpoint(path, {"b": np.ones(2), "w": w}, {})
     with pytest.raises(FormatError, match=f"{path}: non-finite value in tensor 'w'"):
@@ -219,9 +219,9 @@ def assorted_tensors():
     """More tensors than workers, of every size: several read slices,
     one slice, empty, 0-d and a partial last slice."""
     rng = Rng(8)
-    return {"big": rng.normal((3, storage._CHECKPOINT_SLICE + 5)),
+    return {"big": rng.normal((3, _CHUNK + 5)),
             "scalar": np.array(-2.5), "empty": np.zeros((0, 4)),
-            "w": rng.normal((7, 9)), "slice": rng.normal((storage._CHECKPOINT_SLICE,)),
+            "w": rng.normal((7, 9)), "slice": rng.normal((_CHUNK,)),
             "b": rng.normal((5,))}
 
 

@@ -39,6 +39,10 @@ run_pipeline() {
     attrcap train-attr --features feats.daef --attrs gt.jsonl \
         --out-model attr.daec --hidden 16 --epochs 40 --batch-size 2 \
         --learning-rate 0.003 --ensemble 2 --seed 5
+    # Each 1024 x 1024 hidden weight's gradient spans two row slabs.
+    attrcap train-attr --features feats.daef --attrs gt.jsonl \
+        --out-model attr_wide.daec --hidden 1024 --epochs 4 --batch-size 2 \
+        --learning-rate 0.003 --ensemble 2 --seed 5
     attrcap predict-attr --features feats.daef --model attr.daec \
         --out-attrs pred.jsonl --seed 5
     attrcap train-captioner --captions captions.json --features feats.daef \
@@ -66,11 +70,11 @@ run_pipeline run1
 echo "== run 2 (determinism) =="
 run_pipeline run2 > /dev/null
 
-for f in vocab.json gt.jsonl sizes.json attr.daec pred.jsonl cap.daec \
-         cap_drop.daec decoded.jsonl f1.json scores.json; do
+for f in vocab.json gt.jsonl sizes.json attr.daec attr_wide.daec pred.jsonl \
+         cap.daec cap_drop.daec decoded.jsonl f1.json scores.json; do
     cmp run1/"$f" run2/"$f" || { echo "MISMATCH: $f"; exit 1; }
 done
-echo "determinism: all 10 artifacts byte-identical"
+echo "determinism: all 11 artifacts byte-identical"
 
 # Attribute lines are assembled without json.dumps of each record: they
 # must still be exactly what json.dumps(record, sort_keys=True) writes.
@@ -84,21 +88,24 @@ for line in sys.stdin:
 done
 echo "attribute files: every line is json.dumps of its record"
 
-# Serving on one CPU runs the worker pool with one worker: predictions
-# and decodes must not depend on the worker count.
+# One CPU runs the worker pool with one worker: row-slab training,
+# predictions and decodes must not depend on the worker count.
 if command -v taskset >/dev/null 2>&1; then
     mkdir -p one_cpu
-    cp captions.json feats.daef run1/attr.daec run1/cap.daec one_cpu/
+    cp captions.json feats.daef run1/gt.jsonl run1/attr.daec run1/cap.daec one_cpu/
     cd one_cpu
+    taskset -c 0 attrcap train-attr --features feats.daef --attrs gt.jsonl \
+        --out-model attr_wide.daec --hidden 1024 --epochs 4 --batch-size 2 \
+        --learning-rate 0.003 --ensemble 2 --seed 5 > /dev/null
     taskset -c 0 attrcap predict-attr --features feats.daef --model attr.daec \
         --out-attrs pred.jsonl --seed 5 > /dev/null
     taskset -c 0 attrcap caption --features feats.daef --attrs pred.jsonl \
         --model cap.daec --beam 3 --max-len 8 --out decoded.jsonl --seed 7 > /dev/null
     cd ..
-    for f in pred.jsonl decoded.jsonl; do
+    for f in attr_wide.daec pred.jsonl decoded.jsonl; do
         cmp run1/"$f" one_cpu/"$f" || { echo "MISMATCH: $f on one CPU"; exit 1; }
     done
-    echo "one CPU: predictions and decodes byte-identical"
+    echo "one CPU: wide training, predictions and decodes byte-identical"
 fi
 
 echo "== decoded captions =="
