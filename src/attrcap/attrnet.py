@@ -213,15 +213,15 @@ class AttrNet:
         asking for the next group. ``caches`` is consumed: each layer's
         entry is released once its last group is out.
 
-        Without ``buffer`` a layer is one group, its weight gradient one
-        fresh array under ``fc{k}.w``. With ``buffer``, a flat float64
-        array holding at least one row of every weight, the weight
-        gradient comes in consecutive row slabs of as many rows as fit
-        in ``buffer``, one group each, keyed ``(f"fc{k}.w", start,
-        stop)``; the layer's other gradients ride in its first slab's
-        group. Each slab is computed into ``buffer``, so it is valid only
-        until the next group is asked for, and a step holds one slab of
-        one weight gradient, not a whole layer's.
+        With ``buffer``, a flat float64 array holding at least one row
+        of every weight, the weight gradient comes in consecutive row
+        slabs of as many rows as fit in ``buffer``, one group each, keyed
+        ``(f"fc{k}.w", start, stop)``; the layer's other gradients ride
+        in its first slab's group. Each slab is computed into ``buffer``,
+        so it is valid only until the next group is asked for, and a step
+        holds one slab of one weight gradient, not a whole layer's.
+        Without ``buffer`` a layer is one group: its weight gradient is
+        one slab of all the rows, in a fresh array keyed ``fc{k}.w``.
         """
         for k in range(_N_LAYERS, 0, -1):
             layer_in, w, bn_cache, active, drop_cache = caches.pop()
@@ -237,20 +237,16 @@ class AttrNet:
             del bn_cache, active, drop_cache
             # Nothing consumes the gradient of the network's input.
             below = dout @ w.T if k > 1 else None
-            if buffer is None:
-                group[f"fc{k}.w"] = layer_in.T @ dout
+            rows, cols = w.shape
+            target, slab = ((np.empty(w.size), max(rows, 1)) if buffer is None
+                            else (buffer, buffer.size // cols))
+            # At least one group, so the layer's other gradients go out.
+            for start, stop in batch_slices(rows, slab) or [(0, 0)]:
+                key = f"fc{k}.w" if buffer is None else (f"fc{k}.w", start, stop)
+                out = target[:(stop - start) * cols].reshape(stop - start, cols)
+                group[key] = np.matmul(layer_in[:, start:stop].T, dout, out=out)
                 yield group
-            else:
-                rows, cols = w.shape
-                slab = buffer.size // cols
-                # At least one group, so the layer's other gradients go out.
-                for start in range(0, max(rows, 1), slab):
-                    stop = min(start + slab, rows)
-                    group[(f"fc{k}.w", start, stop)] = np.matmul(
-                        layer_in[:, start:stop].T, dout,
-                        out=buffer[:(stop - start) * cols].reshape(stop - start, cols))
-                    yield group
-                    group = {}  # the last one is not alive while the next is built
+                group = {}  # the last one is not alive while the next is built
             del group, layer_in, w
             dout = below
 
@@ -362,11 +358,11 @@ def _in_row_blocks(predict, x):
     if x.ndim != 2 or len(x) <= _PREDICT_BLOCK:
         return predict(x)
     out = None
-    for start in range(0, len(x), _PREDICT_BLOCK):
-        rows = predict(x[start:start + _PREDICT_BLOCK])
+    for start, stop in batch_slices(len(x), _PREDICT_BLOCK):
+        rows = predict(x[start:stop])
         if out is None:  # allocated once the width is known
             out = np.empty((len(x), *rows.shape[1:]))
-        out[start:start + len(rows)] = rows
+        out[start:stop] = rows
         del rows  # not alive while the next block is predicted
     return out
 

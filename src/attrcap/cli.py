@@ -181,6 +181,14 @@ def _load_documents(path, stem):
     return build_documents(parse_caption_file(path), apply_stemming=stem)
 
 
+def _joined_inputs(args):
+    """``(image_ids, features, attributes)`` of ``--features`` and
+    ``--attrs``, joined on image id in the feature file's order."""
+    feature_ids, features = storage.read_features(args.features)
+    attr_ids, attrs, _ = storage.load_attributes(args.attrs)
+    return attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
+
+
 # --------------------------------------------------------------------------
 # Subcommand implementations
 # --------------------------------------------------------------------------
@@ -219,9 +227,7 @@ def _cmd_vocab_report(args, meta):
 def _cmd_train_attr(args, meta):
     if args.ensemble < 1:
         raise UsageError("--ensemble must be at least 1")
-    feature_ids, features = storage.read_features(args.features)
-    attr_ids, attrs, _ = storage.load_attributes(args.attrs)
-    _, x, y = attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
+    _, x, y = _joined_inputs(args)
     net_config = attrnet_mod.AttrNetConfig(
         n_words=y.shape[1],
         feature_dim=x.shape[1],
@@ -294,9 +300,7 @@ def _load_word_embeddings(path, vocab, embed_dim, base):
 
 def _assemble_caption_samples(args):
     pairs = parse_caption_file(args.captions)
-    feature_ids, features = storage.read_features(args.features)
-    attr_ids, attrs, _ = storage.load_attributes(args.attrs)
-    _, x, d = attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
+    feature_ids, x, d = _joined_inputs(args)
     row_of = {image_id: row for row, image_id in enumerate(feature_ids)}
     caption_ids = sorted({image_id for image_id, _ in pairs})
     missing = [image_id for image_id in caption_ids if image_id not in row_of]
@@ -384,9 +388,7 @@ def _cmd_train_captioner(args, meta):
 
 
 def _cmd_caption(args, meta):
-    feature_ids, features = storage.read_features(args.features)
-    attr_ids, attrs, _ = storage.load_attributes(args.attrs)
-    _, x, d = attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
+    feature_ids, x, d = _joined_inputs(args)
     models, vocab = scnlstm_mod.load_captioner_ensemble(args.model)
     sequences = []
     for start, stop in batch_slices(len(feature_ids), _DECODE_BLOCK):

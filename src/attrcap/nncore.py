@@ -28,24 +28,7 @@ ensemble's members one at a time, as its caller asks for them.
 
 :func:`worker_pool` is one process-wide pool of threads, started at
 first use, with one worker per CPU the process may run on (at most
-``_MAX_WORKERS``). NumPy releases the interpreter lock inside its loops
-and BLAS calls, so independent pieces of one computation overlap on
-separate cores. These kinds of work run on it:
-
-* the blocks of :func:`adam_step`, dealt round-robin to the workers
-  (first its finiteness check, then its update);
-* the tensors of a checkpoint (:func:`attrcap.storage.load_checkpoint`),
-  dealt round-robin, each worker reading through its own file handle;
-* the ensemble members of one beam-search step
-  (:func:`attrcap.scnlstm.ensemble_beam_search_block`), each writing its
-  own slab of one shared buffer, and then the step's rows, one slab per
-  worker, each reduced by :func:`ensemble_mean`, logged and ranked;
-* the ensemble members of one block of rows of an attribute prediction
-  (:func:`attrcap.attrnet.predict_ensemble`).
-
-Every piece runs the same operations in the same order, whichever thread
-runs it, and no piece reads what another writes, so results are bitwise
-the same for any worker count. No piece submits work to the pool itself.
+``_MAX_WORKERS``); :class:`WorkerPool` states what its work must obey.
 """
 
 from __future__ import annotations
@@ -110,7 +93,17 @@ class WorkerPool:
     """``workers`` threads that run the calls of one :meth:`map` at once.
 
     With one worker, or a single call, the calls run in the calling
-    thread.
+    thread. NumPy releases the interpreter lock inside its loops and
+    BLAS calls, so the pieces of one computation overlap on separate
+    cores. Every piece of work given to the pool obeys one contract:
+
+    * every piece runs the same operations in the same order, whichever
+      thread runs it, so results are bitwise the same for any worker
+      count;
+    * pieces write disjoint memory that the calling thread allocated
+      (arrays allocated on a pool thread and freed stay in that
+      thread's allocator arena);
+    * no piece submits work to the pool.
     """
 
     def __init__(self, workers):
@@ -133,6 +126,20 @@ class WorkerPool:
         context = contextvars.copy_context()
         return list(self._executor.map(
             lambda item: context.copy().run(function, item), items))
+
+    def deal(self, function, items):
+        """Deal ``items`` round-robin into one share per worker, never
+        more shares than items, each share a list in item order; run
+        ``function(share)`` on every share at once and return the least
+        result that is not ``None``, or ``None``. A function that returns
+        the position of its share's first failure (or a tuple starting
+        with it) thus yields the first failure in item order, whichever
+        worker finds it."""
+        items = list(items)
+        shares = [items[first::self.workers]
+                  for first in range(min(self.workers, len(items)))]
+        return min((result for result in self.map(function, shares) if result is not None),
+                   default=None)
 
 
 _POOL = None
@@ -183,12 +190,6 @@ def _mix64(z, scratch):
     return z
 
 
-def _blocks(count, size=_CHUNK):
-    """``(start, stop)`` of the consecutive ``size``-long blocks of
-    ``range(count)``."""
-    return ((start, min(start + size, count)) for start in range(0, count, size))
-
-
 def _draw_bits(seed, first, count):
     """Yield ``(start, bits)`` over the raw draws ``first .. first +
     count - 1`` of stream ``seed``, block by block: ``bits[k]`` is raw
@@ -196,7 +197,7 @@ def _draw_bits(seed, first, count):
     view of a buffer that the next block overwrites."""
     z = np.empty(min(count, _CHUNK), dtype=np.uint64)
     scratch = np.empty_like(z)
-    for start, stop in _blocks(count):
+    for start, stop in batch_slices(count, _CHUNK):
         bits = z[:stop - start]
         # Raw draw i is mix64(seed + (i + 1) * GAMMA), all modulo 2**64.
         np.add(_STRIDES[:len(bits)],
@@ -478,8 +479,9 @@ def adam_step(params, grads, state):
     overwritten with its new value, and the moments are updated in
     place; the gradients are only read.
 
-    Each group's blocks are dealt round-robin to the
-    :func:`worker_pool`: one pass checks them, a second updates them.
+    Each group's blocks are dealt to the :func:`worker_pool`
+    (:meth:`WorkerPool.deal`): one pass checks them, a second updates
+    them.
     Each worker keeps one block of scratch, so all the scratch together
     holds ``2 * _CHUNK`` floats; the last stage runs over each half of a
     block in turn, with the scratch halves holding its numerator and
@@ -516,18 +518,16 @@ def _adam_group(params, grads, state, step):
         entries.append((name, grad, offset))
     pool = worker_pool()
     blocks = [(k, start, stop) for k, (_, grad, _) in enumerate(entries)
-              for start, stop in _blocks(grad.size, 2 * _CHUNK // pool.workers)]
-    workers = range(min(pool.workers, len(blocks)))
+              for start, stop in batch_slices(grad.size, 2 * _CHUNK // pool.workers)]
 
     # A flat iterator per block in both passes: a shared one would be
     # moved by every thread slicing it.
-    def first_bad(worker):
-        return min((k for k, start, stop in blocks[worker::pool.workers]
-                    if not np.isfinite(_flat(entries[k][1])[start:stop]).all()),
-                   default=len(entries))
+    def first_bad(share):
+        return next((k for k, start, stop in share
+                     if not np.isfinite(_flat(entries[k][1])[start:stop]).all()), None)
 
-    bad = min(pool.map(first_bad, workers), default=len(entries))
-    if bad < len(entries):
+    bad = pool.deal(first_bad, blocks)
+    if bad is not None:
         raise NumericError(f"non-finite gradient for {entries[bad][0]}")
     state.step = step
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
@@ -542,9 +542,9 @@ def _adam_group(params, grads, state, step):
                 grad, params[name], offset) for name, grad, offset in entries]
     half = (max((stop - start for _, start, stop in blocks), default=0) + 1) // 2
 
-    def update(worker):
+    def update(share):
         scratch = np.empty(2 * half)
-        for k, start, stop in blocks[worker::pool.workers]:
+        for k, start, stop in share:
             moment1, moment2, grad, param, offset = tensors[k]
             m, v, g = moment1[start:stop], moment2[start:stop], _flat(grad)[start:stop]
             t = scratch[:stop - start]
@@ -563,7 +563,7 @@ def _adam_group(params, grads, state, step):
             # time. ``p`` is a view of the parameter, or a copy of this
             # range written back when the parameter is not C-contiguous.
             p = _flat(param)[offset + start:offset + stop]
-            for lo, hi in _blocks(stop - start, half):
+            for lo, hi in batch_slices(stop - start, half):
                 t, u = scratch[:hi - lo], scratch[half:half + hi - lo]
                 np.divide(m[lo:hi], correction1, out=t)
                 t *= lr
@@ -575,11 +575,12 @@ def _adam_group(params, grads, state, step):
             if not param.flags.c_contiguous:
                 param.flat[offset + start:offset + stop] = p
 
-    pool.map(update, workers)
+    pool.deal(update, blocks)
 
 
 def batch_slices(n, batch_size, min_size=1):
-    """Contiguous ``(start, stop)`` ranges covering ``range(n)``.
+    """Contiguous ``(start, stop)`` ranges covering ``range(n)``, each
+    ``batch_size`` long but the last; none when ``n`` is 0.
 
     A trailing batch shorter than ``min_size`` is merged into the one
     before it (batch normalization, for one, needs two rows).

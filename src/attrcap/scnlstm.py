@@ -651,9 +651,8 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
     z = [features @ m.params["Cv"].T for m in models]
     d_terms = [m.attribute_terms(d) for m in models]
     # Member k's next-token distributions over a step's rows go to
-    # ``probs[k, :rows]``: one buffer for the whole block, allocated here
-    # rather than by the pool's threads, whose freed arrays would stay
-    # in their own allocator arenas.
+    # ``probs[k, :rows]``: one buffer for the whole block, allocated here,
+    # as the pool's contract asks.
     probs = np.empty((len(models), n_images * beam_width, models[0].config.vocab_size))
     pool = nncore.worker_pool()
 
@@ -663,9 +662,9 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
         ``rank`` is set, the :func:`_best_continuations` of the rows.
 
         The members run at once on the worker pool. Then the rows are
-        cut into one slab per worker, and each slab's mean, log and
-        ranking run at once: all three are row-local, so the result is
-        the same for any cut. The mean and its log are computed in
+        cut into at most one slab per worker, and each slab's mean, log
+        and ranking run at once: all three are row-local, so the result
+        is the same for any cut. The mean and its log are computed in
         place in the buffer, so the log probabilities are a view of
         ``probs[0, :rows]``: valid only until the next call."""
         n_rows = len(image)
@@ -689,9 +688,8 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
             return None
 
         states = pool.map(advance, range(len(models)))
-        bounds = sorted({n_rows * w // pool.workers for w in range(pool.workers + 1)})
         with np.errstate(divide="ignore"):
-            ranked = pool.map(reduce, zip(bounds, bounds[1:]))
+            ranked = pool.map(reduce, batch_slices(n_rows, -(-n_rows // pool.workers)))
         continuations = tuple(map(np.concatenate, zip(*ranked))) if rank else None
         return rows[0], states, continuations
 

@@ -36,7 +36,7 @@ import os
 
 import numpy as np
 
-from .nncore import _CHUNK, NumericError, worker_pool
+from .nncore import _CHUNK, NumericError, batch_slices, worker_pool
 from .semantics import Vocabulary
 
 __all__ = [
@@ -71,6 +71,17 @@ def _read_exact(handle, count, path, what):
     if len(data) != count:
         raise FormatError(f"{path}: truncated while reading {what}")
     return data
+
+
+def _check_magic(handle, path, magic, kind):
+    """Read and check the four-byte ``magic`` and the version word of a
+    ``kind`` file."""
+    found = _read_exact(handle, 4, path, "magic")
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found!r}, expected {magic!r}")
+    version = int(np.frombuffer(_read_exact(handle, 4, path, "version"), "<u4")[0])
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported {kind} version {version}")
 
 
 # --------------------------------------------------------------------------
@@ -118,12 +129,7 @@ def read_features(path):
     except OSError as exc:
         raise FormatError(f"cannot read feature file {path}: {exc}") from exc
     with handle:
-        magic = _read_exact(handle, 4, path, "magic")
-        if magic != FEATURE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-        version = int(np.frombuffer(_read_exact(handle, 4, path, "version"), "<u4")[0])
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported feature version {version}")
+        _check_magic(handle, path, FEATURE_MAGIC, "feature")
         dim = int(np.frombuffer(_read_exact(handle, 4, path, "dim"), "<u4")[0])
         count = int(np.frombuffer(_read_exact(handle, 8, path, "count"), "<u8")[0])
         record = 8 + 4 * dim
@@ -227,10 +233,11 @@ def load_checkpoint(path):
     and every value must be finite.
 
     Once the header and the file size check out, the tensors are dealt
-    round-robin to the :func:`attrcap.nncore.worker_pool`. Each worker
-    reads its tensors through its own handle, straight into fresh arrays
-    that the calling thread allocates, and checks each slice while it is
-    in cache. A short read or a non-finite value is reported for the
+    to the :func:`attrcap.nncore.worker_pool`
+    (:meth:`attrcap.nncore.WorkerPool.deal`). Each worker reads its
+    tensors through its own handle, straight into fresh arrays that the
+    calling thread allocates, and checks each slice while it is in
+    cache. A short read or a non-finite value is reported for the
     first such tensor in header order, whichever worker finds it.
     Tensors are native, writable, C-contiguous float64 arrays that own
     their memory.
@@ -240,14 +247,7 @@ def load_checkpoint(path):
     except OSError as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     with handle:
-        magic = _read_exact(handle, 4, path, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(
-                f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
-            )
-        version = int(np.frombuffer(_read_exact(handle, 4, path, "version"), "<u4")[0])
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        _check_magic(handle, path, CHECKPOINT_MAGIC, "checkpoint")
         header_len = int(
             np.frombuffer(_read_exact(handle, 8, path, "header length"), "<u8")[0]
         )
@@ -280,32 +280,29 @@ def load_checkpoint(path):
             raise FormatError(f"{path}: header lists {offsets[-1] - offsets[0]} tensor "
                               f"bytes, file holds {size - offsets[0]} "
                               "(truncated or trailing bytes)")
-    # Allocated here, not by the pool's threads, whose freed arrays would
-    # stay in their own allocator arenas; the pages are first touched by
-    # the reads.
+    # Allocated here, as the pool's contract asks; the pages are first
+    # touched by the reads.
     tensors = {name: np.empty(shape, "<f8") for name, shape in entries}
-    pool = worker_pool()
-    workers = min(pool.workers, len(entries))
 
-    def read(worker):
-        """Read worker ``worker``'s tensors (every ``workers``-th from it);
-        returns ``(position, message)`` of its first bad one, or ``None``."""
+    def read(share):
+        """Read the tensors at header positions ``share``; returns
+        ``(position, message)`` of the first bad one, or ``None``."""
         with open(path, "rb") as own:
-            for k in range(worker, len(entries), workers):
+            for k in share:
                 name = entries[k][0]
                 # Straight into the array, slice by slice (``_CHUNK``
                 # floats), each slice checked while it is still in cache.
                 flat = tensors[name].reshape(-1)
                 own.seek(offsets[k])
-                for start in range(0, flat.size, _CHUNK):
-                    piece = flat[start:start + _CHUNK]
+                for start, stop in batch_slices(flat.size, _CHUNK):
+                    piece = flat[start:stop]
                     if own.readinto(piece) != piece.nbytes:
                         return k, f"{path}: truncated while reading tensor {name!r}"
                     if not np.isfinite(piece).all():
                         return k, f"{path}: non-finite value in tensor {name!r}"
         return None
 
-    bad = min(filter(None, pool.map(read, range(workers))), default=None)
+    bad = worker_pool().deal(read, range(len(entries)))
     if bad is not None:
         raise FormatError(bad[1])
     return {name: tensor.astype(np.float64, copy=False)

@@ -270,6 +270,9 @@ def test_batch_slices_cover_and_merge_singleton():
     assert slices(2, 128) == [(0, 2)]
     assert slices(1, 4) == [(0, 1)]
     assert batch_slices(5, 2) == [(0, 2), (2, 4), (4, 5)]  # min_size=1 keeps it
+    assert batch_slices(0, 3) == []
+    assert batch_slices(6, 3) == [(0, 3), (3, 6)]
+    assert batch_slices(4, 9) == [(0, 4)]
     with pytest.raises(ParameterError):
         slices(4, 0)
 

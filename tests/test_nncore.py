@@ -1,6 +1,7 @@
 """Numerical-kernel tests: RNG, layers, Adam, init, and check harnesses."""
 
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -784,6 +785,41 @@ def test_pool_calls_run_under_the_callers_errstate(pool_of):
     with np.errstate(all="ignore"):
         assert pool.map(lambda _: np.geterr()["over"], range(4)) == ["ignore"] * 4
     assert pool.map(lambda _: np.geterr()["over"], range(4)) == [np.geterr()["over"]] * 4
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_deal_returns_the_first_failure_in_item_order(pool_of, workers):
+    pool_of(workers)
+    pool = worker_pool()
+
+    def deal(items, bad):
+        """``pool.deal`` of a check that returns the position of its
+        share's first item in ``bad``, and the shares it saw. The share
+        that holds the earliest such item finishes last."""
+        shares = []
+
+        def check(share):
+            shares.append(share)
+            if bad and min(bad) in share:
+                time.sleep(0.002)
+            return next((k for k in share if k in bad), None)
+
+        return pool.deal(check, items), sorted(shares)
+
+    # Switching threads as often as possible.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in range(8):
+            items = list(range(n))
+            # Round-robin, one share per worker but never an empty one,
+            # each in item order.
+            dealt = [items[worker::workers] for worker in range(min(workers, n))]
+            for bad in [set(), {0}, {n - 1}, {0, n - 1}, set(items[n // 2:]), {1, 2}]:
+                bad &= set(items)
+                assert deal(items, bad) == (min(bad, default=None), dealt), (n, bad)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 5])

@@ -1,8 +1,20 @@
 #!/bin/sh
 # End-to-end drive of the installed `attrcap` binary in a scratch dir.
+# Without an installed one, it drives this checkout's `src/`.
 set -eu
+SRC="$(cd "$(dirname "$0")/../src" && pwd)"
 WORK="$(mktemp -d)"
 cd "$WORK"
+
+# A shim file, not a shell function: `taskset` below needs an executable.
+if ! command -v attrcap >/dev/null 2>&1 || ! python3 -c 'import attrcap' 2>/dev/null; then
+    export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+    mkdir bin
+    printf '#!/bin/sh\nexec python3 -c "from attrcap.cli import entrypoint; entrypoint()" "$@"\n' \
+        > bin/attrcap
+    chmod +x bin/attrcap
+    PATH="$WORK/bin:$PATH"
+fi
 
 python3 - <<'EOF'
 import json
