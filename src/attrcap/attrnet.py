@@ -38,6 +38,7 @@ from .nncore import (
     batch_slices,
     batchnorm_backward,
     batchnorm_forward,
+    check_settings,
     check_shapes,
     dropout_backward,
     dropout_forward,
@@ -82,6 +83,10 @@ class AttrNetConfig:
     dropout: float = 0.3
     bn_on_output: bool = True
 
+    def __post_init__(self):
+        check_settings(self, at_least_one=("n_words", "feature_dim", "hidden_dim"),
+                       fractions=("dropout",))
+
 
 @dataclass
 class AttrTrainConfig:
@@ -91,6 +96,10 @@ class AttrTrainConfig:
     batch_size: int = 128
     epochs: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        check_settings(self, at_least_one=("batch_size",),
+                       non_negative=("learning_rate", "epochs"))
 
 
 def mse_loss(pred, target):
@@ -135,8 +144,6 @@ class AttrNet:
     """Four-layer perceptron from image features to attribute vectors."""
 
     def __init__(self, config, seed=0, params=None, bn_states=None):
-        if not 0.0 <= config.dropout < 1.0:
-            raise ParameterError(f"dropout rate must be in [0, 1), got {config.dropout}")
         self.config = config
         self._dims = dims = (
             [config.feature_dim]
@@ -164,14 +171,14 @@ class AttrNet:
             bn_states = {k: BatchNormState.create(dims[k]) for k in self._bn_layers}
         self.bn_states = bn_states
 
-    def forward(self, x, mode="inference", rng=None, params=None):
+    def forward(self, x, mode="inference", rng=None):
         """Run the network; returns ``(predictions, caches)``.
 
         Train mode uses batch statistics (and updates running ones) and
         applies dropout masks drawn from ``rng``; inference mode uses
         running statistics and no dropout.
         """
-        p = self.params if params is None else params
+        p = self.params
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.config.feature_dim:
             raise DimensionError(
@@ -257,9 +264,9 @@ class AttrNet:
             grads.update(group)
         return grads
 
-    def loss(self, x, target, mode="train", rng=None, params=None):
+    def loss(self, x, target, mode="train", rng=None):
         """MSE loss and parameter gradients for one batch."""
-        pred, caches = self.forward(x, mode=mode, rng=rng, params=params)
+        pred, caches = self.forward(x, mode=mode, rng=rng)
         value, dpred = mse_loss(pred, np.asarray(target, dtype=np.float64))
         grads = self.backward(dpred, caches)
         return value, grads

@@ -22,7 +22,7 @@ import argparse
 import math
 import shlex
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def _build_parser():
 
     sub = command("extract", "build vocabulary and ground-truth attributes")
     sub.add_argument("--captions", required=True, help="COCO-style caption JSON")
-    sub.add_argument("--idf-threshold", type=float, required=True,
+    sub.add_argument("--idf-threshold", type=_finite_float, required=True,
                      help="admit words with IDF strictly below this value")
     sub.add_argument("--stem", action=argparse.BooleanOptionalAction,
                      default=True, help="Porter-stem tokens (default on)")
@@ -83,7 +83,7 @@ def _build_parser():
 
     sub = command("vocab-report", "vocabulary sizes across IDF thresholds")
     sub.add_argument("--captions", required=True, help="COCO-style caption JSON")
-    sub.add_argument("--thresholds", required=True,
+    sub.add_argument("--thresholds", type=_thresholds, required=True,
                      help="comma-separated IDF thresholds, e.g. 2,2.5,3")
     sub.add_argument("--stem", action=argparse.BooleanOptionalAction,
                      default=True, help="Porter-stem tokens (default on)")
@@ -93,16 +93,16 @@ def _build_parser():
     sub.add_argument("--features", required=True, help="image feature file")
     sub.add_argument("--attrs", required=True, help="target attribute JSONL")
     sub.add_argument("--out-model", required=True, help="checkpoint output")
-    sub.add_argument("--hidden", type=int, default=2048)
-    sub.add_argument("--dropout", type=float, default=0.3)
-    sub.add_argument("--learning-rate", type=float, default=3e-3)
-    sub.add_argument("--batch-size", type=int, default=128)
-    sub.add_argument("--epochs", type=int, default=100)
+    sub.add_argument("--hidden", dest="hidden_dim", type=int)
+    sub.add_argument("--dropout", type=_finite_float)
+    sub.add_argument("--learning-rate", type=_finite_float)
+    sub.add_argument("--batch-size", type=int)
+    sub.add_argument("--epochs", type=int)
     sub.add_argument("--ensemble", type=int, default=5,
                      help="number of members to train (default 5)")
-    sub.add_argument("--output-bn", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="batch-normalize the output layer (default on)")
+    sub.add_argument("--output-bn", dest="bn_on_output",
+                     action=argparse.BooleanOptionalAction,
+                     help="batch-normalize the output layer")
 
     sub = command("predict-attr", "predict attributes for image features")
     sub.add_argument("--features", required=True, help="image feature file")
@@ -118,18 +118,18 @@ def _build_parser():
     sub.add_argument("--out-model", required=True, help="checkpoint output")
     sub.add_argument("--min-count", type=int, default=5,
                      help="minimum token count for the caption vocabulary")
-    sub.add_argument("--embed-dim", type=int, default=300)
-    sub.add_argument("--hidden", type=int, default=512)
-    sub.add_argument("--factor", type=int, default=512)
-    sub.add_argument("--dropout", type=float, default=0.5)
-    sub.add_argument("--learning-rate", type=float, default=2e-4)
-    sub.add_argument("--batch-size", type=int, default=64)
-    sub.add_argument("--epochs", type=int, default=20,
+    sub.add_argument("--embed-dim", type=int)
+    sub.add_argument("--hidden", dest="hidden_dim", type=int)
+    sub.add_argument("--factor", dest="factor_dim", type=int)
+    sub.add_argument("--dropout", type=_finite_float)
+    sub.add_argument("--learning-rate", type=_finite_float)
+    sub.add_argument("--batch-size", type=int)
+    sub.add_argument("--epochs", dest="max_epochs", type=int,
                      help="maximum number of epochs")
-    sub.add_argument("--clip-norm", type=float, default=5.0)
-    sub.add_argument("--patience", type=int, default=3,
+    sub.add_argument("--clip-norm", type=_finite_float)
+    sub.add_argument("--patience", type=int,
                      help="epochs without validation improvement before stopping")
-    sub.add_argument("--val-fraction", type=float, default=0.0,
+    sub.add_argument("--val-fraction", type=_finite_float, default=0.0,
                      help="fraction of images held out for early stopping "
                           "(0 disables early stopping)")
     sub.add_argument("--ensemble", type=int, default=1)
@@ -156,7 +156,7 @@ def _build_parser():
                      help="caption JSONL produced by the caption command")
     sub.add_argument("--references", required=True,
                      help="COCO-style caption JSON with reference captions")
-    sub.add_argument("--rouge-beta", type=float, default=1.2)
+    sub.add_argument("--rouge-beta", type=_finite_float, default=1.2)
     sub.add_argument("--out", help="optional JSON report output")
 
     return parser
@@ -167,14 +167,32 @@ def _meta(argv, seed):
     return {"command": command, "seed": int(seed)}
 
 
-def _parse_thresholds(text):
+def _finite_float(text):
+    """Flag type: a finite float."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad threshold list {text!r}: {exc}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _thresholds(text):
+    """Flag type: a non-empty comma-separated list of finite floats."""
+    values = [_finite_float(v) for v in text.split(",") if v.strip()]
     if not values:
-        raise UsageError("threshold list is empty")
+        raise argparse.ArgumentTypeError("threshold list is empty")
     return values
+
+
+def _config(config_type, args, **data):
+    """``config_type`` of the data-derived fields ``data`` and of each
+    field whose flag (its ``dest`` is the field's name) was given; every
+    other field keeps the dataclass default."""
+    given = {f.name: getattr(args, f.name) for f in fields(config_type)
+             if getattr(args, f.name, None) is not None}
+    return config_type(**data, **given)
 
 
 def _load_documents(path, stem):
@@ -186,6 +204,8 @@ def _joined_inputs(args):
     ``--attrs``, joined on image id in the feature file's order."""
     feature_ids, features = storage.read_features(args.features)
     attr_ids, attrs, _ = storage.load_attributes(args.attrs)
+    if not attrs.shape[1]:
+        raise storage.FormatError(f"{args.attrs}: the attribute vocabulary is empty")
     return attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
 
 
@@ -211,11 +231,10 @@ def _cmd_extract(args, meta):
 
 
 def _cmd_vocab_report(args, meta):
-    thresholds = _parse_thresholds(args.thresholds)
     documents = _load_documents(args.captions, args.stem)
-    report = semantics.vocabulary_report(documents, thresholds, stemmed=args.stem)
+    report = semantics.vocabulary_report(documents, args.thresholds, stemmed=args.stem)
     report["meta"] = meta
-    for threshold in thresholds:
+    for threshold in args.thresholds:
         size = report["sizes"][repr(float(threshold))]
         print(f"threshold {threshold}: {size} words")
     print(f"total distinct words: {report['total_words']}")
@@ -227,19 +246,10 @@ def _cmd_vocab_report(args, meta):
 def _cmd_train_attr(args, meta):
     if args.ensemble < 1:
         raise UsageError("--ensemble must be at least 1")
+    train_config = _config(attrnet_mod.AttrTrainConfig, args)
     _, x, y = _joined_inputs(args)
-    net_config = attrnet_mod.AttrNetConfig(
-        n_words=y.shape[1],
-        feature_dim=x.shape[1],
-        hidden_dim=args.hidden,
-        dropout=args.dropout,
-        bn_on_output=args.output_bn,
-    )
-    train_config = attrnet_mod.AttrTrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-    )
+    net_config = _config(attrnet_mod.AttrNetConfig, args,
+                         n_words=y.shape[1], feature_dim=x.shape[1])
     members = train_members(args.ensemble, args.seed, lambda seed: (
         attrnet_mod.train_attrnet(x, y, net_config, replace(train_config, seed=seed))))
     with attrnet_mod.attrnet_writer(args.out_model, net_config, args.ensemble,
@@ -262,9 +272,10 @@ def _cmd_predict_attr(args, meta):
     return 0
 
 
-def _load_word_embeddings(path, vocab, embed_dim, base):
-    """Overlay word2vec-format text vectors onto initialized embeddings;
-    a vocabulary word's values must be finite numbers."""
+def _load_word_embeddings(path, vocab, base):
+    """Overlay word2vec-format text vectors onto the initialized embeddings
+    ``base``; a vocabulary word's values must be finite numbers."""
+    embed_dim = base.shape[1]
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -324,26 +335,18 @@ def _cmd_train_captioner(args, meta):
         raise UsageError("--ensemble must be at least 1")
     if not 0.0 <= args.val_fraction < 1.0:
         raise UsageError("--val-fraction must be in [0, 1)")
+    train_config = _config(scnlstm_mod.CaptionTrainConfig, args)
     vocab, image_ids, samples_by_image, n_words, feature_dim = (
         _assemble_caption_samples(args)
     )
-    net_config = scnlstm_mod.ScnLstmConfig(
-        vocab_size=len(vocab),
-        n_words=n_words,
-        feature_dim=feature_dim,
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden,
-        factor_dim=args.factor,
-        dropout=args.dropout,
-    )
+    net_config = _config(scnlstm_mod.ScnLstmConfig, args, vocab_size=len(vocab),
+                         n_words=n_words, feature_dim=feature_dim)
     embeddings = None
     if args.init_embeddings:
         base = scnlstm_mod.ScnLstm(
             net_config, seed=Rng(args.seed).split(0).seed
         ).params["embed"]
-        embeddings = _load_word_embeddings(
-            args.init_embeddings, vocab, args.embed_dim, base
-        )
+        embeddings = _load_word_embeddings(args.init_embeddings, vocab, base)
 
     # Hold out whole images for validation so no image contributes to
     # both sides.
@@ -360,13 +363,6 @@ def _cmd_train_captioner(args, meta):
     if not train_samples:
         raise UsageError("validation split leaves no training captions")
 
-    train_config = scnlstm_mod.CaptionTrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        clip_norm=args.clip_norm,
-        patience=args.patience,
-    )
     members = train_members(args.ensemble, args.seed, lambda seed: (
         scnlstm_mod.train_captioner(
             train_samples, net_config, replace(train_config, seed=seed),

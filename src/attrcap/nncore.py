@@ -53,6 +53,7 @@ __all__ = [
     "batch_slices",
     "batchnorm_backward",
     "batchnorm_forward",
+    "check_settings",
     "check_shapes",
     "clip_gradients",
     "dropout_backward",
@@ -609,8 +610,8 @@ def clip_gradients(grads, max_norm):
     norm. The caller's arrays are scaled in place and returned in the
     same dict; gradients under the limit are left as they are.
     """
-    if max_norm <= 0:
-        raise ParameterError(f"clip norm must be positive, got {max_norm}")
+    if not 0 < max_norm < math.inf:
+        raise ParameterError(f"clip norm must be positive and finite, got {max_norm}")
     norm = global_norm(grads)
     if not np.isfinite(norm):
         raise NumericError("non-finite gradient norm")
@@ -646,6 +647,18 @@ def check_shapes(tensors, shapes, layout):
     if misfits:
         raise DimensionError(f"tensors missing, unknown or misshapen for "
                              f"{layout}: {', '.join(misfits)}")
+
+
+def check_settings(config, at_least_one=(), non_negative=(), fractions=()):
+    """Raise ParameterError naming the first field of ``config`` out of its
+    range: at least 1, finite and at least 0, or in [0, 1); NaN is in none."""
+    for names, low, high, rule in ((at_least_one, 1, math.inf, "at least 1"),
+                                   (non_negative, 0, math.inf, "finite and at least 0"),
+                                   (fractions, 0, 1, "in [0, 1)")):
+        for name in names:
+            value = getattr(config, name)
+            if not low <= value < high:
+                raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
 
 def ensemble_mean(stack):

@@ -72,6 +72,7 @@ from .nncore import (
     Rng,
     adam_step,
     batch_slices,
+    check_settings,
     check_shapes,
     clip_gradients,
     dropout_backward,
@@ -195,6 +196,11 @@ class ScnLstmConfig:
     factor_dim: int = 512
     dropout: float = 0.5
 
+    def __post_init__(self):
+        check_settings(self, at_least_one=("vocab_size", "n_words", "feature_dim",
+                                           "embed_dim", "hidden_dim", "factor_dim"),
+                       fractions=("dropout",))
+
 
 @dataclass
 class CaptionTrainConfig:
@@ -206,6 +212,10 @@ class CaptionTrainConfig:
     clip_norm: float = 5.0
     patience: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        check_settings(self, at_least_one=("batch_size",),
+                       non_negative=("learning_rate", "max_epochs", "patience"))
 
 
 def _param_shapes(config):
@@ -272,14 +282,12 @@ class ScnLstm:
 
     # -- one step -------------------------------------------------------------
 
-    def attribute_terms(self, d, params=None):
+    def attribute_terms(self, d):
         """``(d @ Wb.T, d @ Ub.T)``: the attribute side of every gate's
         factors, fixed over a caption, so callers compute it once."""
-        p = self.params if params is None else params
-        return d @ p["Wb"].T, d @ p["Ub"].T
+        return d @ self.params["Wb"].T, d @ self.params["Ub"].T
 
-    def cell_forward(self, x, h_prev, c_prev, d, z=None, params=None,
-                     d_terms=None):
+    def cell_forward(self, x, h_prev, c_prev, d, z=None, d_terms=None):
         """One decoder step; returns ``(h, c, cache)``.
 
         Args:
@@ -291,20 +299,21 @@ class ScnLstm:
             d_terms: optional :meth:`attribute_terms` of ``d``, either
                 row-aligned with ``x`` or a single row shared by all.
         """
-        p = self.params if params is None else params
-        a1, b1 = self.attribute_terms(d, p) if d_terms is None else d_terms
+        p = self.params
+        a1, b1 = self.attribute_terms(d) if d_terms is None else d_terms
         a2 = x @ p["Wc"].T
         x_fact = a1 * a2
         h, c, recurrent = self._recur(_per_gate(x_fact) @ p["Wa"].swapaxes(1, 2),
-                                      h_prev, c_prev, b1, z, p)
+                                      h_prev, c_prev, b1, z)
         cache = (x, h_prev, c_prev, d, (a1, a2, b1, x_fact), recurrent, z is not None)
         return h, c, cache
 
-    def _recur(self, x_pre, h_prev, c_prev, b1, z, p):
+    def _recur(self, x_pre, h_prev, c_prev, b1, z):
         """The part of a step that needs the step before: the h side of
         the factors and the gates, given the x side's (4, B, H) gate
         preactivations ``x_pre``. Returns ``(h, c, (b2, h_fact, gates,
         tanh_c))``; ``gates`` stacks ``i, f, o`` and the candidate."""
+        p = self.params
         b2 = h_prev @ p["Uc"].T
         h_fact = b1 * b2
         gates = x_pre + _per_gate(h_fact) @ p["Ua"].swapaxes(1, 2)
@@ -318,7 +327,7 @@ class ScnLstm:
         tanh_c = np.tanh(c)
         return o * tanh_c, c, (b2, h_fact, gates, tanh_c)
 
-    def _recur_backward(self, dh, dc_in, c_prev, b1, gates, tanh_c, p):
+    def _recur_backward(self, dh, dc_in, c_prev, b1, gates, tanh_c):
         """Backward through :meth:`_recur`: returns the (4, B, H) gate
         preactivation gradient ``dpre``, ``dh_fact`` and the gradients
         ``dh_prev``, ``dc_prev`` passed to the step before."""
@@ -331,10 +340,10 @@ class ScnLstm:
             do * o * (1.0 - o),
             dc * i * (1.0 - cand * cand),
         ])
-        dh_fact = _gate_rows(dpre @ p["Ua"])
-        return dpre, dh_fact, (dh_fact * b1) @ p["Uc"], dc * f
+        dh_fact = _gate_rows(dpre @ self.params["Ua"])
+        return dpre, dh_fact, (dh_fact * b1) @ self.params["Uc"], dc * f
 
-    def _inputs_backward(self, dpre, dh_fact, cache, grads, p):
+    def _inputs_backward(self, dpre, dh_fact, cache, grads):
         """The rest of the backward pass, which needs no recurrence, over
         the rows of ``cache``: one step's or a whole batch's stacked
         steps. Writes the gradients named in ``_INPUT_GRADS`` into the
@@ -344,13 +353,13 @@ class ScnLstm:
         np.matmul(dpre_t, _per_gate(x_fact), out=grads["Wa"])
         np.matmul(dpre_t, _per_gate(h_fact), out=grads["Ua"])
         dpre.sum(axis=1, out=grads["b"].reshape(4, -1))
-        dx_fact = _gate_rows(dpre @ p["Wa"])
+        dx_fact = _gate_rows(dpre @ self.params["Wa"])
         da2 = dx_fact * a1
         np.matmul(da2.T, x, out=grads["Wc"])
         np.matmul((dh_fact * b1).T, h_prev, out=grads["Uc"])
-        return da2 @ p["Wc"], dx_fact * a2, dh_fact * b2
+        return da2 @ self.params["Wc"], dx_fact * a2, dh_fact * b2
 
-    def cell_backward(self, dh, dc_in, cache, grads, params=None):
+    def cell_backward(self, dh, dc_in, cache, grads):
         """Backward through one step, accumulating into ``grads``.
 
         Returns ``(dx, dh_prev, dc_prev, da1, db1, dz)``: ``da1`` and
@@ -358,12 +367,11 @@ class ScnLstm:
         the gradient of ``d`` is ``da1 @ Wb + db1 @ Ub``. ``dz`` is
         ``None`` unless the forward step received an image term.
         """
-        p = self.params if params is None else params
         _, _, c_prev, d, (_, _, b1, _), (_, _, gates, tanh_c), has_z = cache
         dpre, dh_fact, dh_prev, dc_prev = self._recur_backward(
-            dh, dc_in, c_prev, b1, gates, tanh_c, p)
-        step = {name: np.empty_like(p[name]) for name in _INPUT_GRADS}
-        dx, da1, db1 = self._inputs_backward(dpre, dh_fact, cache, step, p)
+            dh, dc_in, c_prev, b1, gates, tanh_c)
+        step = {name: np.empty_like(self.params[name]) for name in _INPUT_GRADS}
+        dx, da1, db1 = self._inputs_backward(dpre, dh_fact, cache, step)
         for name, grad in step.items():
             grads[name] += grad
         grads["Wb"] += da1.T @ d
@@ -381,7 +389,7 @@ class ScnLstm:
             raise DimensionError(f"token id out of range for vocabulary size {v}")
         return ids
 
-    def _forward(self, samples, mode, rng, p):
+    def _forward(self, samples, mode, rng):
         """Teacher-forced pass over a batch of ``(feature, d, ids)``.
 
         Captions run longest first (a stable sort), so the ``n_t``
@@ -391,6 +399,7 @@ class ScnLstm:
         ``(nll, n_tokens, cache)``; the cache holds the (n_tokens, V)
         softmax.
         """
+        p = self.params
         seqs = [self._check_sequence(ids) for _, _, ids in samples]
         order = sorted(range(len(seqs)), key=lambda j: -len(seqs[j]))
         lengths = np.array([len(seqs[j]) - 1 for j in order])
@@ -403,7 +412,7 @@ class ScnLstm:
         ends = np.cumsum(running)
         step = np.repeat(np.arange(len(running)), running)
         caption = np.arange(ends[-1]) - (ends - running)[step]
-        a1, b1 = self.attribute_terms(d, p)
+        a1, b1 = self.attribute_terms(d)
         inputs = tokens[caption, step]
         x = p["embed"][inputs]
         a2 = x @ p["Wc"].T
@@ -417,7 +426,7 @@ class ScnLstm:
             h_prev.append(h[:n])
             c_prev.append(c[:n])
             h, c, step_cache = self._recur(x_pre[:, ends[t] - n:ends[t]], h[:n], c[:n],
-                                           b1[:n], z if t == 0 else None, p)
+                                           b1[:n], z if t == 0 else None)
             hs.append(h)
             recurrent.append(step_cache)
         # One cell cache whose rows are all the tokens: what
@@ -443,7 +452,7 @@ class ScnLstm:
                  h_rows, targets, probs)
         return nll, len(targets), cache
 
-    def _backward(self, cache, grads, p):
+    def _backward(self, cache, grads):
         """Gradients of the summed NLL of a :meth:`_forward` pass,
         written into the arrays of ``grads``; that of ``embed`` is
         accumulated into its zero-filled array."""
@@ -452,7 +461,7 @@ class ScnLstm:
         dlogits[np.arange(len(targets)), targets] -= 1.0
         np.matmul(dlogits.T, h_rows, out=grads["Wout"])
         dlogits.sum(axis=0, out=grads["bout"])
-        dh_rows = dropout_backward(dlogits @ p["Wout"], drop_cache)
+        dh_rows = dropout_backward(dlogits @ self.params["Wout"], drop_cache)
         ends = np.cumsum(running)
         dpre = np.empty_like(gates)
         dh_fact = np.empty_like(h_fact)
@@ -465,8 +474,8 @@ class ScnLstm:
             rows = slice(ends[t] - n, ends[t])
             dpre[:, rows], dh_fact[rows], dh_next[:n], dc_next[:n] = self._recur_backward(
                 dh_rows[rows] + dh_next[:n], dc_next[:n], c_prev[rows], b1[rows],
-                gates[:, rows], tanh_c[rows], p)
-        dx, da1, db1 = self._inputs_backward(dpre, dh_fact, cell, grads, p)
+                gates[:, rows], tanh_c[rows])
+        dx, da1, db1 = self._inputs_backward(dpre, dh_fact, cell, grads)
         np.add.at(grads["embed"], inputs, dx)
         # ``d`` is fixed over a caption, so ``Wb`` and ``Ub`` take one
         # product each over every caption's summed rows.
@@ -477,13 +486,12 @@ class ScnLstm:
         # Only step 1 has the image term z.
         np.matmul(dpre[:, :running[0]].sum(axis=0).T, feature, out=grads["Cv"])
 
-    def sequence_log_likelihood(self, ids, feature, d, params=None):
+    def sequence_log_likelihood(self, ids, feature, d):
         """Teacher-forced log-likelihood of one BOS..EOS sequence (nats)."""
-        p = self.params if params is None else params
-        nll, _, _ = self._forward([(feature, d, ids)], "inference", None, p)
+        nll, _, _ = self._forward([(feature, d, ids)], "inference", None)
         return -nll
 
-    def batch_loss(self, samples, mode="train", rng=None, params=None):
+    def batch_loss(self, samples, mode="train", rng=None):
         """Mean teacher-forced loss over ``(feature, d, ids)`` samples.
 
         Returns ``(loss, grads, n_tokens)`` where ``loss`` is total
@@ -492,42 +500,39 @@ class ScnLstm:
         """
         if not samples:
             raise ParameterError("batch contains no predicted tokens")
-        p = self.params if params is None else params
         # :meth:`_backward` overwrites all but the embedding's, which it
         # adds into row by row.
         grads = {name: (np.zeros_like if name == "embed" else np.empty_like)(value)
-                 for name, value in p.items()}
-        nll, n_tokens, cache = self._forward(samples, mode, rng, p)
-        self._backward(cache, grads, p)
+                 for name, value in self.params.items()}
+        nll, n_tokens, cache = self._forward(samples, mode, rng)
+        self._backward(cache, grads)
         scale = 1.0 / n_tokens
         for name in grads:
             grads[name] *= scale
         return nll / n_tokens, grads, n_tokens
 
-    def batch_nll(self, samples, params=None):
+    def batch_nll(self, samples):
         """Forward-only mean loss in nats per predicted token."""
         if not samples:
             raise ParameterError("dataset contains no predicted tokens")
-        p = self.params if params is None else params
         total_nll = 0.0
         total_tokens = 0
         for start, stop in batch_slices(len(samples), _SCORING_BATCH):
-            nll, n_tokens, _ = self._forward(samples[start:stop], "inference", None, p)
+            nll, n_tokens, _ = self._forward(samples[start:stop], "inference", None)
             total_nll += nll
             total_tokens += n_tokens
         return total_nll / total_tokens
 
-    def step_probs(self, last_ids, h, c, d, z=None, params=None, d_terms=None,
-                   out=None):
+    def step_probs(self, last_ids, h, c, d, z=None, d_terms=None, out=None):
         """Advance one step for a batch of hypotheses.
 
         Returns ``(probs, h, c)`` where ``probs`` is the (B, V) softmax
         over the next token, computed in ``out`` when it is given (then
         no (B, V) array is allocated). Inference mode: no dropout.
         """
-        p = self.params if params is None else params
+        p = self.params
         x = p["embed"][np.asarray(last_ids, dtype=np.int64)]
-        h, c, _ = self.cell_forward(x, h, c, d, z=z, params=p, d_terms=d_terms)
+        h, c, _ = self.cell_forward(x, h, c, d, z=z, d_terms=d_terms)
         logits = np.matmul(h, p["Wout"].T, out=out)
         logits += p["bout"]
         return softmax(logits, out=logits), h, c

@@ -214,7 +214,8 @@ def test_criterion_05_finite_difference_gradient_checks():
     x = Rng(6).normal((5, 5))
     y = np.abs(Rng(7).normal((5, 4)))
     err = gradient_check(
-        lambda p: net.loss(x, y, mode="inference", params=p),
+        lambda p: AttrNet(config, params=p, bn_states=net.bn_states).loss(
+            x, y, mode="inference"),
         net.params, eps=1e-5,
     )
     assert err < 1e-4
@@ -230,7 +231,7 @@ def test_criterion_05_finite_difference_gradient_checks():
         for w in (3, 4, 5)
     ]
     err = gradient_check(
-        lambda p: model.batch_loss(samples, mode="inference", params=p)[:2],
+        lambda p: ScnLstm(cfg, params=p).batch_loss(samples, mode="inference")[:2],
         model.params, eps=1e-5,
     )
     assert err < 1e-4

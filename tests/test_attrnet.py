@@ -160,7 +160,8 @@ def test_gradients_with_frozen_bn():
     net = AttrNet(config, seed=3)
     x, y = Rng(6).normal((5, 5)), np.abs(Rng(7).normal((5, 4)))
     err = gradient_check(
-        lambda p: net.loss(x, y, mode="inference", params=p), net.params,
+        lambda p: AttrNet(config, params=p, bn_states=net.bn_states).loss(
+            x, y, mode="inference"), net.params,
     )
     assert err < 1e-4
 
@@ -170,7 +171,8 @@ def test_gradients_with_train_mode_bn_fixed_batch():
     net = AttrNet(config, seed=5)
     x, y = Rng(8).normal((6, 5)), np.abs(Rng(9).normal((6, 4)))
     err = gradient_check(
-        lambda p: net.loss(x, y, mode="train", params=p), net.params,
+        lambda p: AttrNet(config, params=p, bn_states=net.bn_states).loss(
+            x, y, mode="train"), net.params,
     )
     assert err < 1e-4
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,9 +13,10 @@ import pytest
 
 import attrcap
 from attrcap import attrnet, scnlstm, storage
+from attrcap.attrnet import AttrNetConfig, AttrTrainConfig
 from attrcap.cli import main
 from attrcap.nncore import NumericError, Rng
-from attrcap.scnlstm import ScnLstmConfig
+from attrcap.scnlstm import CaptionTrainConfig, ScnLstmConfig
 
 FEATURE_DIM = 12
 
@@ -189,6 +191,38 @@ def test_usage_errors_exit_with_one(tmp_path, monkeypatch, capsys):
                           "--attrs", "gt.jsonl", "--out-model", "m.daec",
                           "--ensemble", "0"], 1, "usage")
 
+    # Degenerate widths and counts, non-finite floats and a negative
+    # learning rate.
+    storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
+                             np.full((4, 3), 0.5))
+    train_attr = ["train-attr", "--features", "feats.daef", "--attrs",
+                  "attrs.jsonl", "--out-model", "m.daec", "--epochs", "1"]
+    train_captioner = ["train-captioner", "--captions", "captions.json",
+                       "--features", "feats.daef", "--attrs", "attrs.jsonl",
+                       "--out-model", "c.daec", "--min-count", "1", "--embed-dim",
+                       "4", "--hidden", "4", "--factor", "4", "--epochs", "1"]
+    for argv in ([*train_attr, "--hidden", "0"], [*train_attr, "--hidden", "-1"],
+                 [*train_attr, "--epochs", "-1"],
+                 [*train_attr, "--learning-rate", "nan"],
+                 [*train_attr, "--learning-rate", "-1"],
+                 [*train_attr, "--dropout", "inf"],
+                 [*train_captioner, "--embed-dim", "-1"],
+                 [*train_captioner, "--factor", "-2"],
+                 [*train_captioner, "--hidden", "0"],
+                 [*train_captioner, "--embed-dim", "0"],
+                 [*train_captioner, "--epochs", "-1"],
+                 [*train_captioner, "--patience", "-1"],
+                 [*train_captioner, "--clip-norm", "nan"],
+                 [*train_captioner, "--val-fraction", "nan"],
+                 ["eval-captions", "--candidates", "d.jsonl", "--references",
+                  "captions.json", "--rouge-beta", "nan"],
+                 ["extract", "--captions", "captions.json", "--idf-threshold",
+                  "nan", "--out-vocab", "v.json", "--out-attrs", "a.jsonl"],
+                 ["vocab-report", "--captions", "captions.json",
+                  "--thresholds", "nan,1"]):
+        expect_error(capsys, argv, 1, "usage")
+    assert not {"m.daec", "c.daec", "v.json", "a.jsonl"} & set(os.listdir(tmp_path))
+
 
 def test_data_errors_exit_with_two(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -217,6 +251,92 @@ def test_data_errors_exit_with_two(tmp_path, monkeypatch, capsys):
                           "--attrs", "partial.jsonl", "--out-model",
                           "m.daec", "--hidden", "4", "--epochs", "1"],
                  2, "data")
+
+    # An attribute file without words, as extract writes at any IDF
+    # threshold up to 1.
+    storage.write_attributes(tmp_path / "empty.jsonl", [1, 2, 3, 4], np.zeros((4, 0)))
+    expect_error(capsys, ["train-attr", "--features", "feats.daef",
+                          "--attrs", "empty.jsonl", "--out-model",
+                          "m.daec", "--hidden", "4", "--epochs", "1"],
+                 2, "data")
+    assert not (tmp_path / "m.daec").exists()
+
+
+class Captured(Exception):
+    """Raised by a stub trainer once it holds the configs it was given."""
+
+
+def captured_configs(monkeypatch, module, trainer, argv, positions):
+    """The configs that ``argv`` hands ``module.trainer``, at the given
+    argument positions; the stub trains nothing."""
+    configs = []
+
+    def stub(*args, **kwargs):
+        configs.extend(args[i] for i in positions)
+        raise Captured
+
+    monkeypatch.setattr(module, trainer, stub)
+    with pytest.raises(Captured):
+        main(argv)
+    return configs
+
+
+# Flag, config field, value: every value differs from the field's default.
+ATTR_FLAGS = [("--hidden", "hidden_dim", 7), ("--dropout", "dropout", 0.25),
+              ("--learning-rate", "learning_rate", 0.5),
+              ("--batch-size", "batch_size", 3), ("--epochs", "epochs", 9)]
+CAPTIONER_FLAGS = [("--embed-dim", "embed_dim", 5), ("--hidden", "hidden_dim", 6),
+                   ("--factor", "factor_dim", 7), ("--dropout", "dropout", 0.125),
+                   ("--learning-rate", "learning_rate", 0.0625),
+                   ("--batch-size", "batch_size", 3), ("--epochs", "max_epochs", 11),
+                   ("--clip-norm", "clip_norm", 2.5), ("--patience", "patience", 4)]
+
+
+def flag_argv(flags):
+    return [text for flag, _, value in flags for text in (flag, str(value))]
+
+
+def test_training_flags_fill_their_config_fields(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
+                             np.full((4, 3), 0.5))
+    member_seed = Rng(0).split(1).seed
+    data = {"n_words": 3, "feature_dim": FEATURE_DIM}
+    fields = [f.name for config in (AttrNetConfig, AttrTrainConfig)
+              for f in dataclasses.fields(config)]
+    assert sorted(fields) == sorted([*data, "seed", "bn_on_output",
+                                     *(name for _, name, _ in ATTR_FLAGS)])
+    attr = ["train-attr", "--features", "feats.daef", "--attrs", "attrs.jsonl",
+            "--out-model", "m.daec"]
+    net, train = captured_configs(monkeypatch, attrnet, "train_attrnet", attr, (2, 3))
+    assert net == AttrNetConfig(**data)
+    assert train == AttrTrainConfig(seed=member_seed)
+    net, train = captured_configs(monkeypatch, attrnet, "train_attrnet",
+                                  attr + flag_argv(ATTR_FLAGS) + ["--no-output-bn"],
+                                  (2, 3))
+    settings = {**dataclasses.asdict(net), **dataclasses.asdict(train)}
+    assert settings == {**data, "seed": member_seed, "bn_on_output": False,
+                        **{name: value for _, name, value in ATTR_FLAGS}}
+
+    captioner = ["train-captioner", "--captions", "captions.json", "--features",
+                 "feats.daef", "--attrs", "attrs.jsonl", "--out-model", "c.daec",
+                 "--min-count", "1"]
+    fields = [f.name for config in (ScnLstmConfig, CaptionTrainConfig)
+              for f in dataclasses.fields(config)]
+    assert sorted(fields) == sorted([*data, "vocab_size", "seed",
+                                     *(name for _, name, _ in CAPTIONER_FLAGS)])
+    net, train = captured_configs(monkeypatch, scnlstm, "train_captioner",
+                                  captioner, (1, 2))
+    data["vocab_size"] = net.vocab_size
+    assert net == ScnLstmConfig(**data)
+    assert train == CaptionTrainConfig(seed=member_seed)
+    net, train = captured_configs(monkeypatch, scnlstm, "train_captioner",
+                                  captioner + flag_argv(CAPTIONER_FLAGS), (1, 2))
+    settings = {**dataclasses.asdict(net), **dataclasses.asdict(train)}
+    assert settings == {**data, "seed": member_seed,
+                        **{name: value for _, name, value in CAPTIONER_FLAGS}}
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(("m.", "c."))]
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])

@@ -150,6 +150,11 @@ def test_out_of_range_dropout_in_a_checkpoint_is_a_data_error(artifacts):
     assert len(lines) == 1 and lines[0].startswith("error: data: "), lines
 
 
+def test_out_of_range_net_setting_in_either_checkpoint_is_a_data_error(artifacts):
+    expect_data_error(artifacts, lambda header: header["config"]["net"].update(
+        dropout=-0.5))
+
+
 def test_missing_n_members_is_a_data_error(artifacts):
     expect_data_error(artifacts, lambda header: header["config"].pop("n_members"))
 

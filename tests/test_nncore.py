@@ -18,6 +18,7 @@ from attrcap.nncore import (
     adam_step,
     batchnorm_backward,
     batchnorm_forward,
+    check_settings,
     clip_gradients,
     dropout_backward,
     dropout_forward,
@@ -892,8 +893,27 @@ def test_clip_gradients_scales_the_callers_arrays_in_place():
 def test_clip_gradients_parameter_errors():
     with pytest.raises(ParameterError):
         clip_gradients({"a": np.ones(2)}, 0.0)
+    with pytest.raises(ParameterError):
+        clip_gradients({"a": np.ones(2)}, np.nan)
     with pytest.raises(NumericError):
         clip_gradients({"a": np.array([np.inf])}, 1.0)
+
+
+def test_check_settings_names_the_first_field_out_of_range():
+    class Settings:
+        width, epochs, rate, dropout = 1, 0, 0.0, 0.0
+
+    check_settings(Settings(), ("width",), ("epochs", "rate"), ("dropout",))
+    for name, value, message in [("width", 0, "width must be at least 1"),
+                                 ("epochs", -1, "epochs must be finite and at least 0"),
+                                 ("rate", np.nan, "rate must be finite"),
+                                 ("rate", np.inf, "rate must be finite"),
+                                 ("dropout", 1.0, r"dropout must be in \[0, 1\)"),
+                                 ("dropout", np.nan, "dropout must be in")]:
+        settings = Settings()
+        setattr(settings, name, value)
+        with pytest.raises(ParameterError, match=message):
+            check_settings(settings, ("width",), ("epochs", "rate"), ("dropout",))
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,10 @@ def test_cell_backward_matches_finite_differences():
     r_c = rng.normal((2, TINY.hidden_dim))
 
     def param_loss(p):
-        h, c, cache = model.cell_forward(x, h_prev, c_prev, d, z=z, params=p)
+        perturbed = ScnLstm(TINY, params=p)
+        h, c, cache = perturbed.cell_forward(x, h_prev, c_prev, d, z=z)
         grads = {name: np.zeros_like(value) for name, value in p.items()}
-        model.cell_backward(r_h, r_c, cache, grads, params=p)
+        perturbed.cell_backward(r_h, r_c, cache, grads)
         return float((h * r_h).sum() + (c * r_c).sum()), grads
 
     assert gradient_check(param_loss, model.params, eps=1e-5) < 1e-4
@@ -290,7 +291,7 @@ def test_sequence_gradients_match_finite_differences():
          [BOS_ID, 4, 2, EOS_ID]),
     ]
     err = gradient_check(
-        lambda p: model.batch_loss(samples, mode="inference", params=p)[:2],
+        lambda p: ScnLstm(TINY, params=p).batch_loss(samples, mode="inference")[:2],
         model.params, eps=1e-5,
     )
     assert err < 1e-4
@@ -1013,8 +1014,7 @@ class BigramModel(ScnLstm):
         self.table = np.asarray(table, dtype=np.float64)
         super().__init__(dataclasses.replace(TINY, vocab_size=len(self.table)))
 
-    def step_probs(self, last_ids, h, c, d, z=None, params=None, d_terms=None,
-                   out=None):
+    def step_probs(self, last_ids, h, c, d, z=None, d_terms=None, out=None):
         return np.take(self.table, np.asarray(last_ids), axis=0, out=out), h, c
 
 

@@ -143,6 +143,16 @@ attrcap train-attr --features run1/feats.daef --attrs run1/gt.jsonl \
 for f in diverged.daec*; do
     [ -e "$f" ] && { echo "BAD: diverging train-attr left $f"; exit 1; }
 done
+# A zero width is a usage error: exactly one line to stderr, and neither
+# a checkpoint nor a temporary left behind.
+attrcap train-attr --features run1/feats.daef --attrs run1/gt.jsonl \
+    --out-model zero_width.daec --hidden 0 --seed 5 2>zero_width.stderr
+[ $? -eq 1 ] || { echo "BAD: zero-width train-attr exit"; exit 1; }
+[ "$(wc -l < zero_width.stderr)" -eq 1 ] && grep -q '^error: usage: ' zero_width.stderr \
+    || { echo "BAD: zero-width train-attr stderr:"; cat zero_width.stderr; exit 1; }
+for f in zero_width.daec*; do
+    [ -e "$f" ] && { echo "BAD: zero-width train-attr left $f"; exit 1; }
+done
 set -e
 echo "exit codes: usage=1, data=2, numeric=3 confirmed; no checkpoint left"
 echo "VERIFY DRIVE OK ($WORK)"
