@@ -98,7 +98,8 @@ class AttrTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_settings(self, at_least_one=("batch_size",),
+        # Every training batch is batch-normalized, which needs two rows.
+        check_settings(self, at_least_two=("batch_size",),
                        non_negative=("learning_rate", "epochs"))
 
 
@@ -272,10 +273,9 @@ class AttrNet:
         return value, grads
 
     def predict(self, x):
-        """Inference-mode attribute predictions (non-negative), computed
-        in blocks of ``_PREDICT_BLOCK`` rows: bitwise
-        ``predict_ensemble([self], x)``."""
-        return _in_row_blocks(lambda rows: self.forward(rows, mode="inference")[0], x)
+        """Inference-mode attribute predictions (non-negative): the
+        one-member ensemble ``predict_ensemble([self], x)``."""
+        return predict_ensemble([self], x)
 
     # -- checkpoint plumbing -------------------------------------------------
 
@@ -356,24 +356,6 @@ def train_attrnet(x, y, net_config, train_config):
     return net, epoch_losses
 
 
-def _in_row_blocks(predict, x):
-    """``predict`` applied to consecutive blocks of ``_PREDICT_BLOCK``
-    rows of ``x``, the results stacked into one fresh array. An input of
-    one block goes to ``predict`` whole, and so does one that is not
-    2-D, to be rejected there."""
-    x = np.asarray(x)
-    if x.ndim != 2 or len(x) <= _PREDICT_BLOCK:
-        return predict(x)
-    out = None
-    for start, stop in batch_slices(len(x), _PREDICT_BLOCK):
-        rows = predict(x[start:stop])
-        if out is None:  # allocated once the width is known
-            out = np.empty((len(x), *rows.shape[1:]))
-        out[start:stop] = rows
-        del rows  # not alive while the next block is predicted
-    return out
-
-
 def predict_ensemble(nets, x):
     """Elementwise ensemble mean of member predictions.
 
@@ -392,8 +374,23 @@ def predict_ensemble(nets, x):
     if not nets:
         raise ParameterError("ensemble prediction needs at least one member")
     pool = nncore.worker_pool()
-    return _in_row_blocks(lambda rows: nncore.ensemble_mean(
-        pool.map(lambda net: net.predict(rows), nets)), x)
+
+    def predict(rows):
+        return nncore.ensemble_mean(pool.map(
+            lambda net: net.forward(rows, mode="inference")[0], nets))
+
+    x = np.asarray(x)
+    # One block goes whole, and so does a non-2-D input, for ``forward`` to reject.
+    if x.ndim != 2 or len(x) <= _PREDICT_BLOCK:
+        return predict(x)
+    out = None
+    for start, stop in batch_slices(len(x), _PREDICT_BLOCK):
+        rows = predict(x[start:stop])
+        if out is None:  # allocated once the width is known
+            out = np.empty((len(x), *rows.shape[1:]))
+        out[start:stop] = rows
+        del rows  # not alive while the next block is predicted
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -219,6 +219,9 @@ def _cmd_extract(args, meta):
     vocabulary = semantics.build_vocabulary(
         documents, args.idf_threshold, stemmed=args.stem
     )
+    if not vocabulary.words:
+        raise UsageError(f"--idf-threshold {args.idf_threshold} admits no word of the "
+                         "corpus: a word needs an IDF strictly below it")
     matrix = semantics.ground_truth_matrix(documents, vocabulary)
     storage.save_vocabulary(args.out_vocab, vocabulary, meta=meta)
     storage.write_attributes(
@@ -413,19 +416,10 @@ def _cmd_eval_attr(args, meta):
     )
     if ((gt_matrix < 0.0) | (gt_matrix > 1.0)).any():
         raise storage.FormatError(f"{args.gt}: attribute values must lie in [0, 1]")
-    result = metrics_mod.attribute_f1(pred_matrix, gt_matrix)
-    report = {
-        "meta": meta,
-        "macro_f1": result["macro_f1"],
-        "micro_f1": result["micro_f1"],
-        "micro_precision": result["micro_precision"],
-        "micro_recall": result["micro_recall"],
-        "per_bin": {str(k): v for k, v in result["per_bin"].items()},
-        "n_scored": result["n_scored"],
-        "n_images": len(pred_ids),
-    }
-    print(f"macro_f1: {result['macro_f1']!r}")
-    print(f"micro_f1: {result['micro_f1']!r}")
+    report = dict(metrics_mod.attribute_f1(pred_matrix, gt_matrix),
+                  meta=meta, n_images=len(pred_ids))
+    print(f"macro_f1: {report['macro_f1']!r}")
+    print(f"micro_f1: {report['micro_f1']!r}")
     if args.out:
         storage.write_json(args.out, report)
     return 0

@@ -452,12 +452,6 @@ class AdamState:
     moment2: dict = field(default_factory=dict)
 
 
-def _flat(array):
-    """1-D C-order elements of ``array``: a view when it is C-contiguous,
-    else a flat iterator whose slices are copies of just that range."""
-    return array.reshape(-1) if array.flags.c_contiguous else array.flat
-
-
 def adam_step(params, grads, state):
     """One Adam update of ``params`` in place; returns ``None``.
 
@@ -471,14 +465,14 @@ def adam_step(params, grads, state):
     count, and with it the bias correction, advances once per call.
     Moments are allocated whole, at a parameter's first update.
 
-    Gradients must be finite and shaped like their parameters or rows,
-    and a row range must lie inside its parameter. A rejected group
-    leaves its parameters' rows and moments as they were and the next
-    group is never requested; the groups before it stay applied. A dict
-    is one group, so a rejected dict leaves ``params`` and ``state`` as
-    they were. Each parameter array, whatever its memory layout, is
-    overwritten with its new value, and the moments are updated in
-    place; the gradients are only read.
+    Parameters and gradients must be C-contiguous, gradients finite and
+    shaped like their parameters or rows, and a row range must lie
+    inside its parameter. A rejected group leaves its parameters' rows
+    and moments as they were and the next group is never requested; the
+    groups before it stay applied. A dict is one group, so a rejected
+    dict leaves ``params`` and ``state`` as they were. Each parameter
+    array is overwritten with its new value, and the moments are updated
+    in place; the gradients are only read.
 
     Each group's blocks are dealt to the :func:`worker_pool`
     (:meth:`WorkerPool.deal`): one pass checks them, a second updates
@@ -499,7 +493,7 @@ def adam_step(params, grads, state):
 def _adam_group(params, grads, state, step):
     """Check the gradients of one group, then apply them as update
     ``step`` (1-based), setting ``state.step`` to it."""
-    entries = []  # (parameter name, gradient, flat offset of its range)
+    entries = []  # (parameter name, flat gradient, flat offset of its range)
     for key, grad in grads.items():
         name, rows = (key, None) if isinstance(key, str) else (key[0], key[1:])
         value = params[name]
@@ -516,16 +510,18 @@ def _adam_group(params, grads, state, step):
                 f"gradient for {label} has shape {grad.shape}, "
                 f"parameter has {shape}"
             )
-        entries.append((name, grad, offset))
+        if not value.flags.c_contiguous:
+            raise DimensionError(f"parameter {name} is not C-contiguous")
+        if not grad.flags.c_contiguous:
+            raise DimensionError(f"gradient for {label} is not C-contiguous")
+        entries.append((name, grad.reshape(-1), offset))
     pool = worker_pool()
     blocks = [(k, start, stop) for k, (_, grad, _) in enumerate(entries)
               for start, stop in batch_slices(grad.size, 2 * _CHUNK // pool.workers)]
 
-    # A flat iterator per block in both passes: a shared one would be
-    # moved by every thread slicing it.
     def first_bad(share):
         return next((k for k, start, stop in share
-                     if not np.isfinite(_flat(entries[k][1])[start:stop]).all()), None)
+                     if not np.isfinite(entries[k][1][start:stop]).all()), None)
 
     bad = pool.deal(first_bad, blocks)
     if bad is not None:
@@ -540,14 +536,14 @@ def _adam_group(params, grads, state, step):
             state.moment2[name] = np.zeros(params[name].shape)
     tensors = [(state.moment1[name].reshape(-1)[offset:offset + grad.size],
                 state.moment2[name].reshape(-1)[offset:offset + grad.size],
-                grad, params[name], offset) for name, grad, offset in entries]
+                grad, params[name].reshape(-1)[offset:offset + grad.size])
+               for name, grad, offset in entries]
     half = (max((stop - start for _, start, stop in blocks), default=0) + 1) // 2
 
     def update(share):
         scratch = np.empty(2 * half)
         for k, start, stop in share:
-            moment1, moment2, grad, param, offset = tensors[k]
-            m, v, g = moment1[start:stop], moment2[start:stop], _flat(grad)[start:stop]
+            m, v, g, p = (tensor[start:stop] for tensor in tensors[k])
             t = scratch[:stop - start]
             # The operations and their order are those of the whole-array
             # formulas, so the results are bitwise equal to them:
@@ -560,10 +556,7 @@ def _adam_group(params, grads, state, step):
             np.multiply(g, 1.0 - b2, out=t)
             t *= g
             v += t
-            # p = p - (lr*(m/c1)) / (sqrt(v/c2) + eps), half a block at a
-            # time. ``p`` is a view of the parameter, or a copy of this
-            # range written back when the parameter is not C-contiguous.
-            p = _flat(param)[offset + start:offset + stop]
+            # p = p - (lr*(m/c1)) / (sqrt(v/c2) + eps), half a block at a time.
             for lo, hi in batch_slices(stop - start, half):
                 t, u = scratch[:hi - lo], scratch[half:half + hi - lo]
                 np.divide(m[lo:hi], correction1, out=t)
@@ -573,8 +566,6 @@ def _adam_group(params, grads, state, step):
                 u += eps
                 t /= u
                 p[lo:hi] -= t
-            if not param.flags.c_contiguous:
-                param.flat[offset + start:offset + stop] = p
 
     pool.deal(update, blocks)
 
@@ -649,12 +640,17 @@ def check_shapes(tensors, shapes, layout):
                              f"{layout}: {', '.join(misfits)}")
 
 
-def check_settings(config, at_least_one=(), non_negative=(), fractions=()):
+def check_settings(config, at_least_one=(), non_negative=(), fractions=(),
+                   at_least_two=(), positive=()):
     """Raise ParameterError naming the first field of ``config`` out of its
-    range: at least 1, finite and at least 0, or in [0, 1); NaN is in none."""
+    range: at least 1, finite and at least 0, in [0, 1), at least 2, or
+    finite and above 0; NaN is in none."""
     for names, low, high, rule in ((at_least_one, 1, math.inf, "at least 1"),
                                    (non_negative, 0, math.inf, "finite and at least 0"),
-                                   (fractions, 0, 1, "in [0, 1)")):
+                                   (fractions, 0, 1, "in [0, 1)"),
+                                   (at_least_two, 2, math.inf, "at least 2"),
+                                   # At least the least float above 0: above 0.
+                                   (positive, math.ulp(0.0), math.inf, "finite and above 0")):
         for name in names:
             value = getattr(config, name)
             if not low <= value < high:

@@ -215,7 +215,8 @@ class CaptionTrainConfig:
 
     def __post_init__(self):
         check_settings(self, at_least_one=("batch_size",),
-                       non_negative=("learning_rate", "max_epochs", "patience"))
+                       non_negative=("learning_rate", "max_epochs", "patience"),
+                       positive=("clip_norm",))
 
 
 def _param_shapes(config):
@@ -661,10 +662,10 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
     probs = np.empty((len(models), n_images * beam_width, models[0].config.vocab_size))
     pool = nncore.worker_pool()
 
-    def step(image, last_ids, h, c, first_step, rank=True):
+    def step(image, last_ids, h, c, first_step):
         """Log of the ensemble mean of the next-token distributions of
-        the given rows, each member's new ``(h, c)`` rows, and, when
-        ``rank`` is set, the :func:`_best_continuations` of the rows.
+        the given rows, each member's new ``(h, c)`` rows, and the
+        :func:`_best_continuations` of the rows.
 
         The members run at once on the worker pool. Then the rows are
         cut into at most one slab per worker, and each slab's mean, log
@@ -687,16 +688,13 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
             lo, hi = slab
             mean = nncore.ensemble_mean(rows[:, lo:hi])
             np.log(mean, out=mean)
-            if rank:
-                row, token = _best_continuations(mean, beam_width)
-                return row + lo, token
-            return None
+            row, token = _best_continuations(mean, beam_width)
+            return row + lo, token
 
         states = pool.map(advance, range(len(models)))
         with np.errstate(divide="ignore"):
             ranked = pool.map(reduce, batch_slices(n_rows, -(-n_rows // pool.workers)))
-        continuations = tuple(map(np.concatenate, zip(*ranked))) if rank else None
-        return rows[0], states, continuations
+        return rows[0], states, tuple(map(np.concatenate, zip(*ranked)))
 
     # Live rows, grouped by image in ascending order and best first
     # within an image: image index, score, token history from BOS, and
@@ -738,7 +736,7 @@ def ensemble_beam_search_block(models, features, d, beam_width=5, max_len=20):
     if forced:
         rows = np.searchsorted(image, forced)
         log_probs, _, _ = step(image[rows], tokens[rows, -1], [h_k[rows] for h_k in h],
-                               [c_k[rows] for c_k in c], first_step=False, rank=False)
+                               [c_k[rows] for c_k in c], first_step=False)
         for i, r, eos in zip(forced, rows, log_probs[:, EOS_ID]):
             best[i] = (-float(scores[r] + eos), tuple(tokens[r].tolist()) + (EOS_ID,))
     return [CaptionSequence(tokens=ids, log_prob=-cost) for cost, ids in best]

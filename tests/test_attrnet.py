@@ -549,6 +549,9 @@ class _StubNet:
     def predict(self, x):
         return np.full((len(x), self.n_words), self.value)
 
+    def forward(self, x, mode="inference"):
+        return self.predict(x), []
+
 
 def test_predict_ensemble_two_members_average():
     x = np.zeros((3, 4))

@@ -15,7 +15,7 @@ import attrcap
 from attrcap import attrnet, scnlstm, storage
 from attrcap.attrnet import AttrNetConfig, AttrTrainConfig
 from attrcap.cli import main
-from attrcap.nncore import NumericError, Rng
+from attrcap.nncore import NumericError, ParameterError, Rng
 from attrcap.scnlstm import CaptionTrainConfig, ScnLstmConfig
 
 FEATURE_DIM = 12
@@ -191,8 +191,11 @@ def test_usage_errors_exit_with_one(tmp_path, monkeypatch, capsys):
                           "--attrs", "gt.jsonl", "--out-model", "m.daec",
                           "--ensemble", "0"], 1, "usage")
 
-    # Degenerate widths and counts, non-finite floats and a negative
-    # learning rate.
+    # Degenerate widths and counts, non-finite floats, a negative
+    # learning rate, and settings that would fail only later: a training
+    # batch of one row for the batch-normalized attribute net, a clip norm
+    # that is not above 0 (also when no epoch runs) and an IDF threshold
+    # that admits no word.
     storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
                              np.full((4, 3), 0.5))
     train_attr = ["train-attr", "--features", "feats.daef", "--attrs",
@@ -213,6 +216,10 @@ def test_usage_errors_exit_with_one(tmp_path, monkeypatch, capsys):
                  [*train_captioner, "--epochs", "-1"],
                  [*train_captioner, "--patience", "-1"],
                  [*train_captioner, "--clip-norm", "nan"],
+                 [*train_attr, "--batch-size", "1"],
+                 [*train_attr, "--epochs", "0", "--batch-size", "1"],
+                 [*train_captioner, "--clip-norm", "0"],
+                 [*train_captioner, "--epochs", "0", "--clip-norm", "-3"],
                  [*train_captioner, "--val-fraction", "nan"],
                  ["eval-captions", "--candidates", "d.jsonl", "--references",
                   "captions.json", "--rouge-beta", "nan"],
@@ -221,7 +228,30 @@ def test_usage_errors_exit_with_one(tmp_path, monkeypatch, capsys):
                  ["vocab-report", "--captions", "captions.json",
                   "--thresholds", "nan,1"]):
         expect_error(capsys, argv, 1, "usage")
+    # Every IDF is at least 1.
+    assert "--idf-threshold" in expect_error(capsys, [
+        "extract", "--captions", "captions.json", "--idf-threshold", "1.0",
+        "--out-vocab", "v.json", "--out-attrs", "a.jsonl"], 1, "usage")
     assert not {"m.daec", "c.daec", "v.json", "a.jsonl"} & set(os.listdir(tmp_path))
+
+
+def test_configs_refuse_settings_that_would_fail_later(tmp_path, monkeypatch):
+    with pytest.raises(ParameterError, match="batch_size must be at least 2, got 1"):
+        AttrTrainConfig(batch_size=1)
+    for value in (0.0, -3.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="clip_norm must be finite and above 0"):
+            CaptionTrainConfig(clip_norm=value)
+    assert CaptionTrainConfig(clip_norm=5e-324).clip_norm > 0.0
+    # The decoder has no batch normalization: a batch of one caption trains.
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
+                             np.full((4, 3), 0.5))
+    assert main(["train-captioner", "--captions", "captions.json", "--features",
+                 "feats.daef", "--attrs", "attrs.jsonl", "--out-model", "c.daec",
+                 "--min-count", "1", "--embed-dim", "4", "--hidden", "4",
+                 "--factor", "4", "--epochs", "1", "--batch-size", "1"]) == 0
+    assert (tmp_path / "c.daec").exists()
 
 
 def test_data_errors_exit_with_two(tmp_path, monkeypatch, capsys):
@@ -252,8 +282,8 @@ def test_data_errors_exit_with_two(tmp_path, monkeypatch, capsys):
                           "m.daec", "--hidden", "4", "--epochs", "1"],
                  2, "data")
 
-    # An attribute file without words, as extract writes at any IDF
-    # threshold up to 1.
+    # An attribute file without words, as one can write by hand (extract
+    # refuses a threshold that admits no word).
     storage.write_attributes(tmp_path / "empty.jsonl", [1, 2, 3, 4], np.zeros((4, 0)))
     expect_error(capsys, ["train-attr", "--features", "feats.daef",
                           "--attrs", "empty.jsonl", "--out-model",

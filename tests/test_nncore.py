@@ -1,5 +1,6 @@
 """Numerical-kernel tests: RNG, layers, Adam, init, and check harnesses."""
 
+import copy
 import sys
 import time
 import tracemalloc
@@ -503,19 +504,8 @@ def reference_adam_step(params, grads, state):
     return updated
 
 
-ADAM_SHAPES = {"scalar": (), "empty": (0,), "short": (7,), "transposed": (5, 9),
-               "fortran": (6, 8), "long": (2, _CHUNK // 2 + 11)}
-
-
-def adam_inputs(rng, params):
-    """A step's gradients and the params laid out as the test wants them:
-    a transposed gradient and a Fortran-order parameter."""
-    grads = {name: np.asarray(rng.normal(shape)) for name, shape in ADAM_SHAPES.items()}
-    grads["transposed"] = rng.normal(ADAM_SHAPES["transposed"][::-1]).T
-    params = dict(params, fortran=np.asfortranarray(params["fortran"]))
-    assert not grads["transposed"].flags.c_contiguous
-    assert not params["fortran"].flags.c_contiguous
-    return params, grads
+ADAM_SHAPES = {"scalar": (), "empty": (0,), "short": (7,), "wide": (5, 9),
+               "tall": (8, 6), "long": (2, _CHUNK // 2 + 11)}
 
 
 def test_adam_is_bitwise_the_whole_array_update():
@@ -524,14 +514,13 @@ def test_adam_is_bitwise_the_whole_array_update():
     state = AdamState(learning_rate=0.01)
     reference = AdamState(learning_rate=0.01)
     for _ in range(5):
-        params, grads = adam_inputs(rng, params)
+        grads = {name: np.asarray(rng.normal(shape)) for name, shape in ADAM_SHAPES.items()}
         passed = dict(params)
         grad_copies = {name: grad.copy() for name, grad in grads.items()}
         expected = reference_adam_step({name: p.copy() for name, p in params.items()},
                                        grads, reference)
         assert adam_step(params, grads, state) is None
         assert state.step == reference.step
-        assert not params["fortran"].flags.c_contiguous
         for name in ADAM_SHAPES:
             # The new values are written into the very arrays passed in.
             assert params[name] is passed[name], name
@@ -541,6 +530,11 @@ def test_adam_is_bitwise_the_whole_array_update():
             assert state.moment2[name].tobytes() == reference.moment2[name].tobytes()
             # The gradients are only read.
             assert grads[name].tobytes() == grad_copies[name].tobytes(), name
+
+
+def strided(vector):
+    """A copy of ``vector`` that is not C-contiguous."""
+    return np.repeat(vector, 2)[::2]
 
 
 def adam_snapshot(params, state):
@@ -568,6 +562,14 @@ def test_rejected_adam_step_leaves_the_state_unchanged(primed):
     with pytest.raises(DimensionError, match="gradient for b has shape"):
         adam_step(params, dict(grads, b=np.zeros(3)), state)
     assert adam_snapshot(params, state) == before
+    # A gradient, then a parameter, that is not C-contiguous.
+    with pytest.raises(DimensionError, match="gradient for b is not C-contiguous"):
+        adam_step(params, dict(grads, b=strided(grads["b"])), state)
+    assert adam_snapshot(params, state) == before
+    fortran = dict(params, a=np.asfortranarray(params["a"]))
+    with pytest.raises(DimensionError, match="parameter a is not C-contiguous"):
+        adam_step(fortran, grads, state)
+    assert adam_snapshot(fortran, state) == adam_snapshot(params, state) == before
 
 
 @pytest.mark.parametrize("primed", [False, True])
@@ -644,45 +646,51 @@ def test_rejected_adam_group_is_untouched_and_ends_the_step(primed):
                          moment2={n: v.copy() for n, v in state.moment2.items()})
     adam_step(expected_params, adam_groups([{"a": grads["a"]}], []), expected)
     assert expected.step == state.step + 1
-    grads["b"][-1] = np.inf
-    grads["c"][0] = np.nan
-    requested = []
+    bad_b, bad_c = grads["b"].copy(), grads["c"].copy()
+    bad_b[-1] = np.inf
+    bad_c[0] = np.nan
     # The second group is named by its first bad tensor in the group's
-    # order, and the third is never requested.
-    with pytest.raises(NumericError, match="non-finite gradient for c"):
-        adam_step(params, adam_groups([{"a": grads["a"]}, {"c": grads["c"], "b": grads["b"]},
-                                       {}], requested), state)
-    assert requested == [0, 1]
-    assert adam_snapshot(params, state) == adam_snapshot(expected_params, expected)
+    # order, and the third is never requested: a non-finite gradient, a
+    # gradient or a parameter that is not C-contiguous.
+    for second, layout, error, message in [
+            ({"c": bad_c, "b": bad_b}, {}, NumericError, "non-finite gradient for c"),
+            ({"c": grads["c"], "b": strided(grads["b"])}, {}, DimensionError,
+             "gradient for b is not C-contiguous"),
+            ({"c": grads["c"], "b": grads["b"]}, {"c": strided(params["c"])}, DimensionError,
+             "parameter c is not C-contiguous")]:
+        trial_params, trial = dict(copy.deepcopy(params), **layout), copy.deepcopy(state)
+        requested = []
+        with pytest.raises(error, match=message):
+            adam_step(trial_params, adam_groups([{"a": grads["a"]}, second, {}], requested),
+                      trial)
+        assert requested == [0, 1]
+        assert adam_snapshot(trial_params, trial) == adam_snapshot(expected_params, expected)
 
 
 def adam_row_slab_steps():
     """Two Adam steps given as row slabs, an empty one among them, of a
-    C-order matrix whose slabs span several blocks of every worker, of a
-    Fortran-order matrix with a Fortran-order gradient and of a vector,
-    mixed with a whole parameter and in any order, each checked against
-    one whole-dict step (the first allocates the moments)."""
+    matrix whose slabs span several blocks of every worker, of a small
+    matrix and of a vector, mixed with a whole parameter and in any
+    order, each checked against one whole-dict step (the first allocates
+    the moments)."""
     rng = Rng(48)
-    shapes = {"long": (5, _CHUNK // 2 + 7), "fortran": (7, 6), "vector": (11,), "whole": (3, 4)}
+    shapes = {"long": (5, _CHUNK // 2 + 7), "small": (7, 6), "vector": (11,), "whole": (3, 4)}
     params = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
-    params["fortran"] = np.asfortranarray(params["fortran"])
     whole_params = {name: p.copy() for name, p in params.items()}
     state = AdamState(learning_rate=0.01)
     whole = AdamState(learning_rate=0.01)
     for _ in range(2):
         grads = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
-        grads["fortran"] = np.asfortranarray(grads["fortran"])
         adam_step(whole_params, grads, whole)
-        long, fortran, vector = grads["long"], grads["fortran"], grads["vector"]
+        long, small, vector = grads["long"], grads["small"], grads["vector"]
         slabs = [{("long", 2, 5): long[2:], "whole": grads["whole"]},
-                 {("fortran", 0, 3): fortran[:3], ("vector", 4, 11): vector[4:]},
-                 {("long", 0, 2): long[:2], ("fortran", 3, 3): fortran[3:3]},
-                 {("fortran", 3, 7): fortran[3:], ("vector", 0, 4): vector[:4]}]
+                 {("small", 0, 3): small[:3], ("vector", 4, 11): vector[4:]},
+                 {("long", 0, 2): long[:2], ("small", 3, 3): small[3:3]},
+                 {("small", 3, 7): small[3:], ("vector", 0, 4): vector[:4]}]
         requested = []
         assert adam_step(params, adam_groups(slabs, requested), state) is None
         assert requested == [0, 1, 2, 3]
         assert adam_snapshot(params, state) == adam_snapshot(whole_params, whole)
-    assert not params["fortran"].flags.c_contiguous
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -764,16 +772,13 @@ def test_adam_step_allocates_little_beyond_its_scratch():
 
 def adam_run(seed):
     """Three Adam steps over tensors that span several blocks of every
-    worker, among them a transposed gradient and a Fortran-order
-    parameter, which the workers read through flat iterators."""
+    worker."""
     rng = Rng(seed)
     shapes = {"long": (3 * _CHUNK + 5,), "wide": (301, 257), "short": (7,), "scalar": ()}
     params = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
     state = AdamState(learning_rate=0.01)
     for _ in range(3):
-        params["wide"] = np.asfortranarray(params["wide"])
         grads = {name: np.asarray(rng.normal(shape)) for name, shape in shapes.items()}
-        grads["wide"] = rng.normal(shapes["wide"][::-1]).T
         adam_step(params, grads, state)
     return ([p.tobytes() for p in params.values()],
             [m.tobytes() for m in state.moment1.values()],

@@ -153,6 +153,16 @@ attrcap train-attr --features run1/feats.daef --attrs run1/gt.jsonl \
 for f in zero_width.daec*; do
     [ -e "$f" ] && { echo "BAD: zero-width train-attr left $f"; exit 1; }
 done
+# An IDF threshold that admits no word (every IDF is at least 1) is a
+# usage error: exactly one line to stderr, and neither output written.
+attrcap extract --captions captions.json --idf-threshold 1 \
+    --out-vocab no_words.json --out-attrs no_words.jsonl 2>no_words.stderr
+[ $? -eq 1 ] || { echo "BAD: wordless extract exit"; exit 1; }
+[ "$(wc -l < no_words.stderr)" -eq 1 ] && grep -q '^error: usage: ' no_words.stderr \
+    || { echo "BAD: wordless extract stderr:"; cat no_words.stderr; exit 1; }
+for f in no_words.json no_words.jsonl; do
+    [ -e "$f" ] && { echo "BAD: wordless extract left $f"; exit 1; }
+done
 set -e
 echo "exit codes: usage=1, data=2, numeric=3 confirmed; no checkpoint left"
 echo "VERIFY DRIVE OK ($WORK)"
