@@ -30,7 +30,7 @@ from . import attrnet as attrnet_mod
 from . import metrics as metrics_mod
 from . import scnlstm as scnlstm_mod
 from . import semantics, storage
-from .corpus import CorpusError, build_documents, parse_caption_file, tokenize
+from .corpus import build_documents, parse_caption_file, tokenize
 from .nncore import NumericError, ParameterError, Rng, batch_slices, train_members
 
 __all__ = ["entrypoint", "main"]
@@ -287,8 +287,9 @@ def _load_word_embeddings(path, vocab, base):
     with handle:
         for line_no, line in enumerate(handle, start=1):
             parts = line.rstrip("\n").split(" ")
-            if line_no == 1 and len(parts) == 2:
-                continue  # optional "count dim" header
+            if line_no == 1 and len(parts) == 2 and all(
+                    part.strip().isdecimal() for part in parts):
+                continue  # optional "count dim" header: two whole numbers
             if len(parts) != embed_dim + 1:
                 raise storage.FormatError(
                     f"{path}:{line_no}: expected a word and {embed_dim} "
@@ -485,20 +486,15 @@ def main(argv=None):
         # add lines before it.
         with np.errstate(all="ignore"):
             return handler(args, _meta(argv, args.seed))
-    except UsageError as exc:
-        _report_error("usage", exc)
-        return 1
-    except (CorpusError, storage.FormatError, attrnet_mod.JoinError,
-            OSError) as exc:
-        _report_error("data", exc)
-        return 2
-    except ParameterError as exc:
+    except (UsageError, ParameterError) as exc:
         _report_error("usage", exc)
         return 1
     except (NumericError, FloatingPointError) as exc:
         _report_error("numeric", exc)
         return 3
-    except ValueError as exc:
+    # Every other ValueError is a data error: CorpusError, FormatError,
+    # JoinError and DimensionError among them.
+    except (OSError, ValueError) as exc:
         _report_error("data", exc)
         return 2
 

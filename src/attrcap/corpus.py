@@ -75,11 +75,11 @@ class PorterStemmer:
         ("icate", "ic"), ("ative", ""), ("alize", "al"),
         ("iciti", "ic"), ("ical", "ic"), ("ful", ""), ("ness", ""),
     )
-    _STEP4 = (
+    _STEP4 = tuple((suffix, "") for suffix in (
         "al", "ance", "ence", "er", "ic", "able", "ible", "ant",
         "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
         "ous", "ive", "ize",
-    )
+    ))
 
     def stem(self, word):
         """Return the stem of a lowercase token."""
@@ -88,8 +88,8 @@ class PorterStemmer:
         word = self._step1a(word)
         word = self._step1b(word)
         word = self._step1c(word)
-        word = self._step2(word)
-        word = self._step3(word)
+        word = self._longest_map_rule(word, self._STEP2, 0)
+        word = self._longest_map_rule(word, self._STEP3, 0)
         word = self._step4(word)
         word = self._step5a(word)
         word = self._step5b(word)
@@ -195,25 +195,12 @@ class PorterStemmer:
             return stem + replacement
         return word
 
-    def _step2(self, word):
-        return self._longest_map_rule(word, self._STEP2, 0)
-
-    def _step3(self, word):
-        return self._longest_map_rule(word, self._STEP3, 0)
-
     def _step4(self, word):
-        best = None
-        for suffix in self._STEP4:
-            if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
-                best = suffix
-        if best is None:
+        # No other step-4 suffix ends in "ion", so a word ending in it has
+        # -ion as its longest match, taken only after s or t.
+        if word.endswith("ion") and not word[:-3].endswith(("s", "t")):
             return word
-        stem = word[: len(word) - len(best)]
-        if self._measure(stem) <= 1:
-            return word
-        if best == "ion" and not stem.endswith(("s", "t")):
-            return word
-        return stem
+        return self._longest_map_rule(word, self._STEP4, 1)
 
     def _step5a(self, word):
         if not word.endswith("e"):

@@ -231,14 +231,13 @@ def rouge_l(candidates, references, beta=1.2):
         best = 0.0
         for ref in refs:
             lcs = lcs_length(tokens, ref)
-            if lcs == 0 or not tokens or not ref:
+            if lcs == 0:  # also when either side is empty
                 continue
             precision = lcs / len(tokens)
             recall = lcs / len(ref)
-            denominator = recall + beta * beta * precision
-            if denominator > 0.0:
-                score = (1.0 + beta * beta) * precision * recall / denominator
-                best = max(best, score)
+            # A NaN score (NaN or infinite beta) leaves ``best`` as it is.
+            score = (1.0 + beta * beta) * precision * recall / (recall + beta * beta * precision)
+            best = max(best, score)
         image_scores.append(best)
     return {"rouge_l": float(np.mean(image_scores)), "per_image": image_scores}
 

@@ -672,17 +672,14 @@ def ensemble_mean(stack):
     at most three members one difference is exactly ``+0``, so the sum
     is the same in any order and the network is skipped.
 
-    ``stack`` is a (K, ...) array, or a list of K float64 arrays of one
-    shape, such as the members' own outputs, which then need no stacking
-    copy. It is overwritten: the reduction runs in it, and the mean is
-    returned as ``stack[0]`` (a view of an array, not a copy), so a
-    float64 stack is reduced without allocating anything of its size.
+    ``stack`` is a sequence of K members of one shape: a list of the
+    members' own outputs, or a (K, ...) array, whose members are views
+    of it. Members that are float64 arrays are reduced in place, so
+    they are overwritten and the mean is returned as the first of them
+    (not a copy), and nothing of the stack's size is allocated; other
+    members are converted to float64 first.
     """
-    if not isinstance(stack, list):
-        stack = np.asarray(stack, dtype=np.float64)
-        if stack.ndim < 1:
-            raise DimensionError("ensemble mean needs at least one member")
-        stack = [stack[k, ...] for k in range(len(stack))]  # views, 0-d ones too
+    stack = [np.asarray(member, dtype=np.float64) for member in stack]
     n = len(stack)
     if n < 1:
         raise DimensionError("ensemble mean needs at least one member")

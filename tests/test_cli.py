@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import attrcap
-from attrcap import attrnet, scnlstm, storage
-from attrcap.attrnet import AttrNetConfig, AttrTrainConfig
-from attrcap.cli import main
-from attrcap.nncore import NumericError, ParameterError, Rng
+from attrcap import attrnet, cli, scnlstm, storage
+from attrcap.attrnet import AttrNetConfig, AttrTrainConfig, JoinError
+from attrcap.cli import UsageError, main
+from attrcap.corpus import CorpusError
+from attrcap.nncore import DimensionError, NumericError, ParameterError, Rng
 from attrcap.scnlstm import CaptionTrainConfig, ScnLstmConfig
 
 FEATURE_DIM = 12
@@ -399,6 +400,45 @@ def test_non_numeric_embedding_names_its_line(tmp_path, monkeypatch, capsys, val
         "--init-embeddings", "vectors.txt"], 2, "data")
     assert "vectors.txt:2:" in line and "'red'" in line
     assert not (tmp_path / "cap.daec").exists()
+
+
+@pytest.mark.parametrize("dim, text, rows", [
+    (1, "red 0.5\ndog 0.25\n", 2),  # no header: the first line is a vector
+    (6, "red 0.5\ndog 0 0 0 0 0 0\n", None),  # not two integers: malformed
+], ids=["headerless", "malformed"])
+def test_embedding_header_is_two_integers(tmp_path, monkeypatch, capsys, dim, text, rows):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
+                             np.full((4, 3), 0.5))
+    (tmp_path / "vectors.txt").write_text(text)
+    argv = ["train-captioner", "--captions", "captions.json", "--features", "feats.daef",
+            "--attrs", "attrs.jsonl", "--out-model", "cap.daec", "--min-count", "1",
+            "--embed-dim", str(dim), "--hidden", "4", "--factor", "4", "--epochs", "1",
+            "--init-embeddings", "vectors.txt"]
+    if rows is None:
+        assert "vectors.txt:1:" in expect_error(capsys, argv, 2, "data")
+        assert not (tmp_path / "cap.daec").exists()
+    else:
+        assert main(argv) == 0
+        assert f"initialized {rows} embedding rows" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error, code, category", [
+    (UsageError, 1, "usage"), (ParameterError, 1, "usage"),
+    (CorpusError, 2, "data"), (storage.FormatError, 2, "data"),
+    (JoinError, 2, "data"), (DimensionError, 2, "data"), (ValueError, 2, "data"),
+    (FileNotFoundError, 2, "data"),
+    (NumericError, 3, "numeric"), (FloatingPointError, 3, "numeric"),
+])
+def test_each_error_class_has_its_exit_code(monkeypatch, capsys, error, code, category):
+    def fail(args, meta):
+        raise error("injected failure")
+
+    monkeypatch.setitem(cli._HANDLERS, "eval-attr", fail)
+    line = expect_error(capsys, ["eval-attr", "--pred", "p.jsonl", "--gt", "g.jsonl"],
+                        code, category)
+    assert line == f"error: {category}: injected failure"
 
 
 def test_per_gate_captioner_checkpoint_is_a_data_error(

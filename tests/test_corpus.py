@@ -121,6 +121,21 @@ def test_stem_derivational_chains():
     assert stem("organization") == "organ"
     assert stem("generalization") == "gener"
     assert stem("oscillators") == "oscil"
+    # Porter's (1980) step-4 examples, and its -ion rule both ways: the
+    # suffix goes only after s or t.
+    for word, want in [
+        ("revival", "reviv"), ("allowance", "allow"), ("inference", "infer"),
+        ("airliner", "airlin"), ("gyroscopic", "gyroscop"),
+        ("adjustable", "adjust"), ("defensible", "defens"),
+        ("irritant", "irrit"), ("replacement", "replac"),
+        ("adjustment", "adjust"), ("dependent", "depend"),
+        ("adoption", "adopt"), ("communism", "commun"), ("activate", "activ"),
+        ("angulariti", "angular"), ("homologous", "homolog"),
+        ("effective", "effect"), ("bowdlerize", "bowdler"),
+        ("decision", "decis"), ("communion", "communion"),
+        ("opinion", "opinion"), ("companion", "companion"),
+    ]:
+        assert stem(word) == want, word
 
 
 def test_stem_fixed_points():

@@ -35,6 +35,8 @@ captions = {"annotations": [
 with open("captions.json", "w") as fh:
     json.dump(captions, fh)
 storage.write_features("feats.daef", [1, 2, 3, 4], Rng(50).normal((4, 12)))
+# Attributes of images that feats.daef does not hold, for the error contract.
+storage.write_attributes("other_ids.jsonl", [5, 6, 7, 8], np.full((4, 3), 0.5))
 EOF
 
 # Two runs in separate directories with identical relative paths: the
@@ -162,6 +164,26 @@ attrcap extract --captions captions.json --idf-threshold 1 \
     || { echo "BAD: wordless extract stderr:"; cat no_words.stderr; exit 1; }
 for f in no_words.json no_words.jsonl; do
     [ -e "$f" ] && { echo "BAD: wordless extract left $f"; exit 1; }
+done
+# Attributes of other images (a join error) and a truncated checkpoint
+# (a format error) are data errors: exactly one line to stderr, and no
+# checkpoint, temporary or predictions left behind.
+attrcap train-attr --features feats.daef --attrs other_ids.jsonl \
+    --out-model unjoined.daec --hidden 16 --epochs 1 --seed 5 2>unjoined.stderr
+[ $? -eq 2 ] || { echo "BAD: unjoinable train-attr exit"; exit 1; }
+[ "$(wc -l < unjoined.stderr)" -eq 1 ] && grep -q '^error: data: ' unjoined.stderr \
+    || { echo "BAD: unjoinable train-attr stderr:"; cat unjoined.stderr; exit 1; }
+for f in unjoined.daec*; do
+    [ -e "$f" ] && { echo "BAD: unjoinable train-attr left $f"; exit 1; }
+done
+head -c "$(($(wc -c < run1/attr.daec) / 2))" run1/attr.daec > truncated.daec
+attrcap predict-attr --features feats.daef --model truncated.daec \
+    --out-attrs truncated.jsonl --seed 5 2>truncated.stderr
+[ $? -eq 2 ] || { echo "BAD: truncated predict-attr exit"; exit 1; }
+[ "$(wc -l < truncated.stderr)" -eq 1 ] && grep -q '^error: data: ' truncated.stderr \
+    || { echo "BAD: truncated predict-attr stderr:"; cat truncated.stderr; exit 1; }
+for f in truncated.jsonl*; do
+    [ -e "$f" ] && { echo "BAD: truncated predict-attr left $f"; exit 1; }
 done
 set -e
 echo "exit codes: usage=1, data=2, numeric=3 confirmed; no checkpoint left"
