@@ -16,9 +16,11 @@ a feature table and an attribute table on ``image_id``; any mismatch
 between the two id sets is a hard error, because silent misalignment of
 rows would corrupt training undetectably.
 
-Prediction runs over fixed blocks of rows, with an ensemble's members at
-once on the worker pool, so its memory beyond the output does not grow
-with the number of images.
+Every matrix product runs in fixed column panels on the worker pool
+(:func:`attrcap.nncore.matmul`), in training and in prediction alike.
+Prediction runs over fixed blocks of rows, an ensemble's members one
+after another on the calling thread, so its memory beyond the output
+does not grow with the number of images.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ class AttrNet:
         out = x
         for k in range(1, _N_LAYERS + 1):
             layer_in, w = out, p[f"fc{k}.w"]
-            out = layer_in @ w
+            out = nncore.matmul(layer_in, w)
             bn_cache = None
             if k in self._bn_layers:
                 out, bn_cache = batchnorm_forward(
@@ -244,7 +246,7 @@ class AttrNet:
                     batchnorm_backward(dout, bn_cache))
             del bn_cache, active, drop_cache
             # Nothing consumes the gradient of the network's input.
-            below = dout @ w.T if k > 1 else None
+            below = nncore.matmul(dout, w.T) if k > 1 else None
             rows, cols = w.shape
             target, slab = ((np.empty(w.size), max(rows, 1)) if buffer is None
                             else (buffer, buffer.size // cols))
@@ -252,7 +254,7 @@ class AttrNet:
             for start, stop in batch_slices(rows, slab) or [(0, 0)]:
                 key = f"fc{k}.w" if buffer is None else (f"fc{k}.w", start, stop)
                 out = target[:(stop - start) * cols].reshape(stop - start, cols)
-                group[key] = np.matmul(layer_in[:, start:stop].T, dout, out=out)
+                group[key] = nncore.matmul(layer_in[:, start:stop].T, dout, out=out)
                 yield group
                 group = {}  # the last one is not alive while the next is built
             del group, layer_in, w
@@ -364,20 +366,21 @@ def predict_ensemble(nets, x):
     predictions identical to any one of them.
 
     Rows go in fixed blocks of ``_PREDICT_BLOCK``. Within a block the
-    members predict at once on the :func:`attrcap.nncore.worker_pool`,
-    and :func:`attrcap.nncore.ensemble_mean` reduces their predictions
-    in place, so memory beyond the output is bounded by the block, not
-    by the number of rows. Up to one block the result is that of one
+    members predict one after another on the calling thread, which
+    allocates their activations, while each member's matrix products
+    run on the :func:`attrcap.nncore.worker_pool`; then
+    :func:`attrcap.nncore.ensemble_mean` reduces their predictions in
+    place. So memory beyond the output is bounded by the block, not by
+    the number of rows. Up to one block the result is that of one
     whole-matrix pass per member; beyond it, the matrix products round
     each row as its block does, a change in the last digits.
     """
     if not nets:
         raise ParameterError("ensemble prediction needs at least one member")
-    pool = nncore.worker_pool()
 
     def predict(rows):
-        return nncore.ensemble_mean(pool.map(
-            lambda net: net.forward(rows, mode="inference")[0], nets))
+        return nncore.ensemble_mean([net.forward(rows, mode="inference")[0]
+                                     for net in nets])
 
     x = np.asarray(x)
     # One block goes whole, and so does a non-2-D input, for ``forward`` to reject.

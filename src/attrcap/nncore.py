@@ -5,8 +5,9 @@ normalization (``batchnorm_*``), follow the functional forward/backward
 convention: each ``*_forward`` returns ``(out, cache)`` and the matching
 ``*_backward`` consumes ``(dout, cache)`` and returns input/parameter
 gradients, so each is gradient-checkable on its own. Networks write
-their matrix products and ReLU inline; :func:`sigmoid` and
-:func:`softmax` are plain functions.
+their ReLU inline; :func:`sigmoid` and :func:`softmax` are plain
+functions, and :func:`matmul` runs a matrix product in column panels on
+the worker pool.
 
 Randomness comes from :class:`Rng`, a counter-based SplitMix64 stream:
 every draw is a pure function of ``(seed, position)``, so results are
@@ -60,6 +61,7 @@ __all__ = [
     "dropout_forward",
     "ensemble_mean",
     "global_norm",
+    "matmul",
     "sigmoid",
     "softmax",
     "train_members",
@@ -84,10 +86,14 @@ class NumericError(ArithmeticError):
 # Worker pool
 # --------------------------------------------------------------------------
 
-# More threads than this find little more work: a decode step and a
-# prediction block have one piece per ensemble member, and Adam's blocks
-# and checkpoint reads are bound by memory bandwidth.
+# More threads than this find little more work: a decode step has one
+# piece per ensemble member, a product 2048 columns wide four panels, and
+# Adam's blocks and checkpoint reads are bound by memory bandwidth.
 _MAX_WORKERS = 8
+
+
+# Set in the context that each call of a :meth:`WorkerPool.map` runs in.
+_IN_PIECE = contextvars.ContextVar("attrcap_in_piece", default=False)
 
 
 class WorkerPool:
@@ -96,7 +102,11 @@ class WorkerPool:
     With one worker, or a single call, the calls run in the calling
     thread. NumPy releases the interpreter lock inside its loops and
     BLAS calls, so the pieces of one computation overlap on separate
-    cores. Every piece of work given to the pool obeys one contract:
+    cores. Four kinds of work run on it: the column panels of a matrix
+    product (:func:`matmul`), the blocks of an Adam step, the tensors of
+    a checkpoint being loaded, and the members and row slabs of a
+    beam-search step. Every piece of work given to the pool obeys one
+    contract:
 
     * every piece runs the same operations in the same order, whichever
       thread runs it, so results are bitwise the same for any worker
@@ -104,7 +114,8 @@ class WorkerPool:
     * pieces write disjoint memory that the calling thread allocated
       (arrays allocated on a pool thread and freed stay in that
       thread's allocator arena);
-    * no piece submits work to the pool.
+    * work that a piece submits runs in that piece's thread, so a piece
+      never waits for workers that may all be running pieces.
     """
 
     def __init__(self, workers):
@@ -120,11 +131,13 @@ class WorkerPool:
         """``[function(item) for item in items]``, the calls spread over
         the workers; the first exception raised by a call propagates.
         Each call runs in a copy of the caller's context, so NumPy's
-        error state (``np.errstate``) holds on the workers too."""
+        error state (``np.errstate``) holds on the workers too. A map
+        made from inside a call runs its calls in that call's thread."""
         items = list(items)
-        if self._executor is None or len(items) < 2:
+        if self._executor is None or len(items) < 2 or _IN_PIECE.get():
             return [function(item) for item in items]
         context = contextvars.copy_context()
+        context.run(_IN_PIECE.set, True)
         return list(self._executor.map(
             lambda item: context.copy().run(function, item), items))
 
@@ -159,6 +172,29 @@ def worker_pool():
                 cpus = os.cpu_count() or 1
             _POOL = WorkerPool(max(1, min(cpus, _MAX_WORKERS)))
         return _POOL
+
+
+# Columns per panel of :func:`matmul`: a constant, not a share of the
+# workers, so the products round alike for any worker count.
+_PANEL = 512
+
+
+def matmul(a, b, out=None):
+    """``a @ b`` for 2-D float64 arrays, written into ``out`` (allocated
+    when not given) and returned.
+
+    ``b``'s columns are cut into panels of ``_PANEL``, and the panels'
+    products run at once on the :func:`worker_pool`, each writing its
+    columns of ``out``. A product of one panel is exactly ``np.matmul``;
+    beyond one, BLAS may round a panel's columns as it would not round
+    them in the whole product, a change in the last digits.
+    """
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1]))
+    worker_pool().map(lambda cols: np.matmul(a, b[:, cols[0]:cols[1]],
+                                             out=out[:, cols[0]:cols[1]]),
+                      batch_slices(b.shape[1], _PANEL))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -686,7 +722,7 @@ def ensemble_mean(stack):
     if n == 1:
         return stack[0]
     # Member by member, the order of ``min(axis=0)`` and ``sum(axis=0)``.
-    base = np.minimum(stack[0], stack[1])
+    base = np.minimum(stack[0], stack[1], out=np.empty_like(stack[0]))
     for member in stack[2:]:
         np.minimum(base, member, out=base)
     for member in stack:

@@ -1,12 +1,14 @@
 """Attribute-predictor tests: joins, forward/backward, training, ensembles."""
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from attrcap import attrnet
+from attrcap import attrnet, nncore
 from attrcap.attrnet import (
     AttrNet,
     AttrNetConfig,
@@ -425,15 +427,15 @@ SLABBED = AttrNetConfig(n_words=420, feature_dim=310, hidden_dim=300, dropout=0.
 SLAB = 40000
 
 
-def slab_train(monkeypatch, config, seed=62):
+def slab_train(monkeypatch, config, seed=62, epochs=4):
     """``train_attrnet`` with weight gradients in row slabs of ``SLAB``
-    elements, over 4 epochs of 3 batches; returns the net, the epoch
+    elements, over ``epochs`` epochs of 3 batches; returns the net, the epoch
     losses, the Adam state, the arguments of the training call and the
     row ranges applied to each weight."""
     rng = Rng(seed)
     x = rng.normal((20, config.feature_dim))
     y = np.abs(rng.normal((20, config.n_words)))
-    train_config = AttrTrainConfig(learning_rate=0.01, batch_size=8, epochs=4, seed=seed)
+    train_config = AttrTrainConfig(learning_rate=0.01, batch_size=8, epochs=epochs, seed=seed)
     monkeypatch.setattr(attrnet, "_GRAD_SLAB", SLAB)
     states, ranges = [], {}
     monkeypatch.setattr(attrnet, "AdamState",
@@ -454,23 +456,16 @@ def slab_train(monkeypatch, config, seed=62):
     return net, losses, adam, (x, y, config, train_config), ranges
 
 
-@pytest.mark.parametrize("bn_on_output", [True, False])
-def test_row_slab_training_is_within_1e_10_of_the_whole_step_loop(monkeypatch, bn_on_output):
-    config = replace(SLABBED, bn_on_output=bn_on_output)
-    net, losses, adam, inputs, ranges = slab_train(monkeypatch, config)
-    for k in range(1, 5):
-        rows = net.params[f"fc{k}.w"].shape[0]
-        spans = sorted(ranges[f"fc{k}.w"])
-        size = spans[0][1]
-        assert spans == [(start, min(start + size, rows)) for start in range(0, rows, size)]
-        assert len(spans) >= 3 and rows % size
+def assert_within_1e_10_of_the_whole_step_loop(net, losses, adam, inputs):
+    """The outcome of :func:`slab_train` against :func:`reference_train`
+    of the same inputs."""
     ref_net, ref_losses, ref_adam = reference_train(*inputs)
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     assert close(np.array(losses), np.array(ref_losses))
-    assert adam.step == ref_adam.step == 4 * 3
+    assert adam.step == ref_adam.step == 3 * len(losses)
     ref_tensors = ref_net.tensors()
     assert sorted(net.tensors()) == sorted(ref_tensors)
     for name, tensor in net.tensors().items():
@@ -481,17 +476,80 @@ def test_row_slab_training_is_within_1e_10_of_the_whole_step_loop(monkeypatch, b
 
 
 @pytest.mark.parametrize("bn_on_output", [True, False])
+def test_row_slab_training_is_within_1e_10_of_the_whole_step_loop(monkeypatch, bn_on_output):
+    config = replace(SLABBED, bn_on_output=bn_on_output)
+    net, losses, adam, inputs, ranges = slab_train(monkeypatch, config)
+    for k in range(1, 5):
+        rows = net.params[f"fc{k}.w"].shape[0]
+        spans = sorted(ranges[f"fc{k}.w"])
+        size = spans[0][1]
+        assert spans == [(start, min(start + size, rows)) for start in range(0, rows, size)]
+        assert len(spans) >= 3 and rows % size
+    assert_within_1e_10_of_the_whole_step_loop(net, losses, adam, inputs)
+
+
+# Cuts every product of SLABBED (300, 310 and 420 columns wide) into 3 or
+# 4 panels, the last one short.
+PANEL = 128
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_panelled_training_is_within_1e_10_of_the_whole_product_loop(monkeypatch, bn_on_output):
+    config = replace(SLABBED, bn_on_output=bn_on_output)
+    net = AttrNet(config, seed=63)
+    x, y = Rng(64).normal((8, config.feature_dim)), np.abs(Rng(65).normal((8, config.n_words)))
+
+    def loss_and_grads():
+        return net.loss(x, y, rng=Rng(66))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nncore, "_PANEL", PANEL)
+        loss, grads = loss_and_grads()
+        # Adam's steps, normalized per element, carry the products' last
+        # digits into the parameters faster than a fixed step would: one
+        # epoch of three steps stays within the bound.
+        trained = slab_train(patch, config, epochs=1)
+    # Every product of the references is whole.
+    assert max(config.feature_dim, config.hidden_dim, config.n_words) <= nncore._PANEL
+    ref_loss, ref_grads = loss_and_grads()
+    assert abs(loss - ref_loss) <= 1e-10 * ref_loss
+    for name, grad in grads.items():
+        assert np.abs(grad - ref_grads[name]).max() <= 1e-10 * np.abs(ref_grads[name]).max()
+    net, losses, adam, inputs, _ = trained
+    assert_within_1e_10_of_the_whole_step_loop(net, losses, adam, inputs)
+
+
+def slab_train_runs(monkeypatch, pool_of, config):
+    """The outcome of :func:`slab_train` on pools of 1, 2 and 3 workers
+    and a rerun on 2, as bytes, switching threads as often as possible."""
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 2):  # the last one a rerun
+            pool_of(workers)
+            net, losses, adam, _, _ = slab_train(monkeypatch, config)
+            runs.append([np.array(losses).tobytes(), adam.step]
+                        + [tensor.tobytes() for tensor in net.tensors().values()]
+                        + [m.tobytes() for m in adam.moment1.values()]
+                        + [v.tobytes() for v in adam.moment2.values()])
+    finally:
+        sys.setswitchinterval(interval)
+    return runs
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
 def test_row_slab_training_is_bitwise_the_same_for_any_worker_count(
         monkeypatch, pool_of, bn_on_output):
-    config = replace(SLABBED, bn_on_output=bn_on_output)
-    runs = []
-    for workers in (1, 2, 3, 2):  # the last one a rerun
-        pool_of(workers)
-        net, losses, adam, _, _ = slab_train(monkeypatch, config)
-        runs.append([np.array(losses).tobytes(), adam.step]
-                    + [tensor.tobytes() for tensor in net.tensors().values()]
-                    + [m.tobytes() for m in adam.moment1.values()]
-                    + [v.tobytes() for v in adam.moment2.values()])
+    runs = slab_train_runs(monkeypatch, pool_of, replace(SLABBED, bn_on_output=bn_on_output))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_panelled_training_is_bitwise_the_same_for_any_worker_count(
+        monkeypatch, pool_of, bn_on_output):
+    monkeypatch.setattr(nncore, "_PANEL", PANEL)
+    runs = slab_train_runs(monkeypatch, pool_of, replace(SLABBED, bn_on_output=bn_on_output))
     assert all(run == runs[0] for run in runs[1:])
 
 
@@ -656,6 +714,40 @@ def test_predict_ensemble_is_bitwise_the_same_for_any_worker_count(pool_of, work
         for net in nets:
             assert predict_ensemble([net], x).tobytes() == net.predict(x).tobytes()
     assert predictions[0] == predictions[1]
+
+
+def test_panelled_predict_ensemble_is_bitwise_the_same_for_any_worker_count(
+        monkeypatch, pool_of):
+    # Panels of 16 columns cut the members' 64- and 40-column products.
+    monkeypatch.setattr(nncore, "_PANEL", 16)
+    nets = trained_like_nets(3)
+    x = Rng(33).normal((BLOCK + 5, 48)) * 3.0
+    predictions = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 2):  # the last one a rerun
+            pool_of(workers)
+            predictions.append(predict_ensemble(nets, x).tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(p == predictions[0] for p in predictions[1:])
+
+
+def test_predict_ensemble_runs_each_members_forward_on_the_calling_thread(
+        monkeypatch, pool_of):
+    pool_of(2)
+    threads = []
+    forward = AttrNet.forward
+
+    def recording_forward(self, x, mode="inference", rng=None):
+        threads.append(threading.get_ident())
+        return forward(self, x, mode, rng)
+
+    monkeypatch.setattr(AttrNet, "forward", recording_forward)
+    predict_ensemble(trained_like_nets(3), Rng(34).normal((BLOCK + 5, 48)))
+    # Three members over two blocks.
+    assert threads == [threading.get_ident()] * 6
 
 
 def test_predict_ensemble_memory_beyond_the_output_does_not_grow_with_rows(pool_of):

@@ -2,12 +2,14 @@
 
 import copy
 import sys
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from attrcap import nncore
 from attrcap.nncore import (
     _CHUNK,
     AdamState,
@@ -25,6 +27,7 @@ from attrcap.nncore import (
     dropout_forward,
     ensemble_mean,
     global_norm,
+    matmul,
     sigmoid,
     softmax,
     worker_pool,
@@ -828,6 +831,29 @@ def test_pool_deal_returns_the_first_failure_in_item_order(pool_of, workers):
         sys.setswitchinterval(interval)
 
 
+def test_pool_map_from_inside_a_piece_runs_in_that_pieces_thread(pool_of):
+    pool_of(2)
+    pool = worker_pool()
+
+    def outer(k):
+        return threading.get_ident(), pool.map(
+            lambda j: (threading.get_ident(), 10 * k + j), range(3))
+
+    results = []
+    runner = threading.Thread(target=lambda: results.append(pool.map(outer, range(2))),
+                              daemon=True)
+    runner.start()
+    runner.join(timeout=20)
+    if runner.is_alive():
+        # Deadlocked: cancel the waiting inner calls, so the pool's threads end.
+        pool._executor.shutdown(wait=False, cancel_futures=True)
+        pytest.fail("a map made from inside a piece did not finish")
+    ((first, inner_first), (second, inner_second)) = results[0]
+    assert inner_first == [(first, 0), (first, 1), (first, 2)]
+    assert inner_second == [(second, 10), (second, 11), (second, 12)]
+    assert threading.get_ident() not in (first, second)
+
+
 @pytest.mark.parametrize("workers", [2, 3, 5])
 def test_adam_is_bitwise_the_same_for_every_worker_count(pool_of, workers):
     pool_of(1)
@@ -1068,6 +1094,67 @@ def test_ensemble_mean_in_place_is_bitwise_the_allocating_formula():
         assert np.isnan(buffer[:, 7:]).all(), (k, trial)
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_ensemble_mean_of_scalar_members(k):
+    values = [1.0, 2.0, 4.0, 8.0, 0.5][:k]
+    want = sorted_ensemble_mean(np.array(values))
+    assert ensemble_mean(np.array(values)).tobytes() == want.tobytes()
+    got = ensemble_mean(list(values))
+    assert got.shape == () and got.tobytes() == want.tobytes()
+
+
 def test_ensemble_mean_needs_members():
     with pytest.raises(DimensionError):
         ensemble_mean(np.zeros((0, 3)))
+
+
+# ---------------------------------------------------------------------------
+# matrix products
+# ---------------------------------------------------------------------------
+
+PANEL = nncore._PANEL
+
+
+def test_matmul_of_one_panel_is_bitwise_np_matmul():
+    rng = Rng(60)
+    for m, k, n in [(3, 5, 1), (7, 4, PANEL), (1, 9, 300), (40, 33, PANEL - 1)]:
+        a, b = rng.normal((m, k)), rng.normal((k, n))
+        assert matmul(a, b).tobytes() == np.matmul(a, b).tobytes(), (m, k, n)
+    for a, b in [(np.ones((4, 0)), np.ones((0, 6))), (np.ones((5, 3)), np.ones((3, 0)))]:
+        assert matmul(a, b).tobytes() == np.matmul(a, b).tobytes()
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_matmul_with_a_short_last_panel_is_within_1e_10_of_np_matmul(pool_of, workers):
+    pool_of(workers)
+    rng = Rng(61)
+    a, b = rng.normal((9, 700)), rng.normal((700, 2 * PANEL + 77))
+    want = np.matmul(a, b)
+    got = matmul(a, b)
+    assert got.shape == want.shape and relative_error(got, want) <= 1e-10
+    # Panels start where the constant puts them, whatever the pool size.
+    pool_of(1)
+    assert got.tobytes() == matmul(a, b).tobytes()
+
+
+def test_matmul_takes_transposed_and_column_sliced_operands_and_an_out_view():
+    rng = Rng(62)
+    width = 2 * PANEL + 77
+    a = rng.normal((700, 9)).T
+    b = rng.normal((width + 20, 700)).T[:, 5:5 + width]
+    assert not a.flags.c_contiguous and not b.flags.c_contiguous
+    flat = np.full(9 * width + 13, np.nan)
+    out = flat[:9 * width].reshape(9, width)
+    got = matmul(a, b, out=out)
+    assert got is out
+    assert relative_error(out, np.matmul(a, b)) <= 1e-10
+    assert np.isnan(flat[9 * width:]).all()
+    # A transposed, column-sliced weight as the backward pass reads it.
+    w = rng.normal((width, 40))
+    x = rng.normal((6, 40))
+    assert relative_error(matmul(x, w.T), np.matmul(x, w.T)) <= 1e-10
+    assert matmul(x, w[:PANEL].T).tobytes() == np.matmul(x, w[:PANEL].T).tobytes()

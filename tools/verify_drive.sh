@@ -57,6 +57,13 @@ run_pipeline() {
     attrcap train-attr --features feats.daef --attrs gt.jsonl \
         --out-model attr_wide.daec --hidden 1024 --epochs 4 --batch-size 2 \
         --learning-rate 0.003 --ensemble 2 --seed 5
+    # Each 1100-column product runs in panels of 512, 512 and 76 columns.
+    # BLAS runs on one thread, as in the benchmark: at this width a second
+    # OpenBLAS thread rounds a product differently, whole or in panels, and
+    # the one-CPU check below is to compare pool worker counts alone.
+    OPENBLAS_NUM_THREADS=1 attrcap train-attr --features feats.daef --attrs gt.jsonl \
+        --out-model attr_odd.daec --hidden 1100 --epochs 4 --batch-size 2 \
+        --learning-rate 0.003 --ensemble 2 --seed 5
     attrcap predict-attr --features feats.daef --model attr.daec \
         --out-attrs pred.jsonl --seed 5
     attrcap train-captioner --captions captions.json --features feats.daef \
@@ -84,11 +91,11 @@ run_pipeline run1
 echo "== run 2 (determinism) =="
 run_pipeline run2 > /dev/null
 
-for f in vocab.json gt.jsonl sizes.json attr.daec attr_wide.daec pred.jsonl \
-         cap.daec cap_drop.daec decoded.jsonl f1.json scores.json; do
+for f in vocab.json gt.jsonl sizes.json attr.daec attr_wide.daec attr_odd.daec \
+         pred.jsonl cap.daec cap_drop.daec decoded.jsonl f1.json scores.json; do
     cmp run1/"$f" run2/"$f" || { echo "MISMATCH: $f"; exit 1; }
 done
-echo "determinism: all 11 artifacts byte-identical"
+echo "determinism: all 12 artifacts byte-identical"
 
 # Attribute lines are assembled without json.dumps of each record: they
 # must still be exactly what json.dumps(record, sort_keys=True) writes.
@@ -102,8 +109,8 @@ for line in sys.stdin:
 done
 echo "attribute files: every line is json.dumps of its record"
 
-# One CPU runs the worker pool with one worker: row-slab training,
-# predictions and decodes must not depend on the worker count.
+# One CPU runs the worker pool with one worker: row-slab and panelled
+# training, predictions and decodes must not depend on the worker count.
 if command -v taskset >/dev/null 2>&1; then
     mkdir -p one_cpu
     cp captions.json feats.daef run1/gt.jsonl run1/attr.daec run1/cap.daec one_cpu/
@@ -111,15 +118,18 @@ if command -v taskset >/dev/null 2>&1; then
     taskset -c 0 attrcap train-attr --features feats.daef --attrs gt.jsonl \
         --out-model attr_wide.daec --hidden 1024 --epochs 4 --batch-size 2 \
         --learning-rate 0.003 --ensemble 2 --seed 5 > /dev/null
+    OPENBLAS_NUM_THREADS=1 taskset -c 0 attrcap train-attr --features feats.daef --attrs gt.jsonl \
+        --out-model attr_odd.daec --hidden 1100 --epochs 4 --batch-size 2 \
+        --learning-rate 0.003 --ensemble 2 --seed 5 > /dev/null
     taskset -c 0 attrcap predict-attr --features feats.daef --model attr.daec \
         --out-attrs pred.jsonl --seed 5 > /dev/null
     taskset -c 0 attrcap caption --features feats.daef --attrs pred.jsonl \
         --model cap.daec --beam 3 --max-len 8 --out decoded.jsonl --seed 7 > /dev/null
     cd ..
-    for f in attr_wide.daec pred.jsonl decoded.jsonl; do
+    for f in attr_wide.daec attr_odd.daec pred.jsonl decoded.jsonl; do
         cmp run1/"$f" one_cpu/"$f" || { echo "MISMATCH: $f on one CPU"; exit 1; }
     done
-    echo "one CPU: wide training, predictions and decodes byte-identical"
+    echo "one CPU: wide and odd-width training, predictions and decodes byte-identical"
 fi
 
 echo "== decoded captions =="
