@@ -275,15 +275,14 @@ def _cmd_predict_attr(args, meta):
     return 0
 
 
-def _load_word_embeddings(path, vocab, base):
-    """Overlay word2vec-format text vectors onto the initialized embeddings
-    ``base``; a vocabulary word's values must be finite numbers."""
-    embed_dim = base.shape[1]
+def _load_word_embeddings(path, vocab, embed_dim):
+    """``{row: vector}`` of the vocabulary words in a word2vec-format text
+    file; a vocabulary word's values must be finite numbers."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise storage.FormatError(f"cannot read embeddings {path}: {exc}") from exc
-    loaded = 0
+    rows = {}
     with handle:
         for line_no, line in enumerate(handle, start=1):
             parts = line.rstrip("\n").split(" ")
@@ -299,39 +298,46 @@ def _load_word_embeddings(path, vocab, base):
             position = vocab.index.get(word)
             if position is not None and position > scnlstm_mod.UNK_ID:
                 try:
-                    row = [float(v) for v in parts[1:]]
+                    vector = np.array([float(v) for v in parts[1:]])
                 except ValueError as exc:
                     raise storage.FormatError(
                         f"{path}:{line_no}: bad embedding value for {word!r}: {exc}"
                     ) from None
-                if not all(map(math.isfinite, row)):
+                if not np.isfinite(vector).all():
                     raise storage.FormatError(
                         f"{path}:{line_no}: non-finite embedding value for {word!r}")
-                base[position] = row
-                loaded += 1
-    print(f"initialized {loaded} embedding rows from {path}")
-    return base
+                rows[position] = vector
+    print(f"initialized {len(rows)} embedding rows from {path}")
+    return rows
 
 
-def _assemble_caption_samples(args):
-    pairs = parse_caption_file(args.captions)
+def _caption_samples(args):
+    """``(vocab, train, val, n_words, feature_dim)``: the vocabulary of
+    every caption and the ``(feature, d, ids)`` samples of the training
+    and the held-out images, in image-id order, then file order. Whole
+    images are held out, so no image contributes to both sides."""
+    pairs = sorted(parse_caption_file(args.captions), key=lambda pair: pair[0])
     feature_ids, x, d = _joined_inputs(args)
     row_of = {image_id: row for row, image_id in enumerate(feature_ids)}
-    caption_ids = sorted({image_id for image_id, _ in pairs})
-    missing = [image_id for image_id in caption_ids if image_id not in row_of]
+    image_ids = sorted({image_id for image_id, _ in pairs})
+    missing = [image_id for image_id in image_ids if image_id not in row_of]
     if missing:
         raise attrnet_mod.JoinError(
             f"captions reference images without features/attributes: {missing}"
         )
-    token_lists = [tokenize(caption) for _, caption in pairs]
     vocab = scnlstm_mod.CaptionVocab.from_token_lists(
-        token_lists, min_count=args.min_count
-    )
-    samples_by_image = {image_id: [] for image_id in caption_ids}
-    for (image_id, _), tokens in zip(pairs, token_lists):
+        (tokenize(caption) for _, caption in pairs), min_count=args.min_count)
+    n_val = int(len(image_ids) * args.val_fraction)
+    val_ids = set()
+    if n_val > 0:
+        order = Rng(args.seed).split(9).permutation(len(image_ids))
+        val_ids = {image_ids[j] for j in order[:n_val]}
+    train, val = [], []
+    for image_id, caption in pairs:
         row = row_of[image_id]
-        samples_by_image[image_id].append((x[row], d[row], vocab.encode(tokens)))
-    return vocab, caption_ids, samples_by_image, d.shape[1], x.shape[1]
+        (val if image_id in val_ids else train).append(
+            (x[row], d[row], vocab.encode(tokenize(caption))))
+    return vocab, train, val, d.shape[1], x.shape[1]
 
 
 def _cmd_train_captioner(args, meta):
@@ -340,30 +346,13 @@ def _cmd_train_captioner(args, meta):
     if not 0.0 <= args.val_fraction < 1.0:
         raise UsageError("--val-fraction must be in [0, 1)")
     train_config = _config(scnlstm_mod.CaptionTrainConfig, args)
-    vocab, image_ids, samples_by_image, n_words, feature_dim = (
-        _assemble_caption_samples(args)
-    )
+    vocab, train_samples, val_samples, n_words, feature_dim = _caption_samples(args)
     net_config = _config(scnlstm_mod.ScnLstmConfig, args, vocab_size=len(vocab),
                          n_words=n_words, feature_dim=feature_dim)
     embeddings = None
     if args.init_embeddings:
-        base = scnlstm_mod.ScnLstm(
-            net_config, seed=Rng(args.seed).split(0).seed
-        ).params["embed"]
-        embeddings = _load_word_embeddings(args.init_embeddings, vocab, base)
-
-    # Hold out whole images for validation so no image contributes to
-    # both sides.
-    n_val = int(len(image_ids) * args.val_fraction)
-    val_ids = set()
-    if n_val > 0:
-        order = Rng(args.seed).split(9).permutation(len(image_ids))
-        val_ids = {image_ids[j] for j in order[:n_val]}
-    train_samples = []
-    val_samples = []
-    for image_id in image_ids:
-        bucket = val_samples if image_id in val_ids else train_samples
-        bucket.extend(samples_by_image[image_id])
+        embeddings = _load_word_embeddings(args.init_embeddings, vocab,
+                                           net_config.embed_dim)
     if not train_samples:
         raise UsageError("validation split leaves no training captions")
 

@@ -242,7 +242,9 @@ def _gate_rows(slabs):
 
 
 class ScnLstm:
-    """Factorized attribute-conditioned LSTM decoder."""
+    """Factorized attribute-conditioned LSTM decoder. ``embeddings``
+    maps rows of the embedding table drawn from ``seed`` to the (E,)
+    vectors that replace them."""
 
     def __init__(self, config, seed=0, params=None, embeddings=None):
         self.config = config
@@ -269,14 +271,11 @@ class ScnLstm:
                 "Wout": xavier_init(*shapes["Wout"], root.split(7)),
                 "bout": np.zeros(config.vocab_size, dtype=np.float64),
             })
-            if embeddings is not None:
-                embeddings = np.asarray(embeddings, dtype=np.float64)
-                if embeddings.shape != shapes["embed"]:
-                    raise DimensionError(
-                        f"pretrained embeddings have shape {embeddings.shape}, "
-                        f"expected {shapes['embed']}"
-                    )
-                params["embed"] = embeddings.copy()
+            for row, vector in (embeddings or {}).items():
+                if np.shape(vector) != (e,):
+                    raise DimensionError(f"pretrained embedding row {row} has shape "
+                                         f"{np.shape(vector)}, expected {(e,)}")
+                params["embed"][row] = vector
         else:
             check_shapes(params, shapes, "the decoder's stacked-gate layout")
         self.params = params

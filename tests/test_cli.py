@@ -15,7 +15,7 @@ import attrcap
 from attrcap import attrnet, cli, scnlstm, storage
 from attrcap.attrnet import AttrNetConfig, AttrTrainConfig, JoinError
 from attrcap.cli import UsageError, main
-from attrcap.corpus import CorpusError
+from attrcap.corpus import CorpusError, tokenize
 from attrcap.nncore import DimensionError, NumericError, ParameterError, Rng
 from attrcap.scnlstm import CaptionTrainConfig, ScnLstmConfig
 
@@ -422,6 +422,81 @@ def test_embedding_header_is_two_integers(tmp_path, monkeypatch, capsys, dim, te
     else:
         assert main(argv) == 0
         assert f"initialized {rows} embedding rows" in capsys.readouterr().out
+
+
+def test_embedding_file_overlays_each_members_own_table(tmp_path, monkeypatch, capsys):
+    # Every member draws its table from its own seed; the file replaces
+    # only the rows of the words it names.
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes(tmp_path / "attrs.jsonl", [1, 2, 3, 4],
+                             np.full((4, 3), 0.5))
+    (tmp_path / "none.txt").write_text("zebra 0.5 0 0 0\n")
+    (tmp_path / "some.txt").write_text("red 0.5 0 0 0\ndog 0 0.25 0 -1\n")
+    argv = ["train-captioner", "--captions", "captions.json", "--features", "feats.daef",
+            "--attrs", "attrs.jsonl", "--min-count", "1", "--embed-dim", "4",
+            "--hidden", "4", "--factor", "4", "--epochs", "0", "--ensemble", "2"]
+    assert main([*argv, "--out-model", "plain.daec"]) == 0
+    assert main([*argv, "--out-model", "none.daec", "--init-embeddings", "none.txt"]) == 0
+    assert main([*argv, "--out-model", "some.daec", "--init-embeddings", "some.txt"]) == 0
+    assert "initialized 0 embedding rows" in capsys.readouterr().out
+    plain, _ = storage.load_checkpoint("plain.daec")
+    none, _ = storage.load_checkpoint("none.daec")
+    assert plain.keys() == none.keys()
+    for name in plain:
+        assert plain[name].tobytes() == none[name].tobytes(), name
+
+    models, vocab = scnlstm.load_captioner_ensemble("some.daec")
+    given = {vocab.index["red"]: [0.5, 0, 0, 0], vocab.index["dog"]: [0, 0.25, 0, -1]}
+    for model in models:
+        for row, vector in given.items():
+            assert model.params["embed"][row].tolist() == vector
+    others = [row for row in range(len(vocab)) if row not in given]
+    first, second = (model.params["embed"][others] for model in models)
+    assert (first != second).any(axis=1).all()
+
+
+def test_caption_samples_follow_image_ids_then_file_order(tmp_path, monkeypatch):
+    # Captions interleave their images, the feature file lists the images
+    # in reverse, and each image has a word of its own.
+    monkeypatch.chdir(tmp_path)
+    captions = [(3, "a cat naps"), (1, "a dog runs"), (4, "a cow eats"),
+                (2, "a fox hides"), (1, "the dog barks"), (3, "the cat purrs"),
+                (2, "the fox waits"), (4, "the cow moos")]
+    (tmp_path / "captions.json").write_text(json.dumps({"annotations": [
+        {"image_id": image_id, "id": j, "caption": text}
+        for j, (image_id, text) in enumerate(captions)]}))
+    storage.write_features("feats.daef", [4, 3, 2, 1], Rng(50).normal((4, FEATURE_DIM)))
+    storage.write_attributes("attrs.jsonl", [1, 2, 3, 4], Rng(51).uniform((4, 3)))
+    image_of = {feature.tobytes(): image_id
+                for image_id, feature in zip(*storage.read_features("feats.daef"))}
+    captured = []
+
+    def stub(samples, net_config, train_config, val_samples=None, embeddings=None):
+        captured.extend([samples, val_samples, net_config.vocab_size])
+        raise Captured
+
+    monkeypatch.setattr(scnlstm, "train_captioner", stub)
+    with pytest.raises(Captured):
+        main(["train-captioner", "--captions", "captions.json", "--features",
+              "feats.daef", "--attrs", "attrs.jsonl", "--out-model", "c.daec",
+              "--min-count", "1", "--val-fraction", "0.5"])
+    train, val, vocab_size = captured
+
+    def images(samples):
+        return [image_of[feature.tobytes()] for feature, _, _ in samples]
+
+    held_out = set(images(val))
+    assert len(held_out) == 2 and not held_out & set(images(train))
+    token_lists = [tokenize(text) for _, text in captions]
+    vocab = scnlstm.CaptionVocab.from_token_lists(token_lists, min_count=1)
+    assert vocab_size == len(vocab)
+    ordered = sorted(range(len(captions)), key=lambda j: captions[j][0])
+    for samples, side in ((train, False), (val, True)):
+        expected = [j for j in ordered if (captions[j][0] in held_out) == side]
+        assert images(samples) == [captions[j][0] for j in expected]
+        assert [ids for _, _, ids in samples] == [
+            vocab.encode(token_lists[j]) for j in expected]
 
 
 @pytest.mark.parametrize("error, code, category", [

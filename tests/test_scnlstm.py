@@ -191,11 +191,16 @@ def test_constructor_rejects_tensors_outside_the_stacked_layout():
 
 
 def test_pretrained_embeddings_are_installed_and_validated():
-    table = Rng(9).normal((TINY.vocab_size, TINY.embed_dim))
-    model = ScnLstm(TINY, seed=0, embeddings=table)
-    assert np.array_equal(model.params["embed"], table)
+    # The given rows overlay the table the seed draws; the rest stay.
+    vectors = {3: Rng(9).normal((TINY.embed_dim,)), 4: Rng(10).normal((TINY.embed_dim,))}
+    embed = ScnLstm(TINY, seed=0, embeddings=vectors).params["embed"]
+    drawn = ScnLstm(TINY, seed=0).params["embed"]
+    for row, vector in vectors.items():
+        assert np.array_equal(embed[row], vector)
+    others = [row for row in range(TINY.vocab_size) if row not in vectors]
+    assert np.array_equal(embed[others], drawn[others])
     with pytest.raises(DimensionError):
-        ScnLstm(TINY, seed=0, embeddings=table[:, :-1])
+        ScnLstm(TINY, seed=0, embeddings={3: vectors[3][:-1]})
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,9 @@ with open("captions.json", "w") as fh:
 storage.write_features("feats.daef", [1, 2, 3, 4], Rng(50).normal((4, 12)))
 # Attributes of images that feats.daef does not hold, for the error contract.
 storage.write_attributes("other_ids.jsonl", [5, 6, 7, 8], np.full((4, 3), 0.5))
+# word2vec-format vectors for two caption words, after a "count dim" header.
+with open("vectors.txt", "w") as fh:
+    fh.write("2 6\nred 0.125 0.25 0.375 0.5 0.625 0.75\ndog -0.25 -0.25 -0.25 -0.25 -0.25 -0.25\n")
 EOF
 
 # Two runs in separate directories with identical relative paths: the
@@ -44,7 +47,7 @@ EOF
 run_pipeline() {
     dir="$1"
     mkdir -p "$dir"
-    cp captions.json feats.daef "$dir/"
+    cp captions.json feats.daef vectors.txt "$dir/"
     cd "$dir"
     attrcap extract --captions captions.json --stem --idf-threshold 1.3 \
         --out-vocab vocab.json --out-attrs gt.jsonl --seed 3
@@ -78,6 +81,13 @@ run_pipeline() {
         --embed-dim 6 --hidden 8 --factor 8 --dropout 0.3 \
         --learning-rate 0.01 --batch-size 4 --epochs 8 --val-fraction 0.25 \
         --patience 4 --ensemble 2 --seed 7
+    # Each member draws its own embedding table, and the file's vectors
+    # replace the rows of its words.
+    attrcap train-captioner --captions captions.json --features feats.daef \
+        --attrs pred.jsonl --out-model cap_emb.daec --min-count 1 \
+        --embed-dim 6 --hidden 8 --factor 8 --dropout 0.0 \
+        --learning-rate 0.01 --batch-size 4 --epochs 8 --val-fraction 0.25 \
+        --patience 4 --ensemble 2 --init-embeddings vectors.txt --seed 7
     attrcap caption --features feats.daef --attrs pred.jsonl \
         --model cap.daec --beam 3 --max-len 8 --out decoded.jsonl --seed 7
     attrcap eval-attr --pred pred.jsonl --gt gt.jsonl --out f1.json
@@ -92,10 +102,10 @@ echo "== run 2 (determinism) =="
 run_pipeline run2 > /dev/null
 
 for f in vocab.json gt.jsonl sizes.json attr.daec attr_wide.daec attr_odd.daec \
-         pred.jsonl cap.daec cap_drop.daec decoded.jsonl f1.json scores.json; do
+         pred.jsonl cap.daec cap_drop.daec cap_emb.daec decoded.jsonl f1.json scores.json; do
     cmp run1/"$f" run2/"$f" || { echo "MISMATCH: $f"; exit 1; }
 done
-echo "determinism: all 12 artifacts byte-identical"
+echo "determinism: all 13 artifacts byte-identical"
 
 # Attribute lines are assembled without json.dumps of each record: they
 # must still be exactly what json.dumps(record, sort_keys=True) writes.
