@@ -7,7 +7,8 @@ convention: each ``*_forward`` returns ``(out, cache)`` and the matching
 gradients, so each is gradient-checkable on its own. Networks write
 their ReLU inline; :func:`sigmoid` and :func:`softmax` are plain
 functions, and :func:`matmul` runs a matrix product in column panels on
-the worker pool.
+the worker pool; every product of the attribute net, and the decoder's
+teacher-forced output product, runs through it.
 
 Randomness comes from :class:`Rng`, a counter-based SplitMix64 stream:
 every draw is a pure function of ``(seed, position)``, so results are
@@ -17,7 +18,9 @@ per-layer, per-epoch, or per-member use.
 
 Draws, Glorot initialization and the Adam update run in cache-sized
 blocks with a little reused scratch memory, and give bitwise the results
-of the whole-array formulas.
+of the whole-array formulas; the blocks of an initialization and of an
+Adam step are dealt to the worker pool, each worker with its own
+scratch.
 Adam writes each new parameter into the caller's array and clipping
 scales the caller's gradients, so a training step holds one copy each
 of the parameters, the two moments and the gradients. Adam also takes
@@ -102,11 +105,13 @@ class WorkerPool:
     With one worker, or a single call, the calls run in the calling
     thread. NumPy releases the interpreter lock inside its loops and
     BLAS calls, so the pieces of one computation overlap on separate
-    cores. Four kinds of work run on it: the column panels of a matrix
-    product (:func:`matmul`), the blocks of an Adam step, the tensors of
-    a checkpoint being loaded, and the members and row slabs of a
-    beam-search step. Every piece of work given to the pool obeys one
-    contract:
+    cores. Six kinds of work run on it: the column panels of a matrix
+    product (:func:`matmul`), the decoder's teacher-forced products that
+    do not depend on each other, the blocks of an Adam step, the blocks
+    of draws of a Glorot initialization (:func:`xavier_init`), the
+    tensors of a checkpoint being loaded, and the members and row slabs
+    of a beam-search step. Every piece of work given to the pool obeys
+    one contract:
 
     * every piece runs the same operations in the same order, whichever
       thread runs it, so results are bitwise the same for any worker
@@ -227,6 +232,19 @@ def _mix64(z, scratch):
     return z
 
 
+def _draw_block(seed, first, bits, scratch):
+    """Raw draws ``first .. first + len(bits) - 1`` of stream ``seed``,
+    each shifted to its top 53 bits, written into the uint64 array
+    ``bits`` (at most ``_CHUNK`` long) and returned; ``scratch`` is a
+    uint64 buffer at least as long."""
+    # Raw draw i is mix64(seed + (i + 1) * GAMMA), all modulo 2**64.
+    np.add(_STRIDES[:len(bits)], np.uint64((seed + (first + 1) * _GAMMA) & _U64_MASK),
+           out=bits)
+    _mix64(bits, scratch[:len(bits)])
+    bits >>= np.uint64(11)
+    return bits
+
+
 def _draw_bits(seed, first, count):
     """Yield ``(start, bits)`` over the raw draws ``first .. first +
     count - 1`` of stream ``seed``, block by block: ``bits[k]`` is raw
@@ -235,14 +253,7 @@ def _draw_bits(seed, first, count):
     z = np.empty(min(count, _CHUNK), dtype=np.uint64)
     scratch = np.empty_like(z)
     for start, stop in batch_slices(count, _CHUNK):
-        bits = z[:stop - start]
-        # Raw draw i is mix64(seed + (i + 1) * GAMMA), all modulo 2**64.
-        np.add(_STRIDES[:len(bits)],
-               np.uint64((seed + (first + start + 1) * _GAMMA) & _U64_MASK),
-               out=bits)
-        _mix64(bits, scratch[:len(bits)])
-        bits >>= np.uint64(11)
-        yield start, bits
+        yield start, _draw_block(seed, first + start, z[:stop - start], scratch)
 
 
 class Rng:
@@ -261,11 +272,15 @@ class Rng:
     def seed(self):
         return self._seed
 
-    def _bits(self, count):
-        """Consume ``count`` draws; yields them as :func:`_draw_bits` does."""
+    def _take(self, count):
+        """Consume ``count`` draws; returns the position of the first."""
         first = self._position
         self._position += count
-        return _draw_bits(self._seed, first, count)
+        return first
+
+    def _bits(self, count):
+        """Consume ``count`` draws; yields them as :func:`_draw_bits` does."""
+        return _draw_bits(self._seed, self._take(count), count)
 
     def split(self, tag):
         """Derive an independent child stream keyed by an integer tag.
@@ -454,9 +469,15 @@ def xavier_init(rows, cols, rng, out=None):
     """Uniform Glorot initialization on ``+/- sqrt(6 / (rows + cols))``.
 
     ``rng`` may be an :class:`Rng` or an integer seed; the same seed
-    always yields the same matrix. The draws are scaled and shifted
-    block by block, while each block is in cache, and written into
-    ``out`` (a C-contiguous (rows, cols) array) when it is given.
+    always yields the same matrix, and an :class:`Rng` advances by
+    ``rows * cols`` draws. The draws are scaled and shifted block by
+    block, while each block is in cache, and written into ``out`` (a
+    C-contiguous (rows, cols) array) when it is given.
+
+    The blocks are dealt to the :func:`worker_pool`
+    (:meth:`WorkerPool.deal`), each worker with one block of scratch. A
+    draw is a pure function of its stream and position, so the matrix
+    is the same for any worker count.
     """
     if isinstance(rng, (int, np.integer)):
         rng = Rng(rng)
@@ -466,12 +487,20 @@ def xavier_init(rows, cols, rng, out=None):
         raise DimensionError(f"xavier_init writes a C-contiguous ({rows}, {cols}) "
                              f"array, got {weights.shape}")
     flat = weights.reshape(-1)
-    # The operations of ``uniform(...) * (2 * bound) - bound``, in order.
-    for start, bits in rng._bits(rows * cols):
-        block = flat[start:start + len(bits)]
-        np.multiply(bits, _INV_2_53, out=block)
-        block *= 2.0 * bound
-        block -= bound
+    seed, first = rng.seed, rng._take(flat.size)
+
+    def fill(share):
+        bits = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
+        scratch = np.empty_like(bits)
+        for start, stop in share:
+            block = flat[start:stop]
+            # The operations of ``uniform(...) * (2 * bound) - bound``, in order.
+            np.multiply(_draw_block(seed, first + start, bits[:stop - start], scratch),
+                        _INV_2_53, out=block)
+            block *= 2.0 * bound
+            block -= bound
+
+    worker_pool().deal(fill, batch_slices(flat.size, _CHUNK))
     return weights
 
 

@@ -34,7 +34,14 @@ back to the previous step's ``h`` and ``c`` (``_recur_backward``) going
 back. The embedding lookup, the x side of the factors, dropout, the
 output layer and every weight gradient are single products over all
 tokens; ``d`` is fixed over a caption, so the ``Wb`` and ``Ub``
-gradients are one product each over every caption's summed rows.
+gradients are one product each over every caption's summed rows (one
+slab add per step). The output layer's forward product runs in column
+panels on the worker pool (:func:`attrcap.nncore.matmul`). Going back,
+the products that do not depend on each other run at once on it, each
+one whole ``np.matmul``: the ``Wout`` gradient with the hidden rows',
+then the ``Wa``, ``Ua`` and ``Uc`` gradients with the factor rows',
+then the ``Wc`` gradient with the embedding rows'. The recurrence's
+products run on the calling thread.
 :meth:`ScnLstm.cell_forward` and :meth:`ScnLstm.cell_backward` run the
 same two halves for a single step, which is how decoding advances.
 
@@ -241,6 +248,25 @@ def _gate_rows(slabs):
     return slabs.swapaxes(0, 1).reshape(slabs.shape[1], -1)
 
 
+def _matmuls(*products):
+    """``np.matmul(a, b, out=out)`` for every ``(a, b, out)``, all at once
+    on the worker pool; each ``out`` is C-contiguous and allocated by the
+    caller, as the pool's contract asks."""
+    nncore.worker_pool().map(lambda product: np.matmul(product[0], product[1], out=product[2]),
+                             products)
+
+
+def _caption_sums(rows, running):
+    """The (captions, width) sums of each caption's rows of the step-major
+    ``rows``, ``running[t]`` captions at step ``t``: one slab add per step
+    into the leading captions, which adds each caption's rows in the order
+    ``np.add.at`` over their caption indices would."""
+    summed = np.zeros((running[0], rows.shape[1]))
+    for end, n in zip(np.cumsum(running), running):
+        summed[:n] += rows[end - n:end]
+    return summed
+
+
 class ScnLstm:
     """Factorized attribute-conditioned LSTM decoder. ``embeddings``
     maps rows of the embedding table drawn from ``seed`` to the (E,)
@@ -349,15 +375,19 @@ class ScnLstm:
         steps. Writes the gradients named in ``_INPUT_GRADS`` into the
         arrays of ``grads`` and returns ``(dx, da1, db1)``."""
         x, h_prev, _, _, (a1, a2, b1, x_fact), (b2, h_fact, _, _), _ = cache
+        p = self.params
         dpre_t = dpre.swapaxes(1, 2)
-        np.matmul(dpre_t, _per_gate(x_fact), out=grads["Wa"])
-        np.matmul(dpre_t, _per_gate(h_fact), out=grads["Ua"])
+        dx_slabs = np.empty(dpre.shape[:2] + p["Wa"].shape[2:])
+        _matmuls((dpre_t, _per_gate(x_fact), grads["Wa"]),
+                 (dpre_t, _per_gate(h_fact), grads["Ua"]),
+                 ((dh_fact * b1).T, h_prev, grads["Uc"]),
+                 (dpre, p["Wa"], dx_slabs))
         dpre.sum(axis=1, out=grads["b"].reshape(4, -1))
-        dx_fact = _gate_rows(dpre @ self.params["Wa"])
+        dx_fact = _gate_rows(dx_slabs)
         da2 = dx_fact * a1
-        np.matmul(da2.T, x, out=grads["Wc"])
-        np.matmul((dh_fact * b1).T, h_prev, out=grads["Uc"])
-        return da2 @ self.params["Wc"], dx_fact * a2, dh_fact * b2
+        dx = np.empty((len(da2), p["Wc"].shape[1]))
+        _matmuls((da2.T, x, grads["Wc"]), (da2, p["Wc"], dx))
+        return dx, dx_fact * a2, dh_fact * b2
 
     def cell_backward(self, dh, dc_in, cache, grads):
         """Backward through one step, accumulating into ``grads``.
@@ -440,7 +470,7 @@ class ScnLstm:
                                              mode, rng)
         targets = tokens[caption, step + 1]
         # Log-softmax in place: ``probs`` is the only (n_tokens, V) buffer.
-        probs = h_rows @ p["Wout"].T
+        probs = nncore.matmul(h_rows, p["Wout"].T)
         probs += p["bout"]
         probs -= probs.max(axis=1, keepdims=True)
         target_logits = probs[np.arange(len(targets)), targets]
@@ -448,20 +478,20 @@ class ScnLstm:
         totals = probs.sum(axis=1)
         nll = float(np.sum(np.log(totals) - target_logits))
         probs /= totals[:, None]
-        cache = (inputs, running, caption, feature, cell, drop_cache,
-                 h_rows, targets, probs)
+        cache = (inputs, running, feature, cell, drop_cache, h_rows, targets, probs)
         return nll, len(targets), cache
 
     def _backward(self, cache, grads):
         """Gradients of the summed NLL of a :meth:`_forward` pass,
         written into the arrays of ``grads``; that of ``embed`` is
         accumulated into its zero-filled array."""
-        inputs, running, caption, feature, cell, drop_cache, h_rows, targets, dlogits = cache
+        inputs, running, feature, cell, drop_cache, h_rows, targets, dlogits = cache
         _, _, c_prev, d, (_, _, b1, _), (_, h_fact, gates, tanh_c), _ = cell
         dlogits[np.arange(len(targets)), targets] -= 1.0
-        np.matmul(dlogits.T, h_rows, out=grads["Wout"])
+        dh_rows = np.empty(h_rows.shape)
+        _matmuls((dlogits.T, h_rows, grads["Wout"]), (dlogits, self.params["Wout"], dh_rows))
         dlogits.sum(axis=0, out=grads["bout"])
-        dh_rows = dropout_backward(dlogits @ self.params["Wout"], drop_cache)
+        dh_rows = dropout_backward(dh_rows, drop_cache)
         ends = np.cumsum(running)
         dpre = np.empty_like(gates)
         dh_fact = np.empty_like(h_fact)
@@ -480,9 +510,7 @@ class ScnLstm:
         # ``d`` is fixed over a caption, so ``Wb`` and ``Ub`` take one
         # product each over every caption's summed rows.
         for name, per_token in (("Wb", da1), ("Ub", db1)):
-            summed = np.zeros((len(d), per_token.shape[1]))
-            np.add.at(summed, caption, per_token)
-            np.matmul(summed.T, d, out=grads[name])
+            np.matmul(_caption_sums(per_token, running).T, d, out=grads[name])
         # Only step 1 has the image term z.
         np.matmul(dpre[:, :running[0]].sum(axis=0).T, feature, out=grads["Cv"])
 

@@ -203,6 +203,20 @@ def test_xavier_matrix_is_bitwise_the_whole_array_formula():
         assert (stacked[0] == 7.0).all()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("consumed", [0, 5])
+def test_xavier_on_the_pool_is_bitwise_the_whole_array_formula(pool_of, workers, consumed):
+    pool_of(workers)
+    rows, cols = 7, _CHUNK // 2 + 3  # four blocks, the last one short
+    assert rows * cols % _CHUNK
+    rng, reference = Rng(19), ReferenceRng(19)
+    # A stream that drew before the call continues where it was.
+    assert rng.uniform((consumed,)).tobytes() == reference.uniform((consumed,)).tobytes()
+    assert xavier_init(rows, cols, rng).tobytes() == reference.xavier(rows, cols).tobytes()
+    # The call advanced the stream by exactly rows * cols draws.
+    assert rng.uniform((9,)).tobytes() == reference.uniform((9,)).tobytes()
+
+
 def test_xavier_rejects_an_output_it_cannot_fill_in_place():
     for out in [np.empty((4, 3)), np.empty((6, 4))[::2], np.empty((4, 3)).T]:
         with pytest.raises(DimensionError, match="C-contiguous"):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from attrcap import scnlstm
+from attrcap import nncore, scnlstm
 from attrcap.nncore import (
     DimensionError,
     ParameterError,
@@ -540,6 +540,37 @@ def test_batch_loss_matches_the_stepwise_cell_loop(mode, bodies):
         assert np.max(np.abs(grads[name] - ref)) <= 1e-10 * np.max(np.abs(ref)), name
 
 
+def test_caption_sums_are_bitwise_np_add_at_on_a_ragged_batch():
+    running = [6, 6, 5, 3, 3, 1]
+    rng = Rng(45)
+    # Magnitudes over many decades, so that any other order of the adds
+    # would round differently.
+    rows = rng.normal((sum(running), 5)) * 10.0 ** (8 * rng.uniform((sum(running), 5)))
+    caption = np.concatenate([np.arange(n) for n in running])
+    reference = np.zeros((running[0], 5))
+    np.add.at(reference, caption, rows)
+    assert scnlstm._caption_sums(rows, running).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["train", "inference"])
+def test_batch_loss_is_bitwise_the_same_for_any_worker_count(monkeypatch, pool_of, mode):
+    # The output layer's 17 columns run in panels of 7, 7 and 3.
+    monkeypatch.setattr(nncore, "_PANEL", 7)
+    cfg = ScnLstmConfig(vocab_size=17, n_words=4, feature_dim=6, embed_dim=5,
+                        hidden_dim=6, factor_dim=7, dropout=0.5)
+    model = ScnLstm(cfg, seed=46)
+    rng = Rng(47)
+    samples = [(rng.normal((cfg.feature_dim,)), np.abs(rng.normal((cfg.n_words,))),
+                [BOS_ID, *body, EOS_ID])
+               for body in ([3, 16, 2], [5, 9, 10, 4, 8, 15], [], [11, 6])]
+    runs = []
+    for workers in (1, 2, 3):
+        pool_of(workers)
+        loss, grads, _ = model.batch_loss(samples, mode=mode, rng=Rng(48))
+        runs.append((loss, {name: grad.tobytes() for name, grad in grads.items()}))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_batch_nll_equals_inference_mode_batch_loss():
     model = tiny_model(seed=15)
     rng = Rng(16)
@@ -714,6 +745,25 @@ def test_training_holds_four_parameter_sets_and_the_best_epochs_copy(monkeypatch
     param_set = sum(value.nbytes for value in model.params.values())
     sets = 4 if epochs == 1 else 5
     assert sets * param_set <= peak < (sets + 0.5) * param_set
+
+
+def test_training_is_bitwise_the_same_on_one_and_two_workers(pool_of):
+    # The embedding and output tables span two draw blocks, and the
+    # output layer's 700 columns two panels.
+    config = ScnLstmConfig(vocab_size=700, n_words=6, feature_dim=8, embed_dim=50,
+                           hidden_dim=50, factor_dim=9, dropout=0.5)
+    rng = Rng(49)
+    samples = [(rng.normal((8,)), np.abs(rng.normal((6,))),
+                [BOS_ID, *(3 + (97 * i + 131 * k) % 697 for k in range(i % 4 + 1)), EOS_ID])
+               for i in range(7)]
+    tcfg = CaptionTrainConfig(learning_rate=1e-2, batch_size=3, max_epochs=2, seed=5)
+    runs = []
+    for workers in (1, 2):
+        pool_of(workers)
+        model, history = train_captioner(samples[:5], config, tcfg, val_samples=samples[5:])
+        runs.append((history, {name: value.tobytes() for name, value in model.params.items()}))
+    assert len(runs[0][0]["val_loss"]) == 2
+    assert runs[1] == runs[0]
 
 
 def test_dropout_training_is_reproducible_byte_for_byte(tmp_path):

@@ -120,10 +120,11 @@ done
 echo "attribute files: every line is json.dumps of its record"
 
 # One CPU runs the worker pool with one worker: row-slab and panelled
-# training, predictions and decodes must not depend on the worker count.
+# attribute training, decoder training, predictions and decodes must not
+# depend on the worker count.
 if command -v taskset >/dev/null 2>&1; then
     mkdir -p one_cpu
-    cp captions.json feats.daef run1/gt.jsonl run1/attr.daec run1/cap.daec one_cpu/
+    cp captions.json feats.daef run1/gt.jsonl run1/attr.daec one_cpu/
     cd one_cpu
     taskset -c 0 attrcap train-attr --features feats.daef --attrs gt.jsonl \
         --out-model attr_wide.daec --hidden 1024 --epochs 4 --batch-size 2 \
@@ -133,13 +134,22 @@ if command -v taskset >/dev/null 2>&1; then
         --learning-rate 0.003 --ensemble 2 --seed 5 > /dev/null
     taskset -c 0 attrcap predict-attr --features feats.daef --model attr.daec \
         --out-attrs pred.jsonl --seed 5 > /dev/null
+    for dropout in 0.0 0.3; do
+        [ "$dropout" = 0.0 ] && model=cap.daec || model=cap_drop.daec
+        taskset -c 0 attrcap train-captioner --captions captions.json --features feats.daef \
+            --attrs pred.jsonl --out-model "$model" --min-count 1 \
+            --embed-dim 6 --hidden 8 --factor 8 --dropout "$dropout" \
+            --learning-rate 0.01 --batch-size 4 --epochs 8 --val-fraction 0.25 \
+            --patience 4 --ensemble 2 --seed 7 > /dev/null
+    done
     taskset -c 0 attrcap caption --features feats.daef --attrs pred.jsonl \
         --model cap.daec --beam 3 --max-len 8 --out decoded.jsonl --seed 7 > /dev/null
     cd ..
-    for f in attr_wide.daec attr_odd.daec pred.jsonl decoded.jsonl; do
+    for f in attr_wide.daec attr_odd.daec pred.jsonl cap.daec cap_drop.daec decoded.jsonl; do
         cmp run1/"$f" one_cpu/"$f" || { echo "MISMATCH: $f on one CPU"; exit 1; }
     done
-    echo "one CPU: wide and odd-width training, predictions and decodes byte-identical"
+    echo "one CPU: wide and odd-width attribute training, decoder training with and" \
+         "without dropout, predictions and decodes byte-identical"
 fi
 
 echo "== decoded captions =="
