@@ -140,7 +140,7 @@ def join_on_image_id(feature_ids, features, attr_ids, attrs):
         )
     attr_row = {image_id: row for image_id, row in zip(attr_ids, attrs)}
     y = np.stack([attr_row[image_id] for image_id in feature_ids])
-    return list(feature_ids), np.asarray(features, dtype=np.float64), y
+    return list(feature_ids), features, y
 
 
 class AttrNet:
@@ -323,7 +323,7 @@ def train_attrnet(x, y, net_config, train_config):
     Training runs for exactly ``train_config.epochs`` epochs; there is
     no early stopping here.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] != y.shape[0]:
         raise DimensionError(

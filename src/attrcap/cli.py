@@ -204,8 +204,9 @@ def _joined_inputs(args):
     ``--attrs``, joined on image id in the feature file's order."""
     feature_ids, features = storage.read_features(args.features)
     attr_ids, attrs, _ = storage.load_attributes(args.attrs)
-    if not attrs.shape[1]:
-        raise storage.FormatError(f"{args.attrs}: the attribute vocabulary is empty")
+    for path, rows in ((args.features, features), (args.attrs, attrs)):
+        if not rows.shape[1]:
+            raise storage.FormatError(f"{path}: the vectors have width 0")
     return attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
 
 

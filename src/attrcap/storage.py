@@ -3,8 +3,8 @@
 Two binary formats, both little-endian with a four-byte magic and a
 version word so damaged or foreign files fail fast:
 
-* feature files (magic ``DAEF``): u32 version, u32 dim, u64 count,
-  then ``count`` records of (u64 image_id, ``dim`` float32 values);
+* feature files (magic ``DAEF``): u32 version, u32 dim, u64 count, then
+  ``count`` records of (u64 image_id, ``dim`` float32 values), read as stored;
 * checkpoint files (magic ``DAEC``): u32 version, u64 header length,
   a UTF-8 JSON header listing tensor names/shapes plus a config echo,
   then the tensors as float64 in header order. Checkpoints round-trip
@@ -118,11 +118,10 @@ def write_features(path, image_ids, features):
 
 
 def read_features(path):
-    """Read a DAEF file; returns ``(image_ids, features)``.
-
-    Features come back as float64 (they are stored as float32, so the
-    widening is exact). A NaN or infinite value is a :class:`NumericError`
-    naming the first image that holds one.
+    """Read a DAEF file; returns ``(image_ids, features)``, the features
+    as stored: read-only float32 rows, a strided view of the records,
+    which each model widens a batch or block at a time. A NaN or infinite
+    value is a :class:`NumericError` naming the first image that holds one.
     """
     try:
         handle = open(path, "rb")
@@ -142,7 +141,7 @@ def read_features(path):
     if not finite.all():
         raise NumericError(f"{path}: non-finite feature value for image "
                            f"{int(records['id'][np.argmin(finite)])}")
-    return records["id"].tolist(), records["x"].astype(np.float64)
+    return records["id"].tolist(), records["x"]
 
 
 # --------------------------------------------------------------------------

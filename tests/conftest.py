@@ -59,6 +59,20 @@ def per_gate_checkpoint():
 
 
 @pytest.fixture
+def stored_rows(tmp_path):
+    """Writer of an (N, dim) array to a feature file; returns the rows
+    that ``storage.read_features`` reads back: read-only float32 rows of
+    the file's records, a strided view."""
+    from attrcap import storage
+
+    def store(x):
+        storage.write_features(tmp_path / "rows.daef", range(len(x)), x)
+        return storage.read_features(tmp_path / "rows.daef")[1]
+
+    return store
+
+
+@pytest.fixture
 def pool_of(monkeypatch):
     """Installer of a fresh process-wide worker pool of a given size,
     undone after the test."""

@@ -781,6 +781,24 @@ def test_predict_ensemble_memory_beyond_the_output_does_not_grow_with_rows(pool_
     assert at_once <= len(nets) * one_block + small_objects
 
 
+def test_stored_float32_rows_train_and_predict_bitwise_as_their_widening(stored_rows):
+    # Each model widens the rows it computes on, so the rows as stored
+    # and their float64 widening are the same input, bit for bit.
+    x, y = small_dataset(n=9)
+    rows = stored_rows(x)
+    config = AttrTrainConfig(epochs=3, batch_size=4, seed=21)
+    runs = []
+    for inputs in (rows, rows.astype(np.float64)):
+        net, losses = train_attrnet(inputs, y, SMALL, config)
+        runs.append((losses, {name: value.tobytes() for name, value in net.tensors().items()}))
+    assert runs[1] == runs[0]
+    # Beyond one block, each block is widened on its own.
+    nets = trained_like_nets(3)
+    rows = stored_rows(Rng(35).normal((2 * BLOCK + 77, 48)) * 3.0)
+    assert predict_ensemble(nets, rows).tobytes() == (
+        predict_ensemble(nets, rows.astype(np.float64)).tobytes())
+
+
 def train_ensemble(x, y, config, n_members):
     """Members trained by the shared member loop, as the CLI trains them."""
     results = train_members(n_members, config.seed, lambda seed: (

@@ -293,6 +293,30 @@ def test_data_errors_exit_with_two(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "m.daec").exists()
 
 
+@pytest.mark.parametrize("command", ["train-attr", "train-captioner", "caption"])
+def test_features_of_width_zero_are_a_data_error(tmp_path, monkeypatch, capsys, command):
+    # No flag is wrong, so it is not a usage error; and ``caption`` must
+    # name the file, not fail in a matrix product against its model.
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_features("zero.daef", [1, 2, 3, 4], np.zeros((4, 0)))
+    storage.write_attributes("attrs.jsonl", [1, 2, 3, 4], np.full((4, 3), 0.5))
+    vocab = scnlstm.CaptionVocab.from_token_lists([["a", "dog"]], min_count=1)
+    scnlstm.save_captioner("cap.daec", scnlstm.ScnLstm(ScnLstmConfig(
+        vocab_size=len(vocab), n_words=3, feature_dim=FEATURE_DIM, embed_dim=4,
+        hidden_dim=4, factor_dim=4)), vocab)
+    common = ["--features", "zero.daef", "--attrs", "attrs.jsonl"]
+    argv = {"train-attr": ["train-attr", *common, "--out-model", "out.daec"],
+            "train-captioner": ["train-captioner", *common, "--captions",
+                                "captions.json", "--out-model", "out.daec",
+                                "--min-count", "1"],
+            "caption": ["caption", *common, "--model", "cap.daec",
+                        "--out", "out.jsonl"]}[command]
+    line = expect_error(capsys, argv, 2, "data")
+    assert line == "error: data: zero.daef: the vectors have width 0"
+    assert not list(tmp_path.glob("out.*"))
+
+
 class Captured(Exception):
     """Raised by a stub trainer once it holds the configs it was given."""
 

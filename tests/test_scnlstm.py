@@ -1035,6 +1035,29 @@ def test_block_decoding_is_bitwise_the_same_for_every_worker_count(pool_of, work
     assert decodes[0] == decodes[1]
 
 
+def test_stored_float32_rows_train_and_decode_bitwise_as_their_widening(stored_rows):
+    # Teacher forcing and decoding widen their own batch or block, so the
+    # rows as stored and their float64 widening are the same input.
+    cfg = ScnLstmConfig(vocab_size=40, n_words=4, feature_dim=5, embed_dim=4,
+                        hidden_dim=6, factor_dim=5, dropout=0.5)
+    rng = Rng(72)
+    rows = stored_rows(rng.normal((6, cfg.feature_dim)) * 2.0)
+    d = np.abs(rng.normal((6, cfg.n_words))) * 2.0
+    ids = [[BOS_ID, *(3 + (7 * i + 11 * k) % 37 for k in range(i % 3 + 1)), EOS_ID]
+           for i in range(6)]
+    tcfg = CaptionTrainConfig(learning_rate=1e-2, batch_size=3, max_epochs=2, seed=5)
+    runs = []
+    for features in (rows, rows.astype(np.float64)):
+        samples = [(features[i], d[i], ids[i]) for i in range(6)]
+        model, history = train_captioner(samples[:4], cfg, tcfg, val_samples=samples[4:])
+        models = [model, tiny_model(seed=73, scale=3.0, config=cfg)]
+        block = ensemble_beam_search_block(models, features, d, beam_width=3, max_len=6)
+        runs.append((history, {name: value.tobytes() for name, value in model.params.items()},
+                     [(seq.tokens, seq.log_prob.hex()) for seq in block]))
+    assert len(runs[0][0]["val_loss"]) == 2
+    assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_row_slabs_decode_forced_and_early_images_bitwise_as_one_slab(pool_of, workers):
     # One worker ranks each step's rows as one slab; more workers cut

@@ -43,9 +43,9 @@ def test_features_round_trip(tmp_path):
     write_features(path, ids, features)
     got_ids, got = read_features(path)
     assert got_ids == ids
-    assert got.dtype == np.float64
-    # float32 -> float64 widening is exact, so the round trip is bitwise.
-    assert np.array_equal(got, features.astype(np.float64))
+    # The rows come back as stored, read-only.
+    assert got.dtype == np.float32 and not got.flags.writeable
+    assert np.array_equal(got, features)
 
 
 def test_features_empty_file_round_trip(tmp_path):
@@ -62,7 +62,7 @@ def read_features_per_record(path):
     dim = int(np.frombuffer(payload, "<u4", count=1, offset=8)[0])
     count = int(np.frombuffer(payload, "<u8", count=1, offset=12)[0])
     record = 8 + 4 * dim
-    ids, features = [], np.empty((count, dim), dtype=np.float64)
+    ids, features = [], np.empty((count, dim), dtype=np.float32)
     for i in range(count):
         start = 20 + i * record
         ids.append(int(np.frombuffer(payload, "<u8", count=1, offset=start)[0]))
@@ -80,7 +80,8 @@ def test_features_match_the_per_record_reader(tmp_path):
         ref_ids, ref = read_features_per_record(tmp_path / name)
         assert got_ids == ref_ids == case_ids
         assert all(type(image_id) is int for image_id in got_ids)
-        assert got.dtype == np.float64 and got.flags.c_contiguous
+        # Rows of the records' view: one record, an id and 7 values, apart.
+        assert got.dtype == np.float32 and got.strides == (8 + 4 * 7, 4)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 

@@ -35,8 +35,10 @@ captions = {"annotations": [
 with open("captions.json", "w") as fh:
     json.dump(captions, fh)
 storage.write_features("feats.daef", [1, 2, 3, 4], Rng(50).normal((4, 12)))
-# Attributes of images that feats.daef does not hold, for the error contract.
+# Attributes of images that feats.daef does not hold, and features of
+# width 0, for the error contract.
 storage.write_attributes("other_ids.jsonl", [5, 6, 7, 8], np.full((4, 3), 0.5))
+storage.write_features("widthless.daef", [1, 2, 3, 4], np.zeros((4, 0)))
 # word2vec-format vectors for two caption words, after a "count dim" header.
 with open("vectors.txt", "w") as fh:
     fh.write("2 6\nred 0.125 0.25 0.375 0.5 0.625 0.75\ndog -0.25 -0.25 -0.25 -0.25 -0.25 -0.25\n")
@@ -205,6 +207,15 @@ attrcap train-attr --features feats.daef --attrs other_ids.jsonl \
     || { echo "BAD: unjoinable train-attr stderr:"; cat unjoined.stderr; exit 1; }
 for f in unjoined.daec*; do
     [ -e "$f" ] && { echo "BAD: unjoinable train-attr left $f"; exit 1; }
+done
+# Features of width 0 are a data error, although no flag is wrong.
+attrcap train-attr --features widthless.daef --attrs run1/gt.jsonl \
+    --out-model widthless.daec --hidden 16 --epochs 1 --seed 5 2>widthless.stderr
+[ $? -eq 2 ] || { echo "BAD: widthless train-attr exit"; exit 1; }
+[ "$(wc -l < widthless.stderr)" -eq 1 ] && grep -q '^error: data: ' widthless.stderr \
+    || { echo "BAD: widthless train-attr stderr:"; cat widthless.stderr; exit 1; }
+for f in widthless.daec*; do
+    [ -e "$f" ] && { echo "BAD: widthless train-attr left $f"; exit 1; }
 done
 head -c "$(($(wc -c < run1/attr.daec) / 2))" run1/attr.daec > truncated.daec
 attrcap predict-attr --features feats.daef --model truncated.daec \
