@@ -199,14 +199,25 @@ def _load_documents(path, stem):
     return build_documents(parse_caption_file(path), apply_stemming=stem)
 
 
-def _joined_inputs(args):
+def _check_width(path, rows, want=None):
+    """A data error unless ``rows`` of ``path`` have a width, ``want`` if given."""
+    width = rows.shape[1]
+    if not width:
+        raise storage.FormatError(f"{path}: the vectors have width 0")
+    if want not in (None, width):
+        raise storage.FormatError(f"{path}: the vectors have width {width}, "
+                                  f"the model takes {want}")
+
+
+def _joined_inputs(args, model=None):
     """``(image_ids, features, attributes)`` of ``--features`` and
-    ``--attrs``, joined on image id in the feature file's order."""
+    ``--attrs``, joined on image id in the feature file's order; with a
+    ``model`` config, their widths must be its feature_dim and n_words."""
     feature_ids, features = storage.read_features(args.features)
     attr_ids, attrs, _ = storage.load_attributes(args.attrs)
-    for path, rows in ((args.features, features), (args.attrs, attrs)):
-        if not rows.shape[1]:
-            raise storage.FormatError(f"{path}: the vectors have width 0")
+    widths = (model.feature_dim, model.n_words) if model else (None, None)
+    for path, rows, want in zip((args.features, args.attrs), (features, attrs), widths):
+        _check_width(path, rows, want)
     return attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
 
 
@@ -270,6 +281,7 @@ def _cmd_train_attr(args, meta):
 def _cmd_predict_attr(args, meta):
     feature_ids, features = storage.read_features(args.features)
     members = attrnet_mod.load_attrnet_ensemble(args.model)
+    _check_width(args.features, features, members[0].config.feature_dim)
     predictions = attrnet_mod.predict_ensemble(members, features)
     storage.write_attributes(args.out_attrs, feature_ids, predictions, meta=meta)
     print(f"predicted attributes for {len(feature_ids)} images")
@@ -378,8 +390,8 @@ def _cmd_train_captioner(args, meta):
 
 
 def _cmd_caption(args, meta):
-    feature_ids, x, d = _joined_inputs(args)
     models, vocab = scnlstm_mod.load_captioner_ensemble(args.model)
+    feature_ids, x, d = _joined_inputs(args, models[0].config)
     sequences = []
     for start, stop in batch_slices(len(feature_ids), _DECODE_BLOCK):
         sequences.extend(scnlstm_mod.ensemble_beam_search_block(

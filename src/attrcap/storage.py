@@ -386,10 +386,10 @@ def _write_lines(path, lines, meta):
             handle.write("\n")
 
 
-def read_jsonl(path):
-    """Read JSON Lines; returns ``(records, meta)`` with meta possibly {}."""
-    records = []
-    meta = {}
+def _jsonl_items(path):
+    """Yield the ``_meta`` object on the first line of JSON Lines ``path``
+    ({} when that line holds none; nothing for an empty file), then each
+    other record, parsed as its line is read."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -397,19 +397,24 @@ def read_jsonl(path):
     with handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
             try:
-                record = json.loads(line)
+                record = json.loads(line) if line else None
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if line_no == 1 and isinstance(record, dict) and "_meta" in record:
-                meta = record["_meta"]
-                if not isinstance(meta, dict):
-                    raise FormatError(f"{path}:1: _meta record is not an object")
-                continue
-            records.append(record)
-    return records, meta
+            is_meta = line_no == 1 and isinstance(record, dict) and "_meta" in record
+            if is_meta and not isinstance(record["_meta"], dict):
+                raise FormatError(f"{path}:1: _meta record is not an object")
+            if line_no == 1:
+                yield record["_meta"] if is_meta else {}
+            if line and not is_meta:
+                yield record
+
+
+def read_jsonl(path):
+    """Read JSON Lines; returns ``(records, meta)`` with meta possibly {}."""
+    items = _jsonl_items(path)
+    meta = next(items, {})
+    return list(items), meta
 
 
 def write_attributes(path, image_ids, matrix, meta=None):
@@ -448,62 +453,54 @@ def write_attributes(path, image_ids, matrix, meta=None):
 def load_attributes(path):
     """Read an attribute JSONL file; returns ``(image_ids, matrix, meta)``.
     Ids, indices and ``_meta.n_words`` must be JSON ints, values numbers.
-    The first pair, in file order, whose index is out of range or
-    repeats in its record, or whose value is not finite, is reported."""
-    records, meta = read_jsonl(path)
-    image_ids, counts, indices, value_rows = [], [], [], []
-    for row, record in enumerate(records):
+    Each record is checked as it is read, and the first fault in file
+    order is reported, ``_meta`` first: a malformed record, or a pair
+    whose index is out of range or repeats in its record, or whose value
+    is not finite. Without ``n_words``, the width is the largest index
+    + 1. Beyond the matrix, the reader holds 16 bytes per stored pair."""
+    items = _jsonl_items(path)
+    meta = next(items, {})
+    n_words = meta.get("n_words")
+    if n_words is not None and (type(n_words) is not int or n_words < 0):
+        raise FormatError(f"{path}: n_words {n_words!r} is not a non-negative int")
+    # An inferred width must fit an int64, as the kept indices do.
+    bound = 2 ** 63 - 1 if n_words is None else n_words
+    image_ids, kept, width = [], [], 0
+    for row, record in enumerate(items):
         pairs = record.get("attrs", []) if isinstance(record, dict) else None
         try:
             if not (isinstance(record, dict) and type(record.get("image_id")) is int
                     and isinstance(pairs, list)
-                    and all(type(index) is int and type(value) in (int, float)
-                            for index, value in pairs)):
+                    and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is int
+                            and type(pair[1]) in (int, float) for pair in pairs)):
                 raise TypeError("needs an int image_id and attrs as "
                                 "[int index, number] pairs")
             index, value = zip(*pairs) if pairs else ((), ())
-            value_rows.append(np.array(value, dtype=np.float64))
-        except (TypeError, ValueError, OverflowError) as exc:
+            values = np.array(value, dtype=np.float64)
+        except (TypeError, OverflowError) as exc:
             raise FormatError(f"{path}: attribute record {row}: {exc}") from exc
+        seen = set()
+        for column, number in zip(index, values.tolist()):
+            if not 0 <= column < bound:
+                raise FormatError(f"{path}: attribute index {column} out of range for "
+                                  + ("an inferred width" if n_words is None
+                                     else f"width {n_words}"))
+            if column in seen or not math.isfinite(number):
+                raise FormatError(
+                    f"{path}: image {record['image_id']}: attribute index {column} "
+                    f"repeated or its value {number!r} not finite")
+            seen.add(column)
         image_ids.append(record["image_id"])
-        counts.append(len(pairs))
-        indices.extend(index)
-    n_words = meta.get("n_words")
-    if n_words is None:
-        n_words = max(0, max(indices, default=-1) + 1)
-    if type(n_words) is not int or n_words < 0:
-        raise FormatError(f"{path}: n_words {n_words!r} is not a non-negative int")
+        kept.append((np.array(index, dtype=np.int64), values))
+        width = max(width, max(seen, default=-1) + 1)
+    n_words = width if n_words is None else n_words
     try:
-        matrix = np.zeros((len(records), n_words), dtype=np.float64)
+        matrix = np.zeros((len(kept), n_words), dtype=np.float64)
     except (MemoryError, ValueError) as exc:
-        raise FormatError(f"{path}: cannot hold {len(records)} attribute rows of "
+        raise FormatError(f"{path}: cannot hold {len(kept)} attribute rows of "
                           f"n_words {n_words}: {exc}") from exc
-    # ``in_range`` pairs lead up to the first out-of-range index; only
-    # they become arrays, as the indices are Python ints of any size.
-    in_range = len(indices)
-    if indices and not (min(indices) >= 0 and max(indices) < n_words):
-        in_range = next(p for p, index in enumerate(indices) if not 0 <= index < n_words)
-    rows = np.repeat(np.arange(len(records)), counts)[:in_range]
-    columns = np.array(indices[:in_range], dtype=np.int64)
-    values = np.concatenate([np.zeros(0), *value_rows])[:in_range]
-    # A pair repeats when an earlier pair of its record has its index:
-    # the stable sort puts that pair first among equal keys.
-    keys = rows * n_words + columns
-    order = np.argsort(keys, kind="stable")
-    bad = ~np.isfinite(values)
-    bad[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
-    if bad.any():
-        p = int(np.argmax(bad))
-        raise FormatError(
-            f"{path}: image {image_ids[rows[p]]}: attribute index {indices[p]} "
-            f"repeated or its value {float(values[p])!r} not finite"
-        )
-    if in_range < len(indices):
-        raise FormatError(
-            f"{path}: attribute index {indices[in_range]} out of range "
-            f"for width {n_words}"
-        )
-    matrix[rows, columns] = values
+    for row, (columns, values) in enumerate(kept):
+        matrix[row, columns] = values
     return image_ids, matrix, meta
 
 

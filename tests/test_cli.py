@@ -317,6 +317,37 @@ def test_features_of_width_zero_are_a_data_error(tmp_path, monkeypatch, capsys, 
     assert not list(tmp_path.glob("out.*"))
 
 
+@pytest.mark.parametrize("command, wide, message", [
+    ("caption", "wide.daef", "wide.daef: the vectors have width 5, the model takes 3"),
+    ("caption", "wide.jsonl", "wide.jsonl: the vectors have width 4, the model takes 3"),
+    ("predict-attr", "wide.daef", "wide.daef: the vectors have width 5, the model takes 3"),
+])
+def test_input_widths_must_match_the_model(tmp_path, monkeypatch, capsys, command, wide,
+                                           message):
+    # Checked against the checkpoint before any work starts, so the error
+    # names the file and both widths, not a matrix product's operands.
+    monkeypatch.chdir(tmp_path)
+    ids = [1, 2, 3, 4]
+    storage.write_features("feats.daef", ids, np.ones((4, 3)))
+    storage.write_features("wide.daef", ids, np.ones((4, 5)))
+    storage.write_attributes("attrs.jsonl", ids, np.full((4, 3), 0.5))
+    storage.write_attributes("wide.jsonl", ids, np.full((4, 4), 0.5))
+    vocab = scnlstm.CaptionVocab.from_token_lists([["a", "dog"]], min_count=1)
+    scnlstm.save_captioner("cap.daec", scnlstm.ScnLstm(ScnLstmConfig(
+        vocab_size=len(vocab), n_words=3, feature_dim=3, embed_dim=4,
+        hidden_dim=4, factor_dim=4)), vocab)
+    attrnet.save_attrnet_ensemble("attr.daec", [attrnet.AttrNet(
+        AttrNetConfig(n_words=3, feature_dim=3, hidden_dim=4), seed=1)])
+    features = wide if wide.endswith(".daef") else "feats.daef"
+    attrs = wide if wide.endswith(".jsonl") else "attrs.jsonl"
+    argv = {"caption": ["caption", "--features", features, "--attrs", attrs,
+                        "--model", "cap.daec", "--out", "out.jsonl"],
+            "predict-attr": ["predict-attr", "--features", features,
+                             "--model", "attr.daec", "--out-attrs", "out.jsonl"]}[command]
+    assert expect_error(capsys, argv, 2, "data") == f"error: data: {message}"
+    assert not list(tmp_path.glob("out.*"))
+
+
 class Captured(Exception):
     """Raised by a stub trainer once it holds the configs it was given."""
 

@@ -558,6 +558,12 @@ def test_attributes_repeated_index_or_non_finite_value(tmp_path, attrs):
      "image 1: attribute index 0 repeated"),
     (['[[1, 0.5], [0, 0.5]]', '[[2, 0.5], [-1, 0.5]]', '[[0, 0.5], [0, 0.5]]'],
      "index -1 out of range"),
+    # Each record is checked as it is read: a malformed record or an
+    # invalid line after a bad pair does not hide the pair.
+    (['[[0, 0.5], [5, 0.25]]', '5'], "index 5 out of range"),
+    (['[[0, 0.5], [0, 0.5]]', '[[1, 0.5, 1]]'], "image 0: attribute index 0 repeated"),
+    (['[[5, 0.5]]', '[[0, 0.5]] oops'], "index 5 out of range"),
+    (['[[1, 0.5, 1]]'], "attribute record 0: needs an int image_id"),
 ])
 def test_attributes_first_bad_pair_in_file_order_is_reported(tmp_path, records, message):
     path = tmp_path / "attrs.jsonl"
@@ -574,6 +580,13 @@ def test_attributes_malformed_record(tmp_path, record):
     path = tmp_path / "attrs.jsonl"
     path.write_text('{"_meta": {"n_words": 2}}\n' + record + "\n")
     with pytest.raises(FormatError, match="attribute record 0"):
+        load_attributes(path)
+
+
+def test_attributes_meta_is_checked_before_any_record(tmp_path):
+    path = tmp_path / "attrs.jsonl"
+    path.write_text('{"_meta": {"n_words": "3"}}\n{"image_id": 1, "attrs": 5}\n')
+    with pytest.raises(FormatError, match="n_words '3' is not a non-negative int"):
         load_attributes(path)
 
 

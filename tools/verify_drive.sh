@@ -36,9 +36,10 @@ with open("captions.json", "w") as fh:
     json.dump(captions, fh)
 storage.write_features("feats.daef", [1, 2, 3, 4], Rng(50).normal((4, 12)))
 # Attributes of images that feats.daef does not hold, and features of
-# width 0, for the error contract.
+# width 0 and of a width no model takes, for the error contract.
 storage.write_attributes("other_ids.jsonl", [5, 6, 7, 8], np.full((4, 3), 0.5))
 storage.write_features("widthless.daef", [1, 2, 3, 4], np.zeros((4, 0)))
+storage.write_features("wide.daef", [1, 2, 3, 4], Rng(50).normal((4, 13)))
 # word2vec-format vectors for two caption words, after a "count dim" header.
 with open("vectors.txt", "w") as fh:
     fh.write("2 6\nred 0.125 0.25 0.375 0.5 0.625 0.75\ndog -0.25 -0.25 -0.25 -0.25 -0.25 -0.25\n")
@@ -216,6 +217,16 @@ attrcap train-attr --features widthless.daef --attrs run1/gt.jsonl \
     || { echo "BAD: widthless train-attr stderr:"; cat widthless.stderr; exit 1; }
 for f in widthless.daec*; do
     [ -e "$f" ] && { echo "BAD: widthless train-attr left $f"; exit 1; }
+done
+# Features wider than the captioner's are a data error that names the
+# feature file, checked before decoding: no captions are written.
+attrcap caption --features wide.daef --attrs run1/pred.jsonl \
+    --model run1/cap.daec --out wide.jsonl --seed 7 2>wide.stderr
+[ $? -eq 2 ] || { echo "BAD: wrong-width caption exit"; exit 1; }
+[ "$(wc -l < wide.stderr)" -eq 1 ] && grep -q '^error: data: wide\.daef: ' wide.stderr \
+    || { echo "BAD: wrong-width caption stderr:"; cat wide.stderr; exit 1; }
+for f in wide.jsonl*; do
+    [ -e "$f" ] && { echo "BAD: wrong-width caption left $f"; exit 1; }
 done
 head -c "$(($(wc -c < run1/attr.daec) / 2))" run1/attr.daec > truncated.daec
 attrcap predict-attr --features feats.daef --model truncated.daec \
