@@ -195,8 +195,16 @@ def _config(config_type, args, **data):
     return config_type(**data, **given)
 
 
+def _caption_pairs(path):
+    """The ``(image_id, caption)`` pairs of ``path``; a data error if none."""
+    pairs = parse_caption_file(path)
+    if not pairs:
+        raise storage.FormatError(f"{path}: the caption file holds no captions")
+    return pairs
+
+
 def _load_documents(path, stem):
-    return build_documents(parse_caption_file(path), apply_stemming=stem)
+    return build_documents(_caption_pairs(path), apply_stemming=stem)
 
 
 def _check_width(path, rows, want=None):
@@ -329,7 +337,7 @@ def _caption_samples(args):
     every caption and the ``(feature, d, ids)`` samples of the training
     and the held-out images, in image-id order, then file order. Whole
     images are held out, so no image contributes to both sides."""
-    pairs = sorted(parse_caption_file(args.captions), key=lambda pair: pair[0])
+    pairs = sorted(_caption_pairs(args.captions), key=lambda pair: pair[0])
     feature_ids, x, d = _joined_inputs(args)
     row_of = {image_id: row for row, image_id in enumerate(feature_ids)}
     image_ids = sorted({image_id for image_id, _ in pairs})
@@ -362,12 +370,12 @@ def _cmd_train_captioner(args, meta):
     vocab, train_samples, val_samples, n_words, feature_dim = _caption_samples(args)
     net_config = _config(scnlstm_mod.ScnLstmConfig, args, vocab_size=len(vocab),
                          n_words=n_words, feature_dim=feature_dim)
+    if not train_samples:
+        raise UsageError("validation split leaves no training captions")
     embeddings = None
     if args.init_embeddings:
         embeddings = _load_word_embeddings(args.init_embeddings, vocab,
                                            net_config.embed_dim)
-    if not train_samples:
-        raise UsageError("validation split leaves no training captions")
 
     members = train_members(args.ensemble, args.seed, lambda seed: (
         scnlstm_mod.train_captioner(
@@ -495,9 +503,10 @@ def main(argv=None):
         _report_error("numeric", exc)
         return 3
     # Every other ValueError is a data error: CorpusError, FormatError,
-    # JoinError and DimensionError among them.
-    except (OSError, ValueError) as exc:
-        _report_error("data", exc)
+    # JoinError and DimensionError among them; so are inputs or sizes
+    # whose arrays the machine cannot hold.
+    except (OSError, ValueError, MemoryError) as exc:
+        _report_error("data", exc if str(exc) else "out of memory")
         return 2
 
 

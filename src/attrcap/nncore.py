@@ -6,9 +6,9 @@ convention: each ``*_forward`` returns ``(out, cache)`` and the matching
 ``*_backward`` consumes ``(dout, cache)`` and returns input/parameter
 gradients, so each is gradient-checkable on its own. Networks write
 their ReLU inline; :func:`sigmoid` and :func:`softmax` are plain
-functions, and :func:`matmul` runs a matrix product in column panels on
-the worker pool; every product of the attribute net, and the decoder's
-teacher-forced output product, runs through it.
+functions. :func:`matmul` runs the products of the attribute net and
+the decoder's output layer in column panels through :func:`matmuls`,
+the one runner of products on the worker pool.
 
 Randomness comes from :class:`Rng`, a counter-based SplitMix64 stream:
 every draw is a pure function of ``(seed, position)``, so results are
@@ -105,13 +105,11 @@ class WorkerPool:
     With one worker, or a single call, the calls run in the calling
     thread. NumPy releases the interpreter lock inside its loops and
     BLAS calls, so the pieces of one computation overlap on separate
-    cores. Six kinds of work run on it: the column panels of a matrix
-    product (:func:`matmul`), the decoder's teacher-forced products that
-    do not depend on each other, the blocks of an Adam step, the blocks
-    of draws of a Glorot initialization (:func:`xavier_init`), the
-    tensors of a checkpoint being loaded, and the members and row slabs
-    of a beam-search step. Every piece of work given to the pool obeys
-    one contract:
+    cores. Five kinds of work run on it: matrix products (:func:`matmuls`),
+    the blocks of an Adam step, the blocks of draws of a Glorot
+    initialization (:func:`xavier_init`), the tensors of a checkpoint
+    being loaded, and the members and row slabs of a beam-search step.
+    Every piece of work given to the pool obeys one contract:
 
     * every piece runs the same operations in the same order, whichever
       thread runs it, so results are bitwise the same for any worker
@@ -189,17 +187,23 @@ def matmul(a, b, out=None):
     when not given) and returned.
 
     ``b``'s columns are cut into panels of ``_PANEL``, and the panels'
-    products run at once on the :func:`worker_pool`, each writing its
+    products run at once through :func:`matmuls`, each writing its
     columns of ``out``. A product of one panel is exactly ``np.matmul``;
     beyond one, BLAS may round a panel's columns as it would not round
     them in the whole product, a change in the last digits.
     """
     if out is None:
         out = np.empty((a.shape[0], b.shape[1]))
-    worker_pool().map(lambda cols: np.matmul(a, b[:, cols[0]:cols[1]],
-                                             out=out[:, cols[0]:cols[1]]),
-                      batch_slices(b.shape[1], _PANEL))
+    matmuls(*((a, b[:, start:stop], out[:, start:stop])
+              for start, stop in batch_slices(b.shape[1], _PANEL)))
     return out
+
+
+def matmuls(*products):
+    """``np.matmul(a, b, out=out)`` for every ``(a, b, out)``, all at once on
+    the :func:`worker_pool`; each ``out`` is allocated by the calling thread."""
+    worker_pool().map(lambda product: np.matmul(product[0], product[1], out=product[2]),
+                      products)
 
 
 # --------------------------------------------------------------------------
@@ -245,15 +249,19 @@ def _draw_block(seed, first, bits, scratch):
     return bits
 
 
-def _draw_bits(seed, first, count):
-    """Yield ``(start, bits)`` over the raw draws ``first .. first +
-    count - 1`` of stream ``seed``, block by block: ``bits[k]`` is raw
-    draw ``first + start + k`` shifted to its top 53 bits. ``bits`` is a
-    view of a buffer that the next block overwrites."""
-    z = np.empty(min(count, _CHUNK), dtype=np.uint64)
-    scratch = np.empty_like(z)
-    for start, stop in batch_slices(count, _CHUNK):
-        yield start, _draw_block(seed, first + start, z[:stop - start], scratch)
+def _uniform_blocks(seed, first, flat, blocks, bound=None):
+    """``flat[start:stop]`` = uniform draws ``first + start ..`` of stream
+    ``seed`` for each ``(start, stop)`` of ``blocks`` (at most ``_CHUNK``
+    long); with a ``bound``, the operations of ``u * (2 * bound) - bound``."""
+    bits = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
+    scratch = np.empty_like(bits)
+    for start, stop in blocks:
+        block = flat[start:stop]
+        np.multiply(_draw_block(seed, first + start, bits[:stop - start], scratch),
+                    _INV_2_53, out=block)
+        if bound is not None:
+            block *= 2.0 * bound
+            block -= bound
 
 
 class Rng:
@@ -278,10 +286,6 @@ class Rng:
         self._position += count
         return first
 
-    def _bits(self, count):
-        """Consume ``count`` draws; yields them as :func:`_draw_bits` does."""
-        return _draw_bits(self._seed, self._take(count), count)
-
     def split(self, tag):
         """Derive an independent child stream keyed by an integer tag.
 
@@ -297,31 +301,27 @@ class Rng:
         """Floats in [0, 1) with 53-bit resolution."""
         count = int(np.prod(shape, dtype=np.int64)) if shape != () else 1
         values = np.empty(count, dtype=np.float64)
-        for start, bits in self._bits(count):
-            np.multiply(bits, _INV_2_53, out=values[start:start + len(bits)])
+        _uniform_blocks(self._seed, self._take(count), values, batch_slices(count, _CHUNK))
         return values.reshape(shape) if shape != () else float(values[0])
 
     def normal(self, shape=()):
         """Standard normal draws via the Box-Muller transform: ``u1``
         comes from the next ``count`` draws and ``u2`` from the ones
-        after them."""
+        after them, drawn ``_CHUNK`` at a time so that only the output
+        is allocated whole."""
         count = int(np.prod(shape, dtype=np.int64)) if shape != () else 1
-        values = np.empty(count, dtype=np.float64)
-        u1_block = np.empty(min(count, _CHUNK), dtype=np.float64)
-        u2_block = np.empty_like(u1_block)
-        for (start, bits1), (_, bits2) in zip(self._bits(count), self._bits(count)):
-            u1, u2 = u1_block[:len(bits1)], u2_block[:len(bits1)]
-            # u1 in (0, 1] so the log is finite; u2 in [0, 1).
-            np.add(bits1, 1.0, out=u1)
-            u1 *= _INV_2_53
-            np.multiply(bits2, _INV_2_53, out=u2)
-            np.log(u1, out=u1)
-            u1 *= -2.0
-            np.sqrt(u1, out=u1)
+        u1 = self.uniform((count,))
+        # u1 in (0, 1] so the log is finite; u2 in [0, 1).
+        u1 += _INV_2_53
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        for start, stop in batch_slices(count, _CHUNK):
+            u2 = self.uniform((stop - start,))
             u2 *= 2.0 * np.pi
             np.cos(u2, out=u2)
-            np.multiply(u1, u2, out=values[start:start + len(u1)])
-        return values.reshape(shape) if shape != () else float(values[0])
+            u1[start:stop] *= u2
+        return u1.reshape(shape) if shape != () else float(u1[0])
 
     def permutation(self, n):
         """Fisher-Yates shuffle of ``range(n)`` driven by this stream."""
@@ -489,18 +489,8 @@ def xavier_init(rows, cols, rng, out=None):
     flat = weights.reshape(-1)
     seed, first = rng.seed, rng._take(flat.size)
 
-    def fill(share):
-        bits = np.empty(min(flat.size, _CHUNK), dtype=np.uint64)
-        scratch = np.empty_like(bits)
-        for start, stop in share:
-            block = flat[start:stop]
-            # The operations of ``uniform(...) * (2 * bound) - bound``, in order.
-            np.multiply(_draw_block(seed, first + start, bits[:stop - start], scratch),
-                        _INV_2_53, out=block)
-            block *= 2.0 * bound
-            block -= bound
-
-    worker_pool().deal(fill, batch_slices(flat.size, _CHUNK))
+    worker_pool().deal(lambda share: _uniform_blocks(seed, first, flat, share, bound),
+                       batch_slices(flat.size, _CHUNK))
     return weights
 
 

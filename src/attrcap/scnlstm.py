@@ -38,10 +38,10 @@ gradients are one product each over every caption's summed rows (one
 slab add per step). The output layer's forward product runs in column
 panels on the worker pool (:func:`attrcap.nncore.matmul`). Going back,
 the products that do not depend on each other run at once on it, each
-one whole ``np.matmul``: the ``Wout`` gradient with the hidden rows',
-then the ``Wa``, ``Ua`` and ``Uc`` gradients with the factor rows',
-then the ``Wc`` gradient with the embedding rows'. The recurrence's
-products run on the calling thread.
+one whole ``np.matmul`` (:func:`attrcap.nncore.matmuls`): the ``Wout``
+gradient with the hidden rows', then the ``Wa``, ``Ua`` and ``Uc``
+gradients with the factor rows', then the ``Wc`` gradient with the
+embedding rows'. The recurrence's products run on the calling thread.
 :meth:`ScnLstm.cell_forward` and :meth:`ScnLstm.cell_backward` run the
 same two halves for a single step, which is how decoding advances.
 
@@ -84,6 +84,7 @@ from .nncore import (
     clip_gradients,
     dropout_backward,
     dropout_forward,
+    matmuls,
     sigmoid,
     softmax,
     xavier_init,
@@ -248,14 +249,6 @@ def _gate_rows(slabs):
     return slabs.swapaxes(0, 1).reshape(slabs.shape[1], -1)
 
 
-def _matmuls(*products):
-    """``np.matmul(a, b, out=out)`` for every ``(a, b, out)``, all at once
-    on the worker pool; each ``out`` is C-contiguous and allocated by the
-    caller, as the pool's contract asks."""
-    nncore.worker_pool().map(lambda product: np.matmul(product[0], product[1], out=product[2]),
-                             products)
-
-
 def _caption_sums(rows, running):
     """The (captions, width) sums of each caption's rows of the step-major
     ``rows``, ``running[t]`` captions at step ``t``: one slab add per step
@@ -378,15 +371,15 @@ class ScnLstm:
         p = self.params
         dpre_t = dpre.swapaxes(1, 2)
         dx_slabs = np.empty(dpre.shape[:2] + p["Wa"].shape[2:])
-        _matmuls((dpre_t, _per_gate(x_fact), grads["Wa"]),
-                 (dpre_t, _per_gate(h_fact), grads["Ua"]),
-                 ((dh_fact * b1).T, h_prev, grads["Uc"]),
-                 (dpre, p["Wa"], dx_slabs))
+        matmuls((dpre_t, _per_gate(x_fact), grads["Wa"]),
+                (dpre_t, _per_gate(h_fact), grads["Ua"]),
+                ((dh_fact * b1).T, h_prev, grads["Uc"]),
+                (dpre, p["Wa"], dx_slabs))
         dpre.sum(axis=1, out=grads["b"].reshape(4, -1))
         dx_fact = _gate_rows(dx_slabs)
         da2 = dx_fact * a1
         dx = np.empty((len(da2), p["Wc"].shape[1]))
-        _matmuls((da2.T, x, grads["Wc"]), (da2, p["Wc"], dx))
+        matmuls((da2.T, x, grads["Wc"]), (da2, p["Wc"], dx))
         return dx, dx_fact * a2, dh_fact * b2
 
     def cell_backward(self, dh, dc_in, cache, grads):
@@ -489,7 +482,7 @@ class ScnLstm:
         _, _, c_prev, d, (_, _, b1, _), (_, h_fact, gates, tanh_c), _ = cell
         dlogits[np.arange(len(targets)), targets] -= 1.0
         dh_rows = np.empty(h_rows.shape)
-        _matmuls((dlogits.T, h_rows, grads["Wout"]), (dlogits, self.params["Wout"], dh_rows))
+        matmuls((dlogits.T, h_rows, grads["Wout"]), (dlogits, self.params["Wout"], dh_rows))
         dlogits.sum(axis=0, out=grads["bout"])
         dh_rows = dropout_backward(dh_rows, drop_cache)
         ends = np.cumsum(running)

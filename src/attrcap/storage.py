@@ -526,16 +526,29 @@ def load_vocabulary(path):
         raise FormatError(f"cannot read vocabulary {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid vocabulary JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: the vocabulary JSON is not an object")
     for key in ("stemmed", "threshold", "words", "idf"):
         if key not in payload:
             raise FormatError(f"{path}: vocabulary JSON lacks field {key!r}")
-    words = payload["words"]
-    idf = payload["idf"]
+    words, idf, threshold = payload["words"], payload["idf"], payload["threshold"]
+    if not (isinstance(words, list) and all(isinstance(word, str) for word in words)):
+        raise FormatError(f"{path}: vocabulary words must be a list of strings")
+    if not (isinstance(idf, list) and all(_is_finite_number(value) for value in idf)):
+        raise FormatError(f"{path}: vocabulary idf must be a list of finite numbers")
     if len(words) != len(idf):
         raise FormatError(f"{path}: words and idf arrays differ in length")
-    return Vocabulary(
-        threshold=float(payload["threshold"]),
-        stemmed=bool(payload["stemmed"]),
-        words=list(words),
-        idf=[float(v) for v in idf],
-    )
+    if not (_is_finite_number(threshold) and isinstance(payload["stemmed"], bool)):
+        raise FormatError(f"{path}: vocabulary threshold must be a finite number "
+                          "and stemmed a boolean")
+    return Vocabulary(threshold=float(threshold), stemmed=payload["stemmed"],
+                      words=words, idf=[float(value) for value in idf])
+
+
+def _is_finite_number(value):
+    """Whether a JSON value is an int or float (not a boolean) that is a
+    finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False

@@ -348,6 +348,51 @@ def test_input_widths_must_match_the_model(tmp_path, monkeypatch, capsys, comman
     assert not list(tmp_path.glob("out.*"))
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("caption", "--beam", 10 ** 13),
+    ("train-attr", "--hidden", 10 ** 14),
+])
+def test_arrays_beyond_memory_are_one_data_error(tmp_path, monkeypatch, capsys,
+                                                 command, flag, value):
+    # Each array is larger than 2**47 bytes, more than a process can
+    # address, so its allocation fails at once whatever the overcommit.
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes("attrs.jsonl", [1, 2, 3, 4], np.full((4, 3), 0.5))
+    vocab = scnlstm.CaptionVocab.from_token_lists([["a", "dog"]], min_count=1)
+    scnlstm.save_captioner("cap.daec", scnlstm.ScnLstm(ScnLstmConfig(
+        vocab_size=len(vocab), n_words=3, feature_dim=FEATURE_DIM, embed_dim=4,
+        hidden_dim=4, factor_dim=4)), vocab)
+    common = ["--features", "feats.daef", "--attrs", "attrs.jsonl", flag, str(value)]
+    argv = {"caption": ["caption", *common, "--model", "cap.daec", "--out", "out.jsonl"],
+            "train-attr": ["train-attr", *common, "--out-model", "out.daec",
+                           "--epochs", "1", "--ensemble", "1"]}[command]
+    assert "Unable to allocate" in expect_error(capsys, argv, 2, "data")
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("command", ["extract", "vocab-report", "train-captioner"])
+def test_a_caption_file_without_captions_is_a_data_error(tmp_path, monkeypatch, capsys,
+                                                          command):
+    # Reported before any other work: the missing embedding file is not
+    # read, and no threshold or validation split is blamed.
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes("attrs.jsonl", [1, 2, 3, 4], np.full((4, 3), 0.5))
+    (tmp_path / "none.json").write_text(json.dumps({"annotations": []}))
+    argv = {"extract": ["extract", "--captions", "none.json", "--idf-threshold", "3.0",
+                        "--out-vocab", "out.json", "--out-attrs", "out.jsonl"],
+            "vocab-report": ["vocab-report", "--captions", "none.json",
+                             "--thresholds", "2,3", "--out", "out.json"],
+            "train-captioner": ["train-captioner", "--captions", "none.json",
+                                "--features", "feats.daef", "--attrs", "attrs.jsonl",
+                                "--out-model", "out.daec", "--embed-dim", "6",
+                                "--init-embeddings", "missing.txt"]}[command]
+    line = expect_error(capsys, argv, 2, "data")
+    assert line == "error: data: none.json: the caption file holds no captions"
+    assert not list(tmp_path.glob("out.*"))
+
+
 class Captured(Exception):
     """Raised by a stub trainer once it holds the configs it was given."""
 

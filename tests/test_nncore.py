@@ -888,6 +888,12 @@ def test_uniform_allocates_its_output_and_little_more():
     assert peak_traced_bytes(lambda: Rng(0).uniform((3 * _CHUNK,))) < output + 2 ** 20
 
 
+def test_normal_allocates_its_output_and_a_few_block_buffers():
+    # u2 and the bit buffers are _CHUNK long; only the output is whole.
+    output = 3 * _CHUNK * 8
+    assert peak_traced_bytes(lambda: Rng(0).normal((3 * _CHUNK,))) < output + 5 * _CHUNK * 8
+
+
 # ---------------------------------------------------------------------------
 # gradient clipping
 # ---------------------------------------------------------------------------

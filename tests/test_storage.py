@@ -642,6 +642,28 @@ def test_vocabulary_length_mismatch(tmp_path):
         load_vocabulary(path)
 
 
+VOCABULARY = {"stemmed": False, "threshold": 1.0, "words": ["a", "b"], "idf": [0.5, 0.75]}
+
+
+@pytest.mark.parametrize("payload, match", [
+    (5, "not an object"),
+    (dict(VOCABULARY, words=5), "list of strings"),
+    (dict(VOCABULARY, words=["a", 7]), "list of strings"),
+    (dict(VOCABULARY, idf=5), "finite numbers"),
+    (dict(VOCABULARY, idf=[0.5, "x"]), "finite numbers"),
+    (dict(VOCABULARY, idf=[0.5, float("nan")]), "finite numbers"),
+    (dict(VOCABULARY, idf=[0.5, 10 ** 400]), "finite numbers"),
+    (dict(VOCABULARY, idf=[0.5, True]), "finite numbers"),
+    (dict(VOCABULARY, threshold="1"), "threshold"),
+    (dict(VOCABULARY, stemmed=1), "stemmed"),
+])
+def test_vocabulary_values_of_the_wrong_type_are_format_errors(tmp_path, payload, match):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=match):
+        load_vocabulary(path)
+
+
 def test_vocabulary_invalid_json(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text("{broken")
