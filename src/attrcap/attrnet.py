@@ -138,9 +138,10 @@ def join_on_image_id(feature_ids, features, attr_ids, attrs):
             f"ids without attributes: {missing_attrs}; "
             f"ids without features: {missing_feats}"
         )
-    attr_row = {image_id: row for image_id, row in zip(attr_ids, attrs)}
-    y = np.stack([attr_row[image_id] for image_id in feature_ids])
-    return list(feature_ids), features, y
+    attr_row = {image_id: row for row, image_id in enumerate(attr_ids)}
+    rows = np.fromiter((attr_row[image_id] for image_id in feature_ids), np.int64,
+                       len(feature_ids))
+    return list(feature_ids), features, attrs[rows]
 
 
 class AttrNet:

@@ -203,10 +203,6 @@ def _caption_pairs(path):
     return pairs
 
 
-def _load_documents(path, stem):
-    return build_documents(_caption_pairs(path), apply_stemming=stem)
-
-
 def _check_width(path, rows, want=None):
     """A data error unless ``rows`` of ``path`` have a width, ``want`` if given."""
     width = rows.shape[1]
@@ -235,7 +231,7 @@ def _joined_inputs(args, model=None):
 
 
 def _cmd_extract(args, meta):
-    documents = _load_documents(args.captions, args.stem)
+    documents = build_documents(_caption_pairs(args.captions), apply_stemming=args.stem)
     vocabulary = semantics.build_vocabulary(
         documents, args.idf_threshold, stemmed=args.stem
     )
@@ -254,7 +250,7 @@ def _cmd_extract(args, meta):
 
 
 def _cmd_vocab_report(args, meta):
-    documents = _load_documents(args.captions, args.stem)
+    documents = build_documents(_caption_pairs(args.captions), apply_stemming=args.stem)
     report = semantics.vocabulary_report(documents, args.thresholds, stemmed=args.stem)
     report["meta"] = meta
     for threshold in args.thresholds:
@@ -299,12 +295,8 @@ def _cmd_predict_attr(args, meta):
 def _load_word_embeddings(path, vocab, embed_dim):
     """``{row: vector}`` of the vocabulary words in a word2vec-format text
     file; a vocabulary word's values must be finite numbers."""
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise storage.FormatError(f"cannot read embeddings {path}: {exc}") from exc
     rows = {}
-    with handle:
+    with storage._reading(path, "embeddings", "r") as handle:
         for line_no, line in enumerate(handle, start=1):
             parts = line.rstrip("\n").split(" ")
             if line_no == 1 and len(parts) == 2 and all(
@@ -421,6 +413,8 @@ def _cmd_caption(args, meta):
 
 def _cmd_eval_attr(args, meta):
     pred_ids, pred, _ = storage.load_attributes(args.pred)
+    if not pred_ids:
+        raise storage.FormatError(f"{args.pred}: the attribute file holds no images")
     gt_ids, gt, _ = storage.load_attributes(args.gt)
     _, pred_matrix, gt_matrix = attrnet_mod.join_on_image_id(
         pred_ids, pred, gt_ids, gt
@@ -438,8 +432,10 @@ def _cmd_eval_attr(args, meta):
 
 def _cmd_eval_captions(args, meta):
     records, _ = storage.read_jsonl(args.candidates)
+    if not records:
+        raise storage.FormatError(f"{args.candidates}: the candidate file holds no captions")
     references_by_image = {}
-    for image_id, caption in parse_caption_file(args.references):
+    for image_id, caption in _caption_pairs(args.references):
         references_by_image.setdefault(image_id, []).append(tokenize(caption))
     candidates = []
     references = []

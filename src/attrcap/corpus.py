@@ -18,6 +18,8 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from .storage import _reading
+
 __all__ = [
     "CorpusError",
     "Document",
@@ -265,14 +267,12 @@ def parse_caption_file(path):
     order.
 
     Raises:
-        CorpusError: if the JSON cannot be parsed or any annotation is
-            malformed; the message names the annotation index.
+        CorpusError: if the file cannot be read, decoded or parsed as
+            JSON, or an annotation is malformed (named by its index).
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with _reading(path, "caption file", "r", CorpusError) as handle:
             payload = json.load(handle)
-    except OSError as exc:
-        raise CorpusError(f"cannot read caption file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CorpusError(f"invalid JSON in caption file {path}: {exc}") from exc
 

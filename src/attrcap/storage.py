@@ -28,6 +28,7 @@ values, byte for byte what ``json.dumps`` of the whole record gives.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -64,6 +65,18 @@ FORMAT_VERSION = 1
 
 class FormatError(ValueError):
     """Raised when an artifact file is malformed or truncated."""
+
+
+@contextlib.contextmanager
+def _reading(path, what, mode="rb", error=FormatError):
+    """Input file ``path`` open in binary, or for ``mode="r"`` UTF-8 text;
+    a failure to open, read or decode it is an ``error`` that names
+    ``what`` and the path."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _read_exact(handle, count, path, what):
@@ -123,11 +136,7 @@ def read_features(path):
     which each model widens a batch or block at a time. A NaN or infinite
     value is a :class:`NumericError` naming the first image that holds one.
     """
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise FormatError(f"cannot read feature file {path}: {exc}") from exc
-    with handle:
+    with _reading(path, "feature file") as handle:
         _check_magic(handle, path, FEATURE_MAGIC, "feature")
         dim = int(np.frombuffer(_read_exact(handle, 4, path, "dim"), "<u4")[0])
         count = int(np.frombuffer(_read_exact(handle, 8, path, "count"), "<u8")[0])
@@ -241,11 +250,7 @@ def load_checkpoint(path):
     Tensors are native, writable, C-contiguous float64 arrays that own
     their memory.
     """
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    with handle:
+    with _reading(path, "checkpoint") as handle:
         _check_magic(handle, path, CHECKPOINT_MAGIC, "checkpoint")
         header_len = int(
             np.frombuffer(_read_exact(handle, 8, path, "header length"), "<u8")[0]
@@ -286,7 +291,7 @@ def load_checkpoint(path):
     def read(share):
         """Read the tensors at header positions ``share``; returns
         ``(position, message)`` of the first bad one, or ``None``."""
-        with open(path, "rb") as own:
+        with _reading(path, "checkpoint") as own:
             for k in share:
                 name = entries[k][0]
                 # Straight into the array, slice by slice (``_CHUNK``
@@ -386,15 +391,11 @@ def _write_lines(path, lines, meta):
             handle.write("\n")
 
 
-def _jsonl_items(path):
-    """Yield the ``_meta`` object on the first line of JSON Lines ``path``
-    ({} when that line holds none; nothing for an empty file), then each
-    other record, parsed as its line is read."""
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    with handle:
+def _jsonl_items(path, what):
+    """Yield the ``_meta`` object on the first line of ``path``, a JSON
+    Lines ``what`` ({} when that line holds none; nothing for an empty
+    file), then each other record, parsed as its line is read."""
+    with _reading(path, what, "r") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
             try:
@@ -412,7 +413,7 @@ def _jsonl_items(path):
 
 def read_jsonl(path):
     """Read JSON Lines; returns ``(records, meta)`` with meta possibly {}."""
-    items = _jsonl_items(path)
+    items = _jsonl_items(path, "JSON Lines file")
     meta = next(items, {})
     return list(items), meta
 
@@ -458,7 +459,7 @@ def load_attributes(path):
     whose index is out of range or repeats in its record, or whose value
     is not finite. Without ``n_words``, the width is the largest index
     + 1. Beyond the matrix, the reader holds 16 bytes per stored pair."""
-    items = _jsonl_items(path)
+    items = _jsonl_items(path, "attribute file")
     meta = next(items, {})
     n_words = meta.get("n_words")
     if n_words is not None and (type(n_words) is not int or n_words < 0):
@@ -520,10 +521,8 @@ def save_vocabulary(path, vocabulary, meta=None):
 def load_vocabulary(path):
     """Read a vocabulary JSON file back into a :class:`Vocabulary`."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with _reading(path, "vocabulary", "r") as handle:
             payload = json.load(handle)
-    except OSError as exc:
-        raise FormatError(f"cannot read vocabulary {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid vocabulary JSON: {exc}") from exc
     if not isinstance(payload, dict):

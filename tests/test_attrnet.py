@@ -93,6 +93,12 @@ def test_join_orders_rows_by_feature_ids():
     assert np.array_equal(y, np.array([[0.3], [0.1], [0.2]]))
 
 
+def test_join_of_empty_tables_keeps_the_attribute_width():
+    # Once np.stack's "need at least one array to stack".
+    ids, x, y = join_on_image_id([], np.zeros((0, 2), np.float32), [], np.zeros((0, 3)))
+    assert ids == [] and x.shape == (0, 2) and y.shape == (0, 3) and y.dtype == np.float64
+
+
 def test_join_lists_missing_ids_both_ways():
     with pytest.raises(JoinError, match=r"without attributes: \[3\]"):
         join_on_image_id([1, 3], np.zeros((2, 2)), [1, 9], np.zeros((2, 1)))

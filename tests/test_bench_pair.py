@@ -102,3 +102,25 @@ def test_no_complete_pair_gives_no_change(tool):
     summary = tool.summarize(runs, END_TO_END)
     assert summary["wall_s"]["pairs"] == 0
     assert summary["wall_s"]["change"] is None and summary["wall_s"]["within_bound"] is None
+    assert summary["wall_s"]["gain"] is False and summary["wall_s"]["unresolved"] is None
+
+
+WIDE = [1.0, 1.2, 1.4, 1.6, 1.8]  # median 1.4, q3 - q1 = 0.6: spread 0.43
+
+
+@pytest.mark.parametrize("walls, incomplete, gain, unresolved", [
+    ([(b, b - 0.2) for b in (1.0, 1.02, 1.01, 1.03, 1.0)], None, True, False),
+    ([(b, b - 0.05) for b in WIDE], None, False, True),  # moved less than q3 - q1
+    ([(b, 0.5) for b in WIDE], None, True, False),  # wide, but every head run is better
+    ([(1.0, 0.9)] * 4 + [(1.0, 1.0)], None, False, False),  # a tie is not a win
+    ([(1.0, 0.8)] * 5, 3, False, False),  # an incomplete pair is not won
+], ids=["gain", "within-spread", "separated", "tie", "incomplete"])
+def test_summary_states_the_gain_and_unresolved_verdicts(tool, walls, incomplete, gain,
+                                                         unresolved):
+    runs = canned_runs(tool, walls)
+    if incomplete is not None:
+        runs[2 * incomplete + 1]["correct"] = False
+    summary = tool.summarize(runs, END_TO_END)
+    assert (summary["wall_s"]["gain"], summary["wall_s"]["unresolved"]) == (gain, unresolved)
+    rss = summary["peak_rss_mb"]  # the head reads 1 MB more in every pair
+    assert (rss["gain"], rss["unresolved"]) == (False, False)

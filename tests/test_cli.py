@@ -371,14 +371,16 @@ def test_arrays_beyond_memory_are_one_data_error(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.glob("out.*"))
 
 
-@pytest.mark.parametrize("command", ["extract", "vocab-report", "train-captioner"])
+@pytest.mark.parametrize("command", ["extract", "vocab-report", "train-captioner",
+                                     "eval-captions"])
 def test_a_caption_file_without_captions_is_a_data_error(tmp_path, monkeypatch, capsys,
                                                           command):
     # Reported before any other work: the missing embedding file is not
-    # read, and no threshold or validation split is blamed.
+    # read, and no threshold, validation split or candidate is blamed.
     monkeypatch.chdir(tmp_path)
     write_inputs(tmp_path)
     storage.write_attributes("attrs.jsonl", [1, 2, 3, 4], np.full((4, 3), 0.5))
+    storage.write_jsonl("cands.jsonl", [{"image_id": 1, "tokens": ["a", "bird"]}])
     (tmp_path / "none.json").write_text(json.dumps({"annotations": []}))
     argv = {"extract": ["extract", "--captions", "none.json", "--idf-threshold", "3.0",
                         "--out-vocab", "out.json", "--out-attrs", "out.jsonl"],
@@ -387,10 +389,46 @@ def test_a_caption_file_without_captions_is_a_data_error(tmp_path, monkeypatch, 
             "train-captioner": ["train-captioner", "--captions", "none.json",
                                 "--features", "feats.daef", "--attrs", "attrs.jsonl",
                                 "--out-model", "out.daec", "--embed-dim", "6",
-                                "--init-embeddings", "missing.txt"]}[command]
+                                "--init-embeddings", "missing.txt"],
+            "eval-captions": ["eval-captions", "--candidates", "cands.jsonl",
+                              "--references", "none.json", "--out", "out.json"]}[command]
     line = expect_error(capsys, argv, 2, "data")
     assert line == "error: data: none.json: the caption file holds no captions"
     assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("command, message", [
+    ("caption", None),
+    ("eval-attr", "none.jsonl: the attribute file holds no images"),
+    ("eval-captions", "cands.jsonl: the candidate file holds no captions"),
+])
+def test_inputs_without_images(tmp_path, monkeypatch, capsys, command, message):
+    # Each once failed in np.stack ("need at least one array to stack"),
+    # or as a usage error for eval-captions. Decoding no image is not an
+    # error, as predicting attributes for none is not; scoring none is.
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_features("none.daef", [], np.zeros((0, FEATURE_DIM)))
+    storage.write_attributes("none.jsonl", [], np.zeros((0, 3)))
+    storage.write_jsonl("cands.jsonl", [], meta={"seed": 0})
+    vocab = scnlstm.CaptionVocab.from_token_lists([["a", "dog"]], min_count=1)
+    scnlstm.save_captioner("cap.daec", scnlstm.ScnLstm(ScnLstmConfig(
+        vocab_size=len(vocab), n_words=3, feature_dim=FEATURE_DIM, embed_dim=4,
+        hidden_dim=4, factor_dim=4)), vocab)
+    argv = {"caption": ["caption", "--features", "none.daef", "--attrs", "none.jsonl",
+                        "--model", "cap.daec", "--out", "out.jsonl"],
+            "eval-attr": ["eval-attr", "--pred", "none.jsonl", "--gt", "none.jsonl",
+                          "--out", "out.json"],
+            "eval-captions": ["eval-captions", "--candidates", "cands.jsonl",
+                              "--references", "captions.json", "--out", "out.json"]}[command]
+    if message is None:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "decoded 0 captions (beam 5)\n"
+        [line] = (tmp_path / "out.jsonl").read_text().splitlines()
+        assert list(json.loads(line)) == ["_meta"]
+    else:
+        assert expect_error(capsys, argv, 2, "data") == f"error: data: {message}"
+        assert not list(tmp_path.glob("out.*"))
 
 
 class Captured(Exception):

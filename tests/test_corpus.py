@@ -228,6 +228,14 @@ def test_parse_missing_file():
         parse_caption_file("/nonexistent/captions.json")
 
 
+def test_parse_undecodable_file_names_it(tmp_path):
+    path = tmp_path / "caps.json"
+    path.write_bytes(b"\x89PNG\r\n\x1a\n")  # a binary file; once a UnicodeDecodeError
+    with pytest.raises(CorpusError, match="cannot read caption file .*'utf-8' codec") as info:
+        parse_caption_file(path)
+    assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # build_documents
 # ---------------------------------------------------------------------------

@@ -265,6 +265,26 @@ def test_attribute_records_need_json_ints(artifacts, meta, record):
         assert "n_words 1000000000000" in line, line
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("eval-attr", "--pred"), ("extract", "--captions"),
+    ("eval-captions", "--candidates"), ("train-captioner", "--init-embeddings"),
+])
+def test_an_undecodable_text_input_is_one_data_error_naming_it(artifacts, command, flag):
+    # The binary feature file where text is due: each was once a bare
+    # UnicodeDecodeError that named neither of the command's inputs.
+    argv = {"eval-attr": eval_command(artifacts, "eval-attr"),
+            "extract": ["extract", "--captions", None, "--idf-threshold", "2",
+                        "--out-vocab", artifacts / "out.json",
+                        "--out-attrs", artifacts / "out.jsonl"],
+            "eval-captions": eval_command(artifacts, "eval-captions"),
+            "train-captioner": [*feature_command(artifacts, "train-captioner"),
+                                "--init-embeddings", None]}[command]
+    argv[argv.index(flag) + 1] = artifacts / "feats.daef"
+    line = expect_one_data_error(argv)
+    assert f"{artifacts / 'feats.daef'}: 'utf-8' codec can't decode" in line, line
+    assert not list(artifacts.glob("out.*"))
+
+
 @pytest.mark.parametrize("record", [
     '{"image_id": 1, "tokens": 5}',
     '{"image_id": null, "tokens": ["a"]}',

@@ -37,9 +37,9 @@ STORED_PAIRS = ATTR_WIDTH // 2
 BUDGETS = {
     "read_features": RECORD + CHECK + ID,
     "predict-attr": RECORD + CHECK + ID + PREDICTION,
-    # The joined attribute rows, and 512 bytes for the id sets and the
-    # id-to-row map, which holds a NumPy view object per row.
-    "join_on_image_id": PREDICTION + 512,
+    # The joined attribute rows, their int64 row index, and 256 bytes for
+    # the id sets and the id-to-row map (176 bytes per image in all, measured).
+    "join_on_image_id": PREDICTION + 8 + 256,
     # An epoch's row order and the uniform draws that shuffle it.
     "train_attrnet": 16,
     # The matrix row, an int64 index and a float64 value per stored

@@ -669,3 +669,14 @@ def test_vocabulary_invalid_json(tmp_path):
     path.write_text("{broken")
     with pytest.raises(FormatError, match="invalid"):
         load_vocabulary(path)
+
+
+@pytest.mark.parametrize("reader", [load_attributes, read_jsonl, load_vocabulary])
+def test_an_undecodable_text_file_is_a_format_error_naming_it(tmp_path, reader):
+    # A binary file where text is due: once a bare UnicodeDecodeError
+    # that named no file.
+    path = tmp_path / "feats.daef"
+    write_features(path, [1, 2], Rng(3).normal((2, 4)))
+    with pytest.raises(FormatError, match="cannot read .*'utf-8' codec can't decode") as info:
+        reader(path)
+    assert str(path) in str(info.value)

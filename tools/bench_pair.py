@@ -13,11 +13,12 @@ checkout's working tree, uncommitted changes included.
 The output file holds, per workload and per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles
 (``statistics.quantiles``), the head's change against the base median,
-the metric's bound, and the pairs the head won. Every run is listed
-with its seed, its order in the pair, its ``correct`` flag, its
-``attempted`` and ``failed`` counts, its metrics and the load average
-when it started; each side's ``env`` line gives ``nproc`` and the BLAS
-threads. Without ``--workload``, every workload of ``BENCHMARK.json``
+the metric's bound, the pairs the head won, and the benchmark's two
+verdicts, ``gain`` and ``unresolved`` (see :func:`summarize`). Every run
+is listed with its seed, its order in the pair, its ``correct`` flag,
+its ``attempted`` and ``failed`` counts, its metrics and the load
+average when it started; each side's ``env`` line gives ``nproc`` and
+the BLAS threads. Without ``--workload``, every workload of ``BENCHMARK.json``
 runs. Every run lasts the benchmark's ``run_seconds``.
 """
 
@@ -79,7 +80,12 @@ def summarize(runs, end_to_end):
     ``side``, ``correct`` and ``metrics``). Only pairs whose two runs both
     finished correct count; ``head_wins`` counts those in which the head
     is strictly better, ``change`` is the head median's relative change
-    against the base median (positive is larger)."""
+    against the base median (positive is larger). The benchmark's two
+    verdicts: ``gain``, the head wins at least 9/10 of all pairs run
+    (an incomplete pair is not won) and its median is better than the
+    base median by more than the base's q3 - q1; ``unresolved``, the
+    base's (q3 - q1) / median exceeds the bound and not every head run
+    is better than every base run."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
@@ -87,7 +93,7 @@ def summarize(runs, end_to_end):
                 if all(side in sides and sides[side]["correct"] for side in ("base", "head"))]
     summary = {}
     for metric in end_to_end:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         pairs = [(sides["base"]["metrics"][name], sides["head"]["metrics"][name])
                  for sides in complete if name in sides["base"]["metrics"]
                  and name in sides["head"]["metrics"]]
@@ -95,12 +101,18 @@ def summarize(runs, end_to_end):
         head = spread([h for _, h in pairs])
         change = (head["median"] / base["median"] - 1.0
                   if pairs and base["median"] else None)
+        wins = sum(sign * (b - h) > 0 for b, h in pairs)
+        iqr = base["q3"] - base["q1"] if pairs else None
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "pairs": len(pairs), "base": base, "head": head, "change": change,
-            "head_wins": sum(h < b if lower else h > b for b, h in pairs),
-            "within_bound": None if change is None else (
-                (change if lower else -change) <= metric["bound"]),
+            "head_wins": wins,
+            "within_bound": None if change is None else sign * change <= metric["bound"],
+            "gain": bool(pairs) and 10 * wins >= 9 * len(by_pair)
+            and sign * (base["median"] - head["median"]) > iqr,
+            "unresolved": None if change is None else (
+                iqr / base["median"] > metric["bound"]
+                and max(sign * h for _, h in pairs) >= min(sign * b for b, _ in pairs)),
         }
     return summary
 
@@ -171,7 +183,8 @@ def main(argv=None):
         for name, metric in entry["metrics"].items():
             print(f"{workload} {name}: base {metric['base']['median']} head "
                   f"{metric['head']['median']} change {metric['change']} "
-                  f"wins {metric['head_wins']}/{metric['pairs']}")
+                  f"wins {metric['head_wins']}/{metric['pairs']} gain {metric['gain']} "
+                  f"unresolved {metric['unresolved']}")
     return 0
 
 
