@@ -32,7 +32,6 @@ import numpy as np
 from . import nncore
 from .nncore import (
     AdamState,
-    BatchNormState,
     DimensionError,
     ParameterError,
     Rng,
@@ -117,26 +116,28 @@ def mse_loss(pred, target):
     return loss, dpred
 
 
-def join_on_image_id(feature_ids, features, attr_ids, attrs):
+def join_on_image_id(feature_ids, features, attr_ids, attrs,
+                     names=("the feature table", "the attribute table")):
     """Align feature rows with attribute rows by image id.
 
     Returns ``(ids, x, y)`` ordered like ``feature_ids``. The two id
-    sets must match exactly; the error message lists the ids missing
-    from either side.
+    sets must match exactly; the error message names the two tables by
+    ``names`` and lists the ids that each of them lacks.
     """
+    feature_name, attr_name = names
     feature_set = set(feature_ids)
     attr_set = set(attr_ids)
     if len(feature_ids) != len(feature_set):
-        raise JoinError("feature table contains duplicate image ids")
+        raise JoinError(f"{feature_name} holds duplicate image ids")
     if len(attr_ids) != len(attr_set):
-        raise JoinError("attribute table contains duplicate image ids")
+        raise JoinError(f"{attr_name} holds duplicate image ids")
     missing_attrs = sorted(feature_set - attr_set)
     missing_feats = sorted(attr_set - feature_set)
     if missing_attrs or missing_feats:
         raise JoinError(
-            "feature/attribute tables do not cover the same images; "
-            f"ids without attributes: {missing_attrs}; "
-            f"ids without features: {missing_feats}"
+            f"{feature_name} and {attr_name} do not cover the same images; "
+            f"ids not in {attr_name}: {missing_attrs}; "
+            f"ids not in {feature_name}: {missing_feats}"
         )
     attr_row = {image_id: row for row, image_id in enumerate(attr_ids)}
     rows = np.fromiter((attr_row[image_id] for image_id in feature_ids), np.int64,
@@ -147,7 +148,7 @@ def join_on_image_id(feature_ids, features, attr_ids, attrs):
 class AttrNet:
     """Four-layer perceptron from image features to attribute vectors."""
 
-    def __init__(self, config, seed=0, params=None, bn_states=None):
+    def __init__(self, config, seed=0, params=None, stats=None):
         self.config = config
         self._dims = dims = (
             [config.feature_dim]
@@ -171,9 +172,12 @@ class AttrNet:
                 params[f"bn{k}.gamma"] = np.ones(dims[k], dtype=np.float64)
                 params[f"bn{k}.beta"] = np.zeros(dims[k], dtype=np.float64)
         self.params = params
-        if bn_states is None:
-            bn_states = {k: BatchNormState.create(dims[k]) for k in self._bn_layers}
-        self.bn_states = bn_states
+        if stats is None:
+            stats = {}
+            for k in self._bn_layers:
+                stats[f"bn{k}.running_mean"] = np.zeros(dims[k], dtype=np.float64)
+                stats[f"bn{k}.running_var"] = np.ones(dims[k], dtype=np.float64)
+        self.stats = stats
 
     def forward(self, x, mode="inference", rng=None):
         """Run the network; returns ``(predictions, caches)``.
@@ -198,7 +202,8 @@ class AttrNet:
             if k in self._bn_layers:
                 out, bn_cache = batchnorm_forward(
                     out, p[f"bn{k}.gamma"], p[f"bn{k}.beta"],
-                    self.bn_states[k], mode,
+                    self.stats[f"bn{k}.running_mean"],
+                    self.stats[f"bn{k}.running_var"], mode,
                 )
             else:
                 out += p[f"fc{k}.b"]
@@ -283,17 +288,14 @@ class AttrNet:
     # -- checkpoint plumbing -------------------------------------------------
 
     def tensors(self):
-        """All state as named tensors, including BN running statistics."""
-        out = dict(self.params)
-        for k, state in self.bn_states.items():
-            out[f"bn{k}.running_mean"] = state.running_mean
-            out[f"bn{k}.running_var"] = state.running_var
-        return out
+        """All state as named tensors: the parameters, then the BN
+        running statistics."""
+        return {**self.params, **self.stats}
 
     @classmethod
     def from_tensors(cls, config, tensors):
         """Rebuild a network from :meth:`tensors`, checking every name and shape."""
-        net = cls(config, params={}, bn_states={})
+        net = cls(config, params={}, stats={})
         bn_names = ("gamma", "beta", "running_mean", "running_var")
         shapes = {}
         for k, (rows, cols) in enumerate(zip(net._dims, net._dims[1:]), start=1):
@@ -301,17 +303,9 @@ class AttrNet:
             shapes.update({f"bn{k}.{name}": (cols,) for name in bn_names}
                           if k in net._bn_layers else {f"fc{k}.b": (cols,)})
         check_shapes(tensors, shapes, "the attribute predictor")
-        net.params = {
-            name: value for name, value in tensors.items()
-            if not name.endswith((".running_mean", ".running_var"))
-        }
-        net.bn_states = {
-            k: BatchNormState(
-                running_mean=tensors[f"bn{k}.running_mean"],
-                running_var=tensors[f"bn{k}.running_var"],
-            )
-            for k in net._bn_layers
-        }
+        for name, value in tensors.items():
+            stat = name.endswith((".running_mean", ".running_var"))
+            (net.stats if stat else net.params)[name] = value
         return net
 
 

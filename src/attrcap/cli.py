@@ -222,7 +222,8 @@ def _joined_inputs(args, model=None):
     widths = (model.feature_dim, model.n_words) if model else (None, None)
     for path, rows, want in zip((args.features, args.attrs), (features, attrs), widths):
         _check_width(path, rows, want)
-    return attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs)
+    return attrnet_mod.join_on_image_id(feature_ids, features, attr_ids, attrs,
+                                        names=(args.features, args.attrs))
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +268,9 @@ def _cmd_train_attr(args, meta):
         raise UsageError("--ensemble must be at least 1")
     train_config = _config(attrnet_mod.AttrTrainConfig, args)
     _, x, y = _joined_inputs(args)
+    if len(x) < 2:
+        raise storage.FormatError(f"{args.features}: training needs at least 2 images "
+                                  f"(batch normalization), the file holds {len(x)}")
     net_config = _config(attrnet_mod.AttrNetConfig, args,
                          n_words=y.shape[1], feature_dim=x.shape[1])
     members = train_members(args.ensemble, args.seed, lambda seed: (
@@ -335,9 +339,8 @@ def _caption_samples(args):
     image_ids = sorted({image_id for image_id, _ in pairs})
     missing = [image_id for image_id in image_ids if image_id not in row_of]
     if missing:
-        raise attrnet_mod.JoinError(
-            f"captions reference images without features/attributes: {missing}"
-        )
+        raise attrnet_mod.JoinError(f"{args.captions} references images not in "
+                                    f"{args.features} and {args.attrs}: {missing}")
     vocab = scnlstm_mod.CaptionVocab.from_token_lists(
         (tokenize(caption) for _, caption in pairs), min_count=args.min_count)
     n_val = int(len(image_ids) * args.val_fraction)
@@ -417,8 +420,7 @@ def _cmd_eval_attr(args, meta):
         raise storage.FormatError(f"{args.pred}: the attribute file holds no images")
     gt_ids, gt, _ = storage.load_attributes(args.gt)
     _, pred_matrix, gt_matrix = attrnet_mod.join_on_image_id(
-        pred_ids, pred, gt_ids, gt
-    )
+        pred_ids, pred, gt_ids, gt, names=(args.pred, args.gt))
     if ((gt_matrix < 0.0) | (gt_matrix > 1.0)).any():
         raise storage.FormatError(f"{args.gt}: attribute values must lie in [0, 1]")
     report = dict(metrics_mod.attribute_f1(pred_matrix, gt_matrix),

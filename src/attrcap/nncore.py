@@ -4,11 +4,13 @@ The two layers kept here, inverted dropout (``dropout_*``) and batch
 normalization (``batchnorm_*``), follow the functional forward/backward
 convention: each ``*_forward`` returns ``(out, cache)`` and the matching
 ``*_backward`` consumes ``(dout, cache)`` and returns input/parameter
-gradients, so each is gradient-checkable on its own. Networks write
-their ReLU inline; :func:`sigmoid` and :func:`softmax` are plain
-functions. :func:`matmul` runs the products of the attribute net and
-the decoder's output layer in column panels through :func:`matmuls`,
-the one runner of products on the worker pool.
+gradients, so each is gradient-checkable on its own; train-mode batch
+normalization also folds the batch statistics into the caller's running
+mean and variance arrays in place. Networks write their ReLU inline;
+:func:`sigmoid` and :func:`softmax` are plain functions. :func:`matmul`
+runs the products of the attribute net and the decoder's output layer
+in column panels through :func:`matmuls`, the one runner of products on
+the worker pool.
 
 Randomness comes from :class:`Rng`, a counter-based SplitMix64 stream:
 every draw is a pure function of ``(seed, position)``, so results are
@@ -47,7 +49,6 @@ import numpy as np
 
 __all__ = [
     "AdamState",
-    "BatchNormState",
     "DimensionError",
     "NumericError",
     "ParameterError",
@@ -374,27 +375,13 @@ _BN_MOMENTUM = 0.9
 _BN_EPS = 1e-5
 
 
-@dataclass
-class BatchNormState:
-    """Running statistics of one batch-normalized layer; the learnable
-    scale/shift live with the other trainable parameters."""
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    @classmethod
-    def create(cls, dim):
-        return cls(running_mean=np.zeros(dim, dtype=np.float64),
-                   running_var=np.ones(dim, dtype=np.float64))
-
-
-def batchnorm_forward(x, gamma, beta, state, mode):
+def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode):
     """Batch normalization over the batch axis of a (N, D) input.
 
-    Train mode normalizes with biased batch statistics and updates the
-    running statistics in ``state``; inference mode normalizes with the
-    running statistics and touches nothing. A train-mode batch of one
-    row has zero variance and is rejected.
+    Train mode normalizes with biased batch statistics and folds them
+    into ``running_mean`` and ``running_var`` in place; inference mode
+    normalizes with the running statistics and touches nothing. A
+    train-mode batch of one row has zero variance and is rejected.
     """
     if x.ndim != 2 or x.shape[1] != gamma.shape[0]:
         raise DimensionError(
@@ -406,24 +393,17 @@ def batchnorm_forward(x, gamma, beta, state, mode):
                 "batchnorm train mode needs a batch of at least 2 rows; "
                 "variance of a single row is undefined"
             )
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-        x_hat = (x - mean) * inv_std
-        out = gamma * x_hat + beta
-        state.running_mean = (
-            _BN_MOMENTUM * state.running_mean + (1.0 - _BN_MOMENTUM) * mean
-        )
-        state.running_var = (
-            _BN_MOMENTUM * state.running_var + (1.0 - _BN_MOMENTUM) * var
-        )
-        return out, ("train", x_hat, inv_std, gamma)
-    if mode == "inference":
-        inv_std = 1.0 / np.sqrt(state.running_var + _BN_EPS)
-        x_hat = (x - state.running_mean) * inv_std
-        out = gamma * x_hat + beta
-        return out, ("inference", x_hat, inv_std, gamma)
-    raise ParameterError(f"unknown batchnorm mode {mode!r}")
+        mean, var = x.mean(axis=0), x.var(axis=0)
+        for running, batch in ((running_mean, mean), (running_var, var)):
+            running *= _BN_MOMENTUM
+            running += (1.0 - _BN_MOMENTUM) * batch
+    elif mode == "inference":
+        mean, var = running_mean, running_var
+    else:
+        raise ParameterError(f"unknown batchnorm mode {mode!r}")
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+    x_hat = (x - mean) * inv_std
+    return gamma * x_hat + beta, (mode, x_hat, inv_std, gamma)
 
 
 def batchnorm_backward(dout, cache):

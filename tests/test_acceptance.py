@@ -214,7 +214,7 @@ def test_criterion_05_finite_difference_gradient_checks():
     x = Rng(6).normal((5, 5))
     y = np.abs(Rng(7).normal((5, 4)))
     err = gradient_check(
-        lambda p: AttrNet(config, params=p, bn_states=net.bn_states).loss(
+        lambda p: AttrNet(config, params=p, stats=net.stats).loss(
             x, y, mode="inference"),
         net.params, eps=1e-5,
     )

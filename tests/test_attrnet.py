@@ -100,9 +100,9 @@ def test_join_of_empty_tables_keeps_the_attribute_width():
 
 
 def test_join_lists_missing_ids_both_ways():
-    with pytest.raises(JoinError, match=r"without attributes: \[3\]"):
+    with pytest.raises(JoinError, match=r"not in the attribute table: \[3\]"):
         join_on_image_id([1, 3], np.zeros((2, 2)), [1, 9], np.zeros((2, 1)))
-    with pytest.raises(JoinError, match=r"without features: \[9\]"):
+    with pytest.raises(JoinError, match=r"not in the feature table: \[9\]"):
         join_on_image_id([1, 3], np.zeros((2, 2)), [1, 9], np.zeros((2, 1)))
 
 
@@ -168,7 +168,7 @@ def test_gradients_with_frozen_bn():
     net = AttrNet(config, seed=3)
     x, y = Rng(6).normal((5, 5)), np.abs(Rng(7).normal((5, 4)))
     err = gradient_check(
-        lambda p: AttrNet(config, params=p, bn_states=net.bn_states).loss(
+        lambda p: AttrNet(config, params=p, stats=net.stats).loss(
             x, y, mode="inference"), net.params,
     )
     assert err < 1e-4
@@ -179,7 +179,7 @@ def test_gradients_with_train_mode_bn_fixed_batch():
     net = AttrNet(config, seed=5)
     x, y = Rng(8).normal((6, 5)), np.abs(Rng(9).normal((6, 4)))
     err = gradient_check(
-        lambda p: AttrNet(config, params=p, bn_states=net.bn_states).loss(
+        lambda p: AttrNet(config, params=p, stats=net.stats).loss(
             x, y, mode="train"), net.params,
     )
     assert err < 1e-4
@@ -191,7 +191,8 @@ def reference_loss(net, x, target, mode, rng):
     normalization, ReLU keeps its input as the backward mask, and batch
     normalization folds in statistics with momentum 0.9 and eps 1e-5."""
     p, rate = net.params, net.config.dropout
-    stats = {k: (s.running_mean, s.running_var) for k, s in net.bn_states.items()}
+    stats = {k: (net.stats[f"bn{k}.running_mean"], net.stats[f"bn{k}.running_var"])
+             for k in net._bn_layers}
     caches, out = [], x
     for k in range(1, 5):
         w = p[f"fc{k}.w"]
@@ -244,9 +245,10 @@ def test_forward_backward_are_bitwise_the_layer_wrapper_formulas(mode, bn_on_out
     # Away from the initial values, so no bias, shift or scale is trivial.
     net.params = {name: value + 0.1 * rng.split(len(name)).normal(value.shape)
                   for name, value in net.params.items()}
-    for k, state in net.bn_states.items():
-        state.running_mean = rng.split(100 + k).normal(state.running_mean.shape)
-        state.running_var = 0.5 + rng.split(200 + k).uniform(state.running_var.shape)
+    for k in net._bn_layers:
+        shape = net.stats[f"bn{k}.running_mean"].shape
+        net.stats[f"bn{k}.running_mean"] = rng.split(100 + k).normal(shape)
+        net.stats[f"bn{k}.running_var"] = 0.5 + rng.split(200 + k).uniform(shape)
     x, y = rng.split(1).normal((12, 9)), np.abs(rng.split(2).normal((12, 7)))
 
     ref_loss, ref_grads, ref_out, ref_stats = reference_loss(net, x, y, mode, Rng(41))
@@ -258,9 +260,9 @@ def test_forward_backward_are_bitwise_the_layer_wrapper_formulas(mode, bn_on_out
     assert sorted(grads) == sorted(ref_grads) == sorted(net.params)
     for name, grad in grads.items():
         assert grad.tobytes() == ref_grads[name].tobytes(), name
-    for k, state in net.bn_states.items():
-        assert state.running_mean.tobytes() == ref_stats[k][0].tobytes()
-        assert state.running_var.tobytes() == ref_stats[k][1].tobytes()
+    for k in net._bn_layers:
+        assert net.stats[f"bn{k}.running_mean"].tobytes() == ref_stats[k][0].tobytes()
+        assert net.stats[f"bn{k}.running_var"].tobytes() == ref_stats[k][1].tobytes()
     _, _, ref_pred, _ = reference_loss(net, x, y, "inference", None)
     assert net.predict(x).tobytes() == ref_pred.tobytes()
 
@@ -305,9 +307,9 @@ def test_train_same_seed_is_bitwise_reproducible():
     assert losses1 == losses2
     for name in net1.params:
         assert np.array_equal(net1.params[name], net2.params[name])
-    for k in net1.bn_states:
-        assert np.array_equal(net1.bn_states[k].running_mean,
-                              net2.bn_states[k].running_mean)
+    for k in net1._bn_layers:
+        assert np.array_equal(net1.stats[f"bn{k}.running_mean"],
+                              net2.stats[f"bn{k}.running_mean"])
 
 
 def test_train_different_seeds_differ():
@@ -420,10 +422,10 @@ def test_per_layer_training_is_bitwise_the_whole_step_loop(monkeypatch, bn_on_ou
         assert net.params[name].tobytes() == ref_net.params[name].tobytes(), name
         assert adam.moment1[name].tobytes() == ref_adam.moment1[name].tobytes(), name
         assert adam.moment2[name].tobytes() == ref_adam.moment2[name].tobytes(), name
-    assert sorted(net.bn_states) == sorted(ref_net.bn_states)
-    for k, state in net.bn_states.items():
-        assert state.running_mean.tobytes() == ref_net.bn_states[k].running_mean.tobytes()
-        assert state.running_var.tobytes() == ref_net.bn_states[k].running_var.tobytes()
+    assert sorted(net.stats) == sorted(ref_net.stats)
+    for k in net._bn_layers:
+        for name in (f"bn{k}.running_mean", f"bn{k}.running_var"):
+            assert net.stats[name].tobytes() == ref_net.stats[name].tobytes()
 
 
 # Every weight of these shapes spans 3 or 4 row slabs of ``SLAB``
@@ -681,9 +683,10 @@ def trained_like_nets(k_members, config=None):
         rng = Rng(50 + k)
         net.params = {name: value + 0.1 * rng.split(len(name)).normal(value.shape)
                       for name, value in net.params.items()}
-        for j, state in net.bn_states.items():
-            state.running_mean = rng.split(100 + j).normal(state.running_mean.shape)
-            state.running_var = 0.5 + rng.split(200 + j).uniform(state.running_var.shape)
+        for j in net._bn_layers:
+            shape = net.stats[f"bn{j}.running_mean"].shape
+            net.stats[f"bn{j}.running_mean"] = rng.split(100 + j).normal(shape)
+            net.stats[f"bn{j}.running_var"] = 0.5 + rng.split(200 + j).uniform(shape)
         nets.append(net)
     return nets
 
@@ -852,12 +855,28 @@ def test_attrnet_checkpoint_round_trip(tmp_path):
     assert loaded.config == net.config
     for name in net.params:
         assert np.array_equal(loaded.params[name], net.params[name])
-    for k in net.bn_states:
-        assert np.array_equal(loaded.bn_states[k].running_mean,
-                              net.bn_states[k].running_mean)
-        assert np.array_equal(loaded.bn_states[k].running_var,
-                              net.bn_states[k].running_var)
+    for k in net._bn_layers:
+        assert np.array_equal(loaded.stats[f"bn{k}.running_mean"],
+                              net.stats[f"bn{k}.running_mean"])
+        assert np.array_equal(loaded.stats[f"bn{k}.running_var"],
+                              net.stats[f"bn{k}.running_var"])
     assert np.array_equal(loaded.predict(x), net.predict(x))
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_tensors_keep_the_checkpoint_order(tmp_path, bn_on_output):
+    # The parameters as built, then each batch-normalized layer's running
+    # mean and variance; a loaded member keeps the same order.
+    net = AttrNet(replace(SMALL, bn_on_output=bn_on_output), seed=3)
+    bn_layers = [1, 2, 3, 4] if bn_on_output else [1, 2, 3]
+    want = [f"fc{k}.w" for k in range(1, 5)] + ([] if bn_on_output else ["fc4.b"])
+    want += [f"bn{k}.{name}" for k in bn_layers for name in ("gamma", "beta")]
+    want += [f"bn{k}.{name}" for k in bn_layers
+             for name in ("running_mean", "running_var")]
+    assert list(net.tensors()) == want
+    save_attrnet_ensemble(tmp_path / "attr.ckpt", [net])
+    [loaded] = load_attrnet_ensemble(tmp_path / "attr.ckpt")
+    assert list(loaded.tensors()) == want
 
 
 def test_attrnet_ensemble_checkpoint_round_trip(tmp_path):

@@ -293,6 +293,63 @@ def test_data_errors_exit_with_two(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "m.daec").exists()
 
 
+@pytest.mark.parametrize("command", ["train-attr", "train-captioner", "caption",
+                                     "eval-attr"])
+def test_a_join_mismatch_names_both_files(tmp_path, monkeypatch, capsys, command):
+    # Each file is named, with the ids the other one holds and it lacks.
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_attributes("four.jsonl", [1, 2, 3, 4], np.full((4, 3), 0.5))
+    storage.write_attributes("other.jsonl", [3, 4, 5], np.full((3, 3), 0.5))
+    vocab = scnlstm.CaptionVocab.from_token_lists([["a", "dog"]], min_count=1)
+    scnlstm.save_captioner("cap.daec", scnlstm.ScnLstm(ScnLstmConfig(
+        vocab_size=len(vocab), n_words=3, feature_dim=FEATURE_DIM, embed_dim=4,
+        hidden_dim=4, factor_dim=4)), vocab)
+    common = ["--features", "feats.daef", "--attrs", "other.jsonl"]
+    argv = {"train-attr": ["train-attr", *common, "--out-model", "out.daec"],
+            "train-captioner": ["train-captioner", *common, "--captions",
+                                "captions.json", "--out-model", "out.daec",
+                                "--min-count", "1"],
+            "caption": ["caption", *common, "--model", "cap.daec", "--out", "out.jsonl"],
+            "eval-attr": ["eval-attr", "--pred", "four.jsonl", "--gt", "other.jsonl",
+                          "--out", "out.json"]}[command]
+    first = "four.jsonl" if command == "eval-attr" else "feats.daef"
+    assert expect_error(capsys, argv, 2, "data") == (
+        f"error: data: {first} and other.jsonl do not cover the same images; "
+        f"ids not in other.jsonl: [1, 2]; ids not in {first}: [5]")
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_captions_of_images_without_features_name_the_three_files(tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    storage.write_features("three.daef", [1, 2, 3], Rng(50).normal((3, FEATURE_DIM)))
+    storage.write_attributes("three.jsonl", [1, 2, 3], np.full((3, 3), 0.5))
+    line = expect_error(capsys, ["train-captioner", "--captions", "captions.json",
+                                 "--features", "three.daef", "--attrs", "three.jsonl",
+                                 "--out-model", "out.daec", "--min-count", "1"], 2, "data")
+    assert line == ("error: data: captions.json references images not in three.daef "
+                    "and three.jsonl: [4]")
+    assert not list(tmp_path.glob("out.*"))
+
+
+@pytest.mark.parametrize("ids", [[7], []])
+def test_train_attr_on_fewer_than_two_images_is_a_data_error(tmp_path, monkeypatch,
+                                                              capsys, ids):
+    # No flag is wrong: the files hold too few images to batch-normalize a
+    # batch, and that is found before any member trains.
+    monkeypatch.chdir(tmp_path)
+    storage.write_features("few.daef", ids, np.ones((len(ids), 3)))
+    storage.write_attributes("few.jsonl", ids, np.full((len(ids), 2), 0.5))
+    monkeypatch.setattr(attrnet, "train_attrnet", lambda *args: pytest.fail("trained"))
+    line = expect_error(capsys, ["train-attr", "--features", "few.daef", "--attrs",
+                                 "few.jsonl", "--out-model", "out.daec"], 2, "data")
+    assert line == ("error: data: few.daef: training needs at least 2 images "
+                    f"(batch normalization), the file holds {len(ids)}")
+    assert not list(tmp_path.glob("out.*"))
+
+
 @pytest.mark.parametrize("command", ["train-attr", "train-captioner", "caption"])
 def test_features_of_width_zero_are_a_data_error(tmp_path, monkeypatch, capsys, command):
     # No flag is wrong, so it is not a usage error; and ``caption`` must

@@ -13,7 +13,6 @@ from attrcap import nncore
 from attrcap.nncore import (
     _CHUNK,
     AdamState,
-    BatchNormState,
     DimensionError,
     NumericError,
     ParameterError,
@@ -283,60 +282,68 @@ def test_dropout_parameter_errors():
 
 def test_batchnorm_standardizes_in_train_mode():
     x = Rng(10).normal((32, 6)) * 3.0 + 5.0
-    state = BatchNormState.create(6)
-    out, _ = batchnorm_forward(x, np.ones(6), np.zeros(6), state, "train")
+    out, _ = batchnorm_forward(x, np.ones(6), np.zeros(6), np.zeros(6), np.ones(6),
+                               "train")
     assert np.abs(out.mean(axis=0)).max() < 1e-9
     assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4  # eps shifts variance
 
 
 def test_batchnorm_gamma_beta_affect_output():
     x = Rng(10).normal((16, 3))
-    state = BatchNormState.create(3)
     gamma = np.array([2.0, 1.0, 0.5])
     beta = np.array([1.0, -1.0, 0.0])
-    out, _ = batchnorm_forward(x, gamma, beta, state, "train")
+    out, _ = batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3), "train")
     assert np.allclose(out.mean(axis=0), beta, atol=1e-9)
 
 
 def test_batchnorm_inference_with_batch_stats_matches_train():
     x = Rng(12).normal((8, 4)) * 2.0 + 1.0
     train_out, _ = batchnorm_forward(
-        x, np.ones(4), np.zeros(4), BatchNormState.create(4), "train"
+        x, np.ones(4), np.zeros(4), np.zeros(4), np.ones(4), "train"
     )
-    state = BatchNormState.create(4)
-    state.running_mean = x.mean(axis=0)
-    state.running_var = x.var(axis=0)
-    infer_out, _ = batchnorm_forward(x, np.ones(4), np.zeros(4), state, "inference")
+    infer_out, _ = batchnorm_forward(x, np.ones(4), np.zeros(4), x.mean(axis=0),
+                                     x.var(axis=0), "inference")
     assert np.allclose(train_out, infer_out, rtol=0, atol=1e-12)
 
 
 def test_batchnorm_running_statistics_update():
     x = Rng(14).normal((10, 3)) + 4.0
-    state = BatchNormState.create(3)
-    batchnorm_forward(x, np.ones(3), np.zeros(3), state, "train")
-    assert np.allclose(state.running_mean, 0.1 * x.mean(axis=0), atol=1e-12)
-    assert np.allclose(state.running_var, 0.9 + 0.1 * x.var(axis=0), atol=1e-12)
+    running_mean, running_var = np.zeros(3), np.ones(3)
+    batchnorm_forward(x, np.ones(3), np.zeros(3), running_mean, running_var, "train")
+    assert np.allclose(running_mean, 0.1 * x.mean(axis=0), atol=1e-12)
+    assert np.allclose(running_var, 0.9 + 0.1 * x.var(axis=0), atol=1e-12)
+
+
+def test_batchnorm_train_mode_folds_statistics_into_the_given_arrays():
+    x = Rng(16).normal((9, 5)) * 2.0 - 1.0
+    running_mean, running_var = Rng(17).normal((5,)), 0.5 + Rng(18).uniform((5,))
+    want_mean = 0.9 * running_mean + (1 - 0.9) * x.mean(axis=0)
+    want_var = 0.9 * running_var + (1 - 0.9) * x.var(axis=0)
+    # The caller's own arrays hold the new statistics: nothing is returned.
+    batchnorm_forward(x, np.ones(5), np.zeros(5), running_mean, running_var, "train")
+    assert running_mean.tobytes() == want_mean.tobytes()
+    assert running_var.tobytes() == want_var.tobytes()
 
 
 def test_batchnorm_inference_does_not_touch_state():
-    state = BatchNormState.create(3)
-    before = (state.running_mean.copy(), state.running_var.copy())
+    running_mean, running_var = np.zeros(3), np.ones(3)
+    before = (running_mean.copy(), running_var.copy())
     batchnorm_forward(Rng(1).normal((4, 3)), np.ones(3), np.zeros(3),
-                      state, "inference")
-    assert np.array_equal(state.running_mean, before[0])
-    assert np.array_equal(state.running_var, before[1])
+                      running_mean, running_var, "inference")
+    assert np.array_equal(running_mean, before[0])
+    assert np.array_equal(running_var, before[1])
 
 
 def test_batchnorm_rejects_singleton_train_batch():
     with pytest.raises(ParameterError, match="at least 2"):
         batchnorm_forward(np.zeros((1, 3)), np.ones(3), np.zeros(3),
-                          BatchNormState.create(3), "train")
+                          np.zeros(3), np.ones(3), "train")
 
 
 def test_batchnorm_rejects_unknown_mode():
     with pytest.raises(ParameterError):
         batchnorm_forward(np.zeros((4, 3)), np.ones(3), np.zeros(3),
-                          BatchNormState.create(3), "predict")
+                          np.zeros(3), np.ones(3), "predict")
 
 
 def test_batchnorm_gradients_match_finite_differences():
@@ -344,9 +351,9 @@ def test_batchnorm_gradients_match_finite_differences():
     weight_on_out = rng.normal((7, 4))
 
     def loss_fn(params):
-        state = BatchNormState.create(4)
         out, cache = batchnorm_forward(
-            params["x"], params["gamma"], params["beta"], state, "train"
+            params["x"], params["gamma"], params["beta"], np.zeros(4), np.ones(4),
+            "train"
         )
         loss = float(np.sum(out * weight_on_out))
         dx, dgamma, dbeta = batchnorm_backward(weight_on_out, cache)

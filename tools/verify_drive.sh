@@ -35,9 +35,12 @@ captions = {"annotations": [
 with open("captions.json", "w") as fh:
     json.dump(captions, fh)
 storage.write_features("feats.daef", [1, 2, 3, 4], Rng(50).normal((4, 12)))
-# Attributes of images that feats.daef does not hold, and features of
-# width 0 and of a width no model takes, for the error contract.
+# Attributes of images that feats.daef does not hold, features and
+# attributes of one image, and features of width 0 and of a width no
+# model takes, for the error contract.
 storage.write_attributes("other_ids.jsonl", [5, 6, 7, 8], np.full((4, 3), 0.5))
+storage.write_features("one.daef", [1], Rng(50).normal((1, 12)))
+storage.write_attributes("one.jsonl", [1], np.full((1, 3), 0.5))
 storage.write_features("widthless.daef", [1, 2, 3, 4], np.zeros((4, 0)))
 storage.write_features("wide.daef", [1, 2, 3, 4], Rng(50).normal((4, 13)))
 # word2vec-format vectors for two caption words, after a "count dim" header.
@@ -204,10 +207,33 @@ done
 attrcap train-attr --features feats.daef --attrs other_ids.jsonl \
     --out-model unjoined.daec --hidden 16 --epochs 1 --seed 5 2>unjoined.stderr
 [ $? -eq 2 ] || { echo "BAD: unjoinable train-attr exit"; exit 1; }
-[ "$(wc -l < unjoined.stderr)" -eq 1 ] && grep -q '^error: data: ' unjoined.stderr \
+[ "$(wc -l < unjoined.stderr)" -eq 1 ] \
+    && grep -q '^error: data: feats\.daef and other_ids\.jsonl ' unjoined.stderr \
     || { echo "BAD: unjoinable train-attr stderr:"; cat unjoined.stderr; exit 1; }
 for f in unjoined.daec*; do
     [ -e "$f" ] && { echo "BAD: unjoinable train-attr left $f"; exit 1; }
+done
+# Predictions and ground truth of different images: a data error whose
+# one line names both files, and no report written.
+attrcap eval-attr --pred run1/pred.jsonl --gt other_ids.jsonl \
+    --out unjoined_f1.json 2>unjoined_f1.stderr
+[ $? -eq 2 ] || { echo "BAD: unjoinable eval-attr exit"; exit 1; }
+[ "$(wc -l < unjoined_f1.stderr)" -eq 1 ] \
+    && grep -q '^error: data: run1/pred\.jsonl and other_ids\.jsonl ' unjoined_f1.stderr \
+    || { echo "BAD: unjoinable eval-attr stderr:"; cat unjoined_f1.stderr; exit 1; }
+for f in unjoined_f1.json*; do
+    [ -e "$f" ] && { echo "BAD: unjoinable eval-attr left $f"; exit 1; }
+done
+# One image is too few to batch-normalize a training batch: a data error
+# that names the feature file, found before training, although no flag
+# is wrong.
+attrcap train-attr --features one.daef --attrs one.jsonl \
+    --out-model one.daec --hidden 16 --epochs 1 --seed 5 2>one.stderr
+[ $? -eq 2 ] || { echo "BAD: one-image train-attr exit"; exit 1; }
+[ "$(wc -l < one.stderr)" -eq 1 ] && grep -q '^error: data: one\.daef: ' one.stderr \
+    || { echo "BAD: one-image train-attr stderr:"; cat one.stderr; exit 1; }
+for f in one.daec*; do
+    [ -e "$f" ] && { echo "BAD: one-image train-attr left $f"; exit 1; }
 done
 # Features of width 0 are a data error, although no flag is wrong.
 attrcap train-attr --features widthless.daef --attrs run1/gt.jsonl \
@@ -238,5 +264,6 @@ for f in truncated.jsonl*; do
     [ -e "$f" ] && { echo "BAD: truncated predict-attr left $f"; exit 1; }
 done
 set -e
-echo "exit codes: usage=1, data=2, numeric=3 confirmed; no checkpoint left"
+echo "exit codes: usage=1, data=2, numeric=3 confirmed; join and one-image" \
+    "errors name their files; no checkpoint left"
 echo "VERIFY DRIVE OK ($WORK)"
