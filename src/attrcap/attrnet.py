@@ -68,6 +68,8 @@ _PREDICT_BLOCK = 512
 # Elements per row slab of a weight gradient in training (4 MiB of
 # float64): bounds the gradient memory that a step holds at once.
 _GRAD_SLAB = 16 * nncore._CHUNK
+# Name endings of the batch-norm running statistics, kept in ``AttrNet.stats``.
+_STATS = (".running_mean", ".running_var")
 
 
 class JoinError(ValueError):
@@ -145,39 +147,45 @@ def join_on_image_id(feature_ids, features, attr_ids, attrs,
     return list(feature_ids), features, attrs[rows]
 
 
+def _tensor_shapes(config):
+    """Name and shape of every tensor, in checkpoint order: each layer's
+    weight, the output layer's bias when that layer has no batch
+    normalization (which would cancel a bias), each normalized layer's
+    scale and shift, then its running statistics."""
+    dims = [config.feature_dim] + [config.hidden_dim] * (_N_LAYERS - 1) + [config.n_words]
+    bn_layers = range(1, _N_LAYERS + 1 if config.bn_on_output else _N_LAYERS)
+    shapes = {f"fc{k}.w": (dims[k - 1], dims[k]) for k in range(1, _N_LAYERS + 1)}
+    if not config.bn_on_output:
+        shapes[f"fc{_N_LAYERS}.b"] = (config.n_words,)
+    for names in (("gamma", "beta"), ("running_mean", "running_var")):
+        shapes.update({f"bn{k}.{name}": (dims[k],) for k in bn_layers for name in names})
+    return shapes
+
+
 class AttrNet:
-    """Four-layer perceptron from image features to attribute vectors."""
+    """Four-layer perceptron from image features to attribute vectors;
+    ``params`` or ``stats`` left out is drawn from ``seed``."""
 
     def __init__(self, config, seed=0, params=None, stats=None):
         self.config = config
-        self._dims = dims = (
-            [config.feature_dim]
-            + [config.hidden_dim] * (_N_LAYERS - 1)
-            + [config.n_words]
-        )
-        self._bn_layers = [
-            k for k in range(1, _N_LAYERS + 1)
-            if k < _N_LAYERS or config.bn_on_output
-        ]
-        if params is None:
-            root = Rng(seed)
-            params = {}
-            for k in range(1, _N_LAYERS + 1):
-                params[f"fc{k}.w"] = xavier_init(dims[k - 1], dims[k], root.split(k))
-                if k not in self._bn_layers:
-                    # A bias feeding batch normalization is cancelled by the
-                    # mean subtraction; only BN-free layers carry one.
-                    params[f"fc{k}.b"] = np.zeros(dims[k], dtype=np.float64)
-            for k in self._bn_layers:
-                params[f"bn{k}.gamma"] = np.ones(dims[k], dtype=np.float64)
-                params[f"bn{k}.beta"] = np.zeros(dims[k], dtype=np.float64)
-        self.params = params
-        if stats is None:
-            stats = {}
-            for k in self._bn_layers:
-                stats[f"bn{k}.running_mean"] = np.zeros(dims[k], dtype=np.float64)
-                stats[f"bn{k}.running_var"] = np.ones(dims[k], dtype=np.float64)
-        self.stats = stats
+        shapes = _tensor_shapes(config)
+        stat_shapes = {name: shapes.pop(name) for name in list(shapes)
+                       if name.endswith(_STATS)}
+        self._bn_layers = [k for k in range(1, _N_LAYERS + 1) if f"bn{k}.gamma" in shapes]
+
+        def initial(table):
+            tensors = {name: np.zeros(shape) for name, shape in table.items()}
+            for name, tensor in tensors.items():
+                if name.endswith(".w"):  # fc{k}.w, from stream k
+                    xavier_init(*tensor.shape, Rng(seed).split(int(name[2:-2])), out=tensor)
+                elif name.endswith((".gamma", ".running_var")):
+                    tensor.fill(1.0)
+            return tensors
+
+        self.params = initial(shapes) if params is None else params
+        self.stats = initial(stat_shapes) if stats is None else stats
+        check_shapes(self.params, shapes, "the attribute predictor's parameters")
+        check_shapes(self.stats, stat_shapes, "the attribute predictor's running statistics")
 
     def forward(self, x, mode="inference", rng=None):
         """Run the network; returns ``(predictions, caches)``.
@@ -294,19 +302,11 @@ class AttrNet:
 
     @classmethod
     def from_tensors(cls, config, tensors):
-        """Rebuild a network from :meth:`tensors`, checking every name and shape."""
-        net = cls(config, params={}, stats={})
-        bn_names = ("gamma", "beta", "running_mean", "running_var")
-        shapes = {}
-        for k, (rows, cols) in enumerate(zip(net._dims, net._dims[1:]), start=1):
-            shapes[f"fc{k}.w"] = (rows, cols)
-            shapes.update({f"bn{k}.{name}": (cols,) for name in bn_names}
-                          if k in net._bn_layers else {f"fc{k}.b": (cols,)})
-        check_shapes(tensors, shapes, "the attribute predictor")
-        for name, value in tensors.items():
-            stat = name.endswith((".running_mean", ".running_var"))
-            (net.stats if stat else net.params)[name] = value
-        return net
+        """Rebuild a network from :meth:`tensors`; the constructor checks
+        every name and shape."""
+        stats = {name: value for name, value in tensors.items() if name.endswith(_STATS)}
+        params = {name: value for name, value in tensors.items() if name not in stats}
+        return cls(config, params=params, stats=stats)
 
 
 def train_attrnet(x, y, net_config, train_config):

@@ -421,6 +421,9 @@ def _cmd_eval_attr(args, meta):
     gt_ids, gt, _ = storage.load_attributes(args.gt)
     _, pred_matrix, gt_matrix = attrnet_mod.join_on_image_id(
         pred_ids, pred, gt_ids, gt, names=(args.pred, args.gt))
+    if pred.shape[1] != gt.shape[1]:
+        raise storage.FormatError(f"{args.pred} holds {pred.shape[1]} attributes per "
+                                  f"image and {args.gt} holds {gt.shape[1]}")
     if ((gt_matrix < 0.0) | (gt_matrix > 1.0)).any():
         raise storage.FormatError(f"{args.gt}: attribute values must lie in [0, 1]")
     report = dict(metrics_mod.attribute_f1(pred_matrix, gt_matrix),

@@ -373,6 +373,10 @@ def dropout_backward(dout, cache):
 # the normalizing variance positive.
 _BN_MOMENTUM = 0.9
 _BN_EPS = 1e-5
+# Adam's moment decay rates, and the term that keeps its denominator positive.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 def batchnorm_forward(x, gamma, beta, running_mean, running_var, mode):
@@ -448,19 +452,17 @@ def softmax(x, out=None):
 def xavier_init(rows, cols, rng, out=None):
     """Uniform Glorot initialization on ``+/- sqrt(6 / (rows + cols))``.
 
-    ``rng`` may be an :class:`Rng` or an integer seed; the same seed
-    always yields the same matrix, and an :class:`Rng` advances by
-    ``rows * cols`` draws. The draws are scaled and shifted block by
-    block, while each block is in cache, and written into ``out`` (a
-    C-contiguous (rows, cols) array) when it is given.
+    ``rng`` is an :class:`Rng`: the same seed always yields the same
+    matrix, and ``rng`` advances by ``rows * cols`` draws. The draws are
+    scaled and shifted block by block, while each block is in cache, and
+    written into ``out`` (a C-contiguous (rows, cols) array) when it is
+    given.
 
     The blocks are dealt to the :func:`worker_pool`
     (:meth:`WorkerPool.deal`), each worker with one block of scratch. A
     draw is a pure function of its stream and position, so the matrix
     is the same for any worker count.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = Rng(rng)
     bound = np.sqrt(6.0 / (rows + cols))
     weights = np.empty((rows, cols)) if out is None else out
     if weights.shape != (rows, cols) or not weights.flags.c_contiguous:
@@ -479,9 +481,6 @@ class AdamState:
     """Adam optimizer state: per-tensor first/second moments and step."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     moment1: dict = field(default_factory=dict)
     moment2: dict = field(default_factory=dict)
@@ -562,7 +561,7 @@ def _adam_group(params, grads, state, step):
     if bad is not None:
         raise NumericError(f"non-finite gradient for {entries[bad][0]}")
     state.step = step
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    b1, b2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, state.learning_rate, _ADAM_EPS
     correction1 = 1.0 - b1 ** step
     correction2 = 1.0 - b2 ** step
     for name, _, _ in entries:

@@ -270,33 +270,23 @@ class ScnLstm:
         shapes = _param_shapes(config)
         if params is None:
             root = Rng(seed)
-            h, f = config.hidden_dim, config.factor_dim
-            e, a = config.embed_dim, config.n_words
             gate_rngs = [root.split(slot + 1) for slot in range(4)]
-            params = {}
-            # Gate g's (rows, cols) slab of each stacked tensor is drawn
-            # from stream ``stream`` of gate g's Rng, straight into place.
-            for stream, (name, rows, cols) in enumerate((
-                    ("Wa", h, f), ("Wb", f, a), ("Wc", f, e),
-                    ("Ua", h, f), ("Ub", f, a), ("Uc", f, h))):
-                params[name] = np.empty(shapes[name])
-                slabs = params[name].reshape(4, rows, cols)
+            # Every tensor in table order, zero until drawn: ``b`` and ``bout`` stay so.
+            params = {name: np.zeros(shape) for name, shape in shapes.items()}
+            # Gate g's slab of each stacked tensor is drawn from stream
+            # ``stream`` of gate g's Rng, straight into place.
+            for stream, name in enumerate(("Wa", "Wb", "Wc", "Ua", "Ub", "Uc")):
+                slabs = params[name].reshape(4, -1, shapes[name][-1])
                 for gate, gate_rng in enumerate(gate_rngs):
-                    xavier_init(rows, cols, gate_rng.split(stream), out=slabs[gate])
-            params.update({
-                "b": np.zeros(4 * h, dtype=np.float64),
-                "Cv": xavier_init(h, config.feature_dim, root.split(5)),
-                "embed": xavier_init(*shapes["embed"], root.split(6)),
-                "Wout": xavier_init(*shapes["Wout"], root.split(7)),
-                "bout": np.zeros(config.vocab_size, dtype=np.float64),
-            })
+                    xavier_init(*slabs.shape[1:], gate_rng.split(stream), out=slabs[gate])
+            for stream, name in enumerate(("Cv", "embed", "Wout"), start=5):
+                xavier_init(*shapes[name], root.split(stream), out=params[name])
             for row, vector in (embeddings or {}).items():
-                if np.shape(vector) != (e,):
+                if np.shape(vector) != shapes["embed"][1:]:
                     raise DimensionError(f"pretrained embedding row {row} has shape "
-                                         f"{np.shape(vector)}, expected {(e,)}")
+                                         f"{np.shape(vector)}, expected {shapes['embed'][1:]}")
                 params["embed"][row] = vector
-        else:
-            check_shapes(params, shapes, "the decoder's stacked-gate layout")
+        check_shapes(params, shapes, "the decoder's stacked-gate layout")
         self.params = params
 
     # -- one step -------------------------------------------------------------

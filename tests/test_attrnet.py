@@ -30,6 +30,7 @@ from attrcap.nncore import (
     batch_slices,
     ensemble_mean,
     train_members,
+    xavier_init,
 )
 from attrcap.storage import FormatError, save_checkpoint
 
@@ -156,6 +157,58 @@ def test_bias_layout_depends_on_output_bn():
     assert "fc4.b" in without.params
     assert "bn4.gamma" not in without.params
     assert (without.predict(Rng(1).normal((2, 6))) >= 0).all()
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_init_tensors_are_the_per_layer_draws(bn_on_output):
+    # fc{k}.w is drawn from stream k of the seed; scales and running
+    # variances are ones; shifts, the bias and running means are zeros.
+    net = AttrNet(replace(SMALL, bn_on_output=bn_on_output), seed=9)
+    dims = [6, 8, 8, 8, 3]
+    root = Rng(9)
+    want = {f"fc{k}.w": xavier_init(dims[k - 1], dims[k], root.split(k))
+            for k in range(1, 5)}
+    if not bn_on_output:
+        want["fc4.b"] = np.zeros(3)
+    for k in [1, 2, 3, 4] if bn_on_output else [1, 2, 3]:
+        want.update({f"bn{k}.gamma": np.ones(dims[k]), f"bn{k}.beta": np.zeros(dims[k]),
+                     f"bn{k}.running_mean": np.zeros(dims[k]),
+                     f"bn{k}.running_var": np.ones(dims[k])})
+    assert sorted(net.params) == sorted(name for name in want if ".running_" not in name)
+    assert list(net.stats) == [name for name in want if ".running_" in name]
+    for name, value in net.tensors().items():
+        assert value.dtype == np.float64 and np.array_equal(value, want[name]), name
+
+
+@pytest.mark.parametrize("bn_on_output", [True, False])
+def test_constructor_rejects_tensors_outside_the_layout(bn_on_output):
+    config = replace(SMALL, bn_on_output=bn_on_output)
+    net = AttrNet(config, seed=0)
+    params, stats = net.params, net.stats
+    other = AttrNet(replace(config, bn_on_output=not bn_on_output), seed=0)
+    bad_params = [
+        {k: v for k, v in params.items() if k != "bn1.beta"},        # missing
+        {**params, "fc5.w": params["fc4.w"]},                         # unknown
+        {**params, "fc2.w": params["fc2.w"][:, :-1]},                 # misshapen
+        {**params, "bn1.running_mean": stats["bn1.running_mean"]},    # a statistic
+        other.params,                                                 # other layout
+    ]
+    bad_stats = [
+        {k: v for k, v in stats.items() if k != "bn3.running_var"},   # missing
+        {**stats, "bn1.gamma": params["bn1.gamma"]},                  # a parameter
+        {**stats, "bn2.running_mean": np.zeros(SMALL.hidden_dim + 1)},  # misshapen
+        other.stats,                                                  # other layout
+    ]
+    for bad in bad_params:
+        with pytest.raises(DimensionError, match="parameters"):
+            AttrNet(config, params=bad, stats=stats)
+    for bad in bad_stats:
+        with pytest.raises(DimensionError, match="running statistics"):
+            AttrNet(config, params=params, stats=bad)
+    with pytest.raises(DimensionError, match="bn1.beta"):
+        AttrNet(config, params=bad_params[0], stats=stats)
+    rebuilt = AttrNet(config, params=params, stats=stats)
+    assert rebuilt.params is params and rebuilt.stats is stats
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,18 @@ def test_a_join_mismatch_names_both_files(tmp_path, monkeypatch, capsys, command
     assert not list(tmp_path.glob("out.*"))
 
 
+def test_eval_attr_of_files_of_different_widths_names_both(tmp_path, monkeypatch, capsys):
+    # One line names each file with its width, before any scoring.
+    monkeypatch.chdir(tmp_path)
+    storage.write_attributes("pred.jsonl", [1, 2, 3], np.full((3, 4), 0.5))
+    storage.write_attributes("gt.jsonl", [1, 2, 3], np.full((3, 3), 0.5))
+    line = expect_error(capsys, ["eval-attr", "--pred", "pred.jsonl", "--gt", "gt.jsonl",
+                                 "--out", "f1.json"], 2, "data")
+    assert line == ("error: data: pred.jsonl holds 4 attributes per image "
+                    "and gt.jsonl holds 3")
+    assert not list(tmp_path.glob("f1.json*"))
+
+
 def test_captions_of_images_without_features_name_the_three_files(tmp_path, monkeypatch,
                                                                    capsys):
     monkeypatch.chdir(tmp_path)

@@ -440,7 +440,7 @@ def test_softmax_into_a_buffer_is_bitwise_the_allocating_softmax():
 
 
 def test_xavier_reproducible_and_bounded():
-    a = xavier_init(30, 20, 42)
+    a = xavier_init(30, 20, Rng(42))
     b = xavier_init(30, 20, Rng(42))
     assert np.array_equal(a, b)
     bound = np.sqrt(6.0 / 50)
@@ -449,7 +449,7 @@ def test_xavier_reproducible_and_bounded():
 
 def test_xavier_variance_matches_uniform_law():
     rows, cols = 250, 400
-    values = xavier_init(rows, cols, 7)
+    values = xavier_init(rows, cols, Rng(7))
     expected = 2.0 / (rows + cols)  # variance of U(-b, b) with b² = 6/(r+c)
     assert abs(values.var() / expected - 1.0) < 0.05
 
@@ -512,19 +512,19 @@ def reference_adam_step(params, grads, state):
     """The whole-array Adam update that the block kernel replaced; it
     returns new parameter arrays."""
     state.step += 1
-    correction1 = 1.0 - state.beta1 ** state.step
-    correction2 = 1.0 - state.beta2 ** state.step
+    correction1 = 1.0 - 0.9 ** state.step
+    correction2 = 1.0 - 0.999 ** state.step
     updated = {}
     for name, value in params.items():
         grad = grads[name]
         m = state.moment1.get(name, np.zeros_like(value))
         v = state.moment2.get(name, np.zeros_like(value))
-        m = state.beta1 * m + (1.0 - state.beta1) * grad
-        v = state.beta2 * v + (1.0 - state.beta2) * grad * grad
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
         state.moment1[name] = m
         state.moment2[name] = v
         updated[name] = value - state.learning_rate * (m / correction1) / (
-            np.sqrt(v / correction2) + state.eps)
+            np.sqrt(v / correction2) + 1e-8)
     return updated
 
 

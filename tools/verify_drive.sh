@@ -36,11 +36,13 @@ with open("captions.json", "w") as fh:
     json.dump(captions, fh)
 storage.write_features("feats.daef", [1, 2, 3, 4], Rng(50).normal((4, 12)))
 # Attributes of images that feats.daef does not hold, features and
-# attributes of one image, and features of width 0 and of a width no
-# model takes, for the error contract.
+# attributes of one image, attributes of a width no vocabulary here
+# has, and features of width 0 and of a width no model takes, for the
+# error contract.
 storage.write_attributes("other_ids.jsonl", [5, 6, 7, 8], np.full((4, 3), 0.5))
 storage.write_features("one.daef", [1], Rng(50).normal((1, 12)))
 storage.write_attributes("one.jsonl", [1], np.full((1, 3), 0.5))
+storage.write_attributes("narrow.jsonl", [1, 2, 3, 4], np.full((4, 2), 0.5))
 storage.write_features("widthless.daef", [1, 2, 3, 4], np.zeros((4, 0)))
 storage.write_features("wide.daef", [1, 2, 3, 4], Rng(50).normal((4, 13)))
 # word2vec-format vectors for two caption words, after a "count dim" header.
@@ -224,6 +226,19 @@ attrcap eval-attr --pred run1/pred.jsonl --gt other_ids.jsonl \
 for f in unjoined_f1.json*; do
     [ -e "$f" ] && { echo "BAD: unjoinable eval-attr left $f"; exit 1; }
 done
+# Predictions and ground truth of different widths: a data error whose
+# one line names both files, found before scoring, and no report written.
+attrcap eval-attr --pred run1/pred.jsonl --gt narrow.jsonl \
+    --out narrow_f1.json 2>narrow_f1.stderr
+[ $? -eq 2 ] || { echo "BAD: wrong-width eval-attr exit"; exit 1; }
+[ "$(wc -l < narrow_f1.stderr)" -eq 1 ] \
+    && grep -q \
+        '^error: data: run1/pred\.jsonl holds 7 attributes per image and narrow\.jsonl holds 2$' \
+        narrow_f1.stderr \
+    || { echo "BAD: wrong-width eval-attr stderr:"; cat narrow_f1.stderr; exit 1; }
+for f in narrow_f1.json*; do
+    [ -e "$f" ] && { echo "BAD: wrong-width eval-attr left $f"; exit 1; }
+done
 # One image is too few to batch-normalize a training batch: a data error
 # that names the feature file, found before training, although no flag
 # is wrong.
@@ -264,6 +279,6 @@ for f in truncated.jsonl*; do
     [ -e "$f" ] && { echo "BAD: truncated predict-attr left $f"; exit 1; }
 done
 set -e
-echo "exit codes: usage=1, data=2, numeric=3 confirmed; join and one-image" \
-    "errors name their files; no checkpoint left"
+echo "exit codes: usage=1, data=2, numeric=3 confirmed; join, width and" \
+    "one-image errors name their files; no checkpoint or report left"
 echo "VERIFY DRIVE OK ($WORK)"
