@@ -25,7 +25,7 @@ does not grow with the number of images.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,19 +45,15 @@ from .nncore import (
     dropout_forward,
     xavier_init,
 )
-from .storage import ensemble_writer, load_ensemble
 
 __all__ = [
     "AttrNet",
     "AttrNetConfig",
     "AttrTrainConfig",
     "JoinError",
-    "attrnet_writer",
     "join_on_image_id",
-    "load_attrnet_ensemble",
     "mse_loss",
     "predict_ensemble",
-    "save_attrnet_ensemble",
     "train_attrnet",
 ]
 
@@ -164,7 +160,11 @@ def _tensor_shapes(config):
 
 class AttrNet:
     """Four-layer perceptron from image features to attribute vectors;
-    ``params`` or ``stats`` left out is drawn from ``seed``."""
+    ``params`` or ``stats`` left out is drawn from ``seed``. ``kind`` and
+    ``config_type`` name its checkpoints (:func:`attrcap.storage.load_ensemble`)."""
+
+    kind = "attrnet"
+    config_type = AttrNetConfig
 
     def __init__(self, config, seed=0, params=None, stats=None):
         self.config = config
@@ -389,29 +389,3 @@ def predict_ensemble(nets, x):
         out[start:stop] = rows
         del rows  # not alive while the next block is predicted
     return out
-
-
-# --------------------------------------------------------------------------
-# Checkpoint formats
-# --------------------------------------------------------------------------
-
-
-def attrnet_writer(path, config, n_members, extra_meta=None):
-    """A checkpoint writer for ``n_members`` members of ``config``: hand
-    it each member's :meth:`AttrNet.tensors` as the member is trained."""
-    return ensemble_writer(path, "attrnet", n_members, {"net": asdict(config)},
-                           meta=extra_meta)
-
-
-def save_attrnet_ensemble(path, nets, extra_meta=None):
-    """Store all members in one checkpoint."""
-    with attrnet_writer(path, nets[0].config, len(nets), extra_meta) as writer:
-        for net in nets:
-            writer.add(net.tensors())
-
-
-def load_attrnet_ensemble(path):
-    """Members of an attribute-predictor checkpoint; a legacy
-    single-model file loads as one member."""
-    nets, _ = load_ensemble(path, "attrnet", AttrNetConfig, AttrNet.from_tensors)
-    return nets

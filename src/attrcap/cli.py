@@ -275,8 +275,8 @@ def _cmd_train_attr(args, meta):
                          n_words=y.shape[1], feature_dim=x.shape[1])
     members = train_members(args.ensemble, args.seed, lambda seed: (
         attrnet_mod.train_attrnet(x, y, net_config, replace(train_config, seed=seed))))
-    with attrnet_mod.attrnet_writer(args.out_model, net_config, args.ensemble,
-                                    extra_meta=meta) as writer:
+    with storage.ensemble_writer(args.out_model, attrnet_mod.AttrNet, net_config,
+                                 args.ensemble, meta) as writer:
         for net, losses in members:
             if losses:
                 print(f"member {writer.count}: final training mse: {losses[-1]!r}")
@@ -288,7 +288,7 @@ def _cmd_train_attr(args, meta):
 
 def _cmd_predict_attr(args, meta):
     feature_ids, features = storage.read_features(args.features)
-    members = attrnet_mod.load_attrnet_ensemble(args.model)
+    members, _ = storage.load_ensemble(args.model, attrnet_mod.AttrNet)
     _check_width(args.features, features, members[0].config.feature_dim)
     predictions = attrnet_mod.predict_ensemble(members, features)
     storage.write_attributes(args.out_attrs, feature_ids, predictions, meta=meta)
@@ -376,8 +376,8 @@ def _cmd_train_captioner(args, meta):
         scnlstm_mod.train_captioner(
             train_samples, net_config, replace(train_config, seed=seed),
             val_samples=val_samples or None, embeddings=embeddings)))
-    with scnlstm_mod.captioner_writer(args.out_model, net_config, vocab, args.ensemble,
-                                      extra_meta=meta) as writer:
+    with storage.ensemble_writer(args.out_model, scnlstm_mod.ScnLstm, net_config,
+                                 args.ensemble, meta, vocab_words=vocab.words) as writer:
         for model, history in members:
             if history["train_loss"]:
                 print(f"member {writer.count}: final training loss: "

@@ -67,7 +67,7 @@ decodes do not depend on the worker count.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,7 +101,6 @@ __all__ = [
     "ScnLstmConfig",
     "UNK_ID",
     "beam_search",
-    "captioner_writer",
     "ensemble_beam_search",
     "ensemble_beam_search_block",
     "load_captioner_ensemble",
@@ -263,7 +262,11 @@ def _caption_sums(rows, running):
 class ScnLstm:
     """Factorized attribute-conditioned LSTM decoder. ``embeddings``
     maps rows of the embedding table drawn from ``seed`` to the (E,)
-    vectors that replace them."""
+    vectors that replace them. ``kind`` and ``config_type`` name its
+    checkpoints (:func:`attrcap.storage.load_ensemble`)."""
+
+    kind = "scnlstm"
+    config_type = ScnLstmConfig
 
     def __init__(self, config, seed=0, params=None, embeddings=None):
         self.config = config
@@ -551,6 +554,11 @@ class ScnLstm:
     def tensors(self):
         return dict(self.params)
 
+    @classmethod
+    def from_tensors(cls, config, tensors):
+        """Rebuild a decoder from :meth:`tensors`, checked by the constructor."""
+        return cls(config, params=tensors)
+
 
 # --------------------------------------------------------------------------
 # Training
@@ -803,29 +811,17 @@ def save_captioner(path, model, vocab, extra_meta=None):
     save_captioner_ensemble(path, [model], vocab, extra_meta)
 
 
-def captioner_writer(path, config, vocab, n_members, extra_meta=None):
-    """A checkpoint writer for ``n_members`` members of ``config`` with
-    ``vocab``: hand it each member's :meth:`ScnLstm.tensors` as the
-    member is trained."""
-    return ensemble_writer(path, "scnlstm", n_members,
-                           {"net": asdict(config), "vocab_words": list(vocab.words)},
-                           meta=extra_meta)
-
-
 def save_captioner_ensemble(path, models, vocab, extra_meta=None):
     """Store all decoder members and the vocabulary in one checkpoint."""
-    with captioner_writer(path, models[0].config, vocab, len(models),
-                          extra_meta) as writer:
+    with ensemble_writer(path, ScnLstm, models[0].config, len(models), extra_meta,
+                         vocab_words=vocab.words) as writer:
         for model in models:
             writer.add(model.tensors())
 
 
 def load_captioner_ensemble(path):
-    """``(members, vocab)`` of a captioner checkpoint; a legacy
-    single-model file loads as one member."""
-    models, config = load_ensemble(
-        path, "scnlstm", ScnLstmConfig,
-        lambda net_config, tensors: ScnLstm(net_config, params=tensors))
+    """``(members, vocab)`` of a captioner checkpoint."""
+    models, config = load_ensemble(path, ScnLstm)
     words = config.get("vocab_words")
     size = models[0].config.vocab_size
     if not (isinstance(words, list) and len(words) == size

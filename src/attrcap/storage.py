@@ -10,12 +10,13 @@ version word so damaged or foreign files fail fast:
   then the tensors as float64 in header order. Checkpoints round-trip
   bit for bit, and only finite values load; the tensors load on the
   :func:`attrcap.nncore.worker_pool`, dealt round-robin to its workers,
-  each reading through its own file handle. Models are stored as
-  ensembles of K >= 1 members (:func:`ensemble_writer`,
-  :func:`load_ensemble`). One writer, :class:`CheckpointWriter`, writes
-  every checkpoint member by member, so a trained member can go to disk
-  and be dropped before the next one trains; the file appears at its
-  path, replacing any old one, only once it is complete.
+  each reading through its own file handle. Models of either family are
+  stored as ensembles of K >= 1 members through one writer and one
+  loader, given the model class (:func:`ensemble_writer`,
+  :func:`load_ensemble`). :class:`CheckpointWriter` writes every
+  checkpoint member by member, so a trained member can go to disk and
+  be dropped before the next one trains; the file appears at its path,
+  replacing any old one, only once it is complete.
 
 Text artifacts are JSON or JSON Lines. Every file written by the CLI
 embeds the producing command line and seed, either as a ``meta`` object
@@ -313,52 +314,61 @@ def load_checkpoint(path):
             for name, tensor in tensors.items()}, config
 
 
-def ensemble_writer(path, kind, n_members, config, meta=None):
-    """A :class:`CheckpointWriter` of a ``<kind>_ensemble`` checkpoint:
-    each member's ``{name: tensor}`` dict goes in through ``add``, and
-    member ``m``'s tensors are stored as ``member{m}.<name>``. The
-    config gets ``kind``, ``n_members`` and any ``meta``."""
-    config = {**config, "kind": f"{kind}_ensemble", "n_members": n_members}
+def ensemble_writer(path, model_type, net_config, n_members, meta=None, **extra):
+    """A :class:`CheckpointWriter` of ``n_members`` ``model_type`` models:
+    each member's ``tensors()`` goes in through ``add``, stored as
+    ``member{m}.<name>``. The config holds ``kind`` (``<model_type.kind>_ensemble``),
+    ``n_members``, ``net`` (``net_config``'s fields), any ``meta`` and ``extra``."""
+    config = {**extra, "net": dataclasses.asdict(net_config),
+              "kind": f"{model_type.kind}_ensemble", "n_members": n_members}
     if meta:
         config["meta"] = meta
     return CheckpointWriter(path, config, n_members, "member{m}.{name}")
 
 
-_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool}
+# The JSON types that each config field type accepts.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
-def load_ensemble(path, kind, config_type, build):
-    """``(members, config)`` of a ``<kind>_ensemble`` checkpoint, or of a
-    legacy single-model ``<kind>`` one as one member. The ``net`` config
-    must fit the dataclass ``config_type`` field by field, and
-    ``build(net_config, tensors)`` makes a member; any KeyError,
-    TypeError or ValueError it raises becomes a FormatError."""
+def load_ensemble(path, model_type):
+    """``(members, config)`` of an ensemble checkpoint of ``model_type``:
+    its kind must be ``<model_type.kind>_ensemble``, and its ``net``
+    config must list exactly the fields of ``model_type.config_type``,
+    each of the field's type. ``model_type.from_tensors(net_config,
+    tensors)`` makes each member; any KeyError, TypeError or ValueError
+    it raises becomes a FormatError."""
     tensors, config = load_checkpoint(path)
+    kind, config_type = model_type.kind, model_type.config_type
     found, n_members = config.get("kind"), config.get("n_members")
-    if found == kind:
-        groups = [tensors]
-    elif found != f"{kind}_ensemble":
-        raise FormatError(f"{path}: not an {kind} checkpoint (kind {found!r})")
-    elif type(n_members) is not int or not 1 <= n_members <= len(tensors):
+    if found != f"{kind}_ensemble":
+        raise FormatError(f"{path}: not an {kind}_ensemble checkpoint (kind {found!r})")
+    if type(n_members) is not int or not 1 <= n_members <= len(tensors):
         raise FormatError(f"{path}: n_members {n_members!r} is not an int from 1 "
                           f"to the tensor count {len(tensors)}")
-    else:
-        prefixes = [f"member{m}." for m in range(n_members)]
-        groups = [{name[len(prefix):]: value for name, value in tensors.items()
-                   if name.startswith(prefix)} for prefix in prefixes]
-        if not all(groups) or sum(map(len, groups)) != len(tensors):
-            raise FormatError(f"{path}: tensors do not split into {n_members} "
-                              "members by their member{m}. prefixes")
+    prefixes = [f"member{m}." for m in range(n_members)]
+    groups = [{name[len(prefix):]: value for name, value in tensors.items()
+               if name.startswith(prefix)} for prefix in prefixes]
+    if not all(groups) or sum(map(len, groups)) != len(tensors):
+        raise FormatError(f"{path}: tensors do not split into {n_members} "
+                          "members by their member{m}. prefixes")
     net = config.get("net")
-    fields = {f.name: _FIELD_TYPES.get(f.type, object)
-              for f in dataclasses.fields(config_type)}
-    if not isinstance(net, dict) or not all(
-            name in fields and isinstance(value, fields[name])
-            and isinstance(value, bool) == (fields[name] is bool)
-            for name, value in net.items()):
-        raise FormatError(f"{path}: net config does not fit {config_type.__name__}")
+    if not isinstance(net, dict):
+        raise FormatError(f"{path}: net config is not an object")
+    types = {f.name: f.type for f in dataclasses.fields(config_type)}
+    for name in [*types, *net]:
+        if name not in net:
+            fault = "is missing"
+        elif name not in types:
+            fault = "is not a field"
+        elif type(net[name]) not in _FIELD_TYPES[types[name]]:
+            fault = f"is not of type {types[name]}"
+        else:
+            continue
+        raise FormatError(f"{path}: {config_type.__name__} net config: "
+                          f"field {name!r} {fault}")
     try:
-        return [build(config_type(**net), group) for group in groups], config
+        return [model_type.from_tensors(config_type(**net), group)
+                for group in groups], config
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed {kind} checkpoint: {exc}") from exc
 

@@ -31,10 +31,22 @@ def t1_documents(t1_pairs):
     return build_documents(t1_pairs, apply_stemming=False)
 
 
+def save_members(path, members, meta=None, **extra):
+    """Write ``members``, models of one class and config, as one ensemble
+    checkpoint; ``extra`` fields go into its config."""
+    from attrcap.storage import ensemble_writer
+
+    with ensemble_writer(path, type(members[0]), members[0].config, len(members),
+                         meta, **extra) as writer:
+        for member in members:
+            writer.add(member.tensors())
+
+
 @pytest.fixture
 def per_gate_checkpoint():
-    """Writer of decoder checkpoints in the per-gate layout (``Wia``,
-    ``Wib``, ..., ``bc``) used before the gate weights were stacked."""
+    """Writer of one-member decoder checkpoints in the per-gate layout
+    (``Wia``, ``Wib``, ..., ``bc``) used before the gate weights were
+    stacked."""
     from dataclasses import asdict
 
     from attrcap.scnlstm import ScnLstm
@@ -52,8 +64,9 @@ def per_gate_checkpoint():
             tensors[f"b{gate}"] = p["b"][slot * h:(slot + 1) * h]
         for name in ("Cv", "embed", "Wout", "bout"):
             tensors[name] = p[name]
-        save_checkpoint(path, tensors, {"kind": "scnlstm", "net": asdict(config),
-                                        "vocab_words": list(vocab_words)})
+        save_checkpoint(path, {f"member0.{name}": value for name, value in tensors.items()},
+                        {"kind": "scnlstm_ensemble", "n_members": 1, "net": asdict(config),
+                         "vocab_words": list(vocab_words)})
 
     return write
 

@@ -11,15 +11,22 @@ One test per gate, numbered so a verbose run reads as a checklist:
  7. beam search is exact at full width and monotone in width
  8. frozen metric fixture values
  9. ensembles of identical members equal the single model bitwise
-10. pipeline reruns produce byte-identical artifacts
+10. pipeline reruns produce byte-identical artifacts, whose digests match
+    the checked-in table ``data/golden_digests.json``; after a change of
+    outputs by design, or on another NumPy or BLAS build, regenerate it
+    with ``PYTHONPATH=src python tests/test_acceptance.py``
 11. dataset-scale vocabulary counts (optional, needs a local captions file)
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 import math
 import os
 import random
+import tempfile
 import time
 from pathlib import Path
 
@@ -493,22 +500,49 @@ def write_pipeline_inputs(root):
     (root / "vectors.txt").write_text("\n".join(rows) + "\n")
 
 
-def test_criterion_10_pipeline_reruns_are_byte_identical(
-        tmp_path, monkeypatch, capsys):
+def run_pipeline(root):
+    """Run :data:`PIPELINE` on fresh inputs in ``root``, the working
+    directory; returns the bytes of each of :data:`PIPELINE_ARTIFACTS`."""
+    write_pipeline_inputs(root)
+    for argv in PIPELINE:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert code == 0, f"{argv[0]} failed: {err.getvalue()}"
+    return {name: (root / name).read_bytes() for name in PIPELINE_ARTIFACTS}
+
+
+GOLDEN_DIGESTS = Path(__file__).parent / "data" / "golden_digests.json"
+
+
+def numeric_build():
+    """The NumPy version and BLAS build, which the artifacts' rounding
+    depends on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas.get('version')}"}
+
+
+def sha256_digests(snapshot):
+    return {name: hashlib.sha256(data).hexdigest() for name, data in snapshot.items()}
+
+
+def test_criterion_10_pipeline_reruns_are_byte_identical(tmp_path, monkeypatch):
     snapshots = []
     for run in ("first", "second"):
         root = tmp_path / run
         root.mkdir()
         monkeypatch.chdir(root)
-        write_pipeline_inputs(root)
-        for argv in PIPELINE:
-            code = main(list(argv))
-            captured = capsys.readouterr()
-            assert code == 0, f"{argv[0]} failed: {captured.err}"
-        snapshots.append({name: (root / name).read_bytes()
-                          for name in PIPELINE_ARTIFACTS})
+        snapshots.append(run_pipeline(root))
     for name in PIPELINE_ARTIFACTS:
         assert snapshots[0][name] == snapshots[1][name], name
+    # The same bytes as the checked-in table, so an output that changes
+    # by accident fails here.
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    assert golden["build"] == numeric_build(), (
+        f"{GOLDEN_DIGESTS.name} was made with {golden['build']}, this run uses "
+        f"{numeric_build()}; regenerate it on this build with "
+        "PYTHONPATH=src python tests/test_acceptance.py")
+    assert sha256_digests(snapshots[0]) == golden["sha256"]
 
 
 # ---------------------------------------------------------------------------
@@ -538,3 +572,17 @@ def test_criterion_11_dataset_scale_vocabulary_report():
     for got, want in checks:
         assert abs(got - want) <= 0.10 * want, (got, want)
     assert elapsed < 120.0
+
+
+if __name__ == "__main__":
+    # Regenerate the golden digests of criterion 10 on this build.
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            digests = sha256_digests(run_pipeline(Path(scratch)))
+        finally:
+            os.chdir(home)
+    GOLDEN_DIGESTS.write_text(json.dumps({"build": numeric_build(), "sha256": digests},
+                                         indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_DIGESTS}")

@@ -15,10 +15,8 @@ from attrcap.attrnet import (
     AttrTrainConfig,
     JoinError,
     join_on_image_id,
-    load_attrnet_ensemble,
     mse_loss,
     predict_ensemble,
-    save_attrnet_ensemble,
     train_attrnet,
 )
 from attrcap.nncore import (
@@ -32,8 +30,9 @@ from attrcap.nncore import (
     train_members,
     xavier_init,
 )
-from attrcap.storage import FormatError, save_checkpoint
+from attrcap.storage import FormatError, load_ensemble, save_checkpoint
 
+from conftest import save_members
 from gradcheck import gradient_check
 
 SMALL = AttrNetConfig(n_words=3, feature_dim=6, hidden_dim=8, dropout=0.3)
@@ -903,8 +902,8 @@ def test_attrnet_checkpoint_round_trip(tmp_path):
     x, y = small_dataset()
     net, _ = train_attrnet(x, y, SMALL, AttrTrainConfig(epochs=3, seed=61))
     path = tmp_path / "attr.ckpt"
-    save_attrnet_ensemble(path, [net], extra_meta={"seed": 61})
-    [loaded] = load_attrnet_ensemble(path)
+    save_members(path, [net], {"seed": 61})
+    [loaded], _ = load_ensemble(path, AttrNet)
     assert loaded.config == net.config
     for name in net.params:
         assert np.array_equal(loaded.params[name], net.params[name])
@@ -927,8 +926,8 @@ def test_tensors_keep_the_checkpoint_order(tmp_path, bn_on_output):
     want += [f"bn{k}.{name}" for k in bn_layers
              for name in ("running_mean", "running_var")]
     assert list(net.tensors()) == want
-    save_attrnet_ensemble(tmp_path / "attr.ckpt", [net])
-    [loaded] = load_attrnet_ensemble(tmp_path / "attr.ckpt")
+    save_members(tmp_path / "attr.ckpt", [net])
+    [loaded], _ = load_ensemble(tmp_path / "attr.ckpt", AttrNet)
     assert list(loaded.tensors()) == want
 
 
@@ -936,27 +935,27 @@ def test_attrnet_ensemble_checkpoint_round_trip(tmp_path):
     x, y = small_dataset()
     members = train_ensemble(x, y, AttrTrainConfig(epochs=2, seed=71), 3)
     path = tmp_path / "ens.ckpt"
-    save_attrnet_ensemble(path, members)
-    loaded = load_attrnet_ensemble(path)
+    save_members(path, members)
+    loaded, _ = load_ensemble(path, AttrNet)
     assert len(loaded) == 3
     assert np.array_equal(predict_ensemble(loaded, x),
                           predict_ensemble(members, x))
 
 
-def test_load_attrnet_ensemble_accepts_single_checkpoint(tmp_path):
+def test_load_ensemble_rejects_a_legacy_single_attrnet_checkpoint(tmp_path):
     x, y = small_dataset()
     net, _ = train_attrnet(x, y, SMALL, AttrTrainConfig(epochs=1, seed=81))
     path = tmp_path / "single.ckpt"
-    # The legacy single-model layout: unprefixed tensors, kind "attrnet".
+    # The retired single-model layout: unprefixed tensors, kind "attrnet".
     save_checkpoint(path, net.tensors(),
                     {"kind": "attrnet", "net": asdict(net.config)})
-    loaded = load_attrnet_ensemble(path)
-    assert len(loaded) == 1
-    assert np.array_equal(loaded[0].predict(x), net.predict(x))
+    with pytest.raises(FormatError, match="not an attrnet_ensemble checkpoint "
+                                          r"\(kind 'attrnet'\)"):
+        load_ensemble(path, AttrNet)
 
 
 def test_load_attrnet_rejects_foreign_checkpoint(tmp_path):
     path = tmp_path / "other.ckpt"
     save_checkpoint(path, {"w": np.zeros((2, 2))}, {"kind": "mystery"})
-    with pytest.raises(FormatError, match="not an attrnet checkpoint"):
-        load_attrnet_ensemble(path)
+    with pytest.raises(FormatError, match="not an attrnet_ensemble checkpoint"):
+        load_ensemble(path, AttrNet)

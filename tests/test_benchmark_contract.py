@@ -84,7 +84,7 @@ def test_every_traced_name_exists_and_every_probe_records(tmp_path, monkeypatch,
         # Training updates the attribute predictor layer by layer as its
         # backward pass runs, not through the whole-batch loss: drive
         # that directly.
-        net = attrnet.load_attrnet_ensemble("attr.daec")[0]
+        net = storage.load_ensemble("attr.daec", attrnet.AttrNet)[0][0]
         net.loss(features, storage.load_attributes("gt.jsonl")[1], mode="inference")
         # Teacher forcing runs no per-step cell, so drive the one-step
         # backward the tracer wraps directly.

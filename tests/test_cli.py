@@ -19,6 +19,8 @@ from attrcap.corpus import CorpusError, tokenize
 from attrcap.nncore import DimensionError, NumericError, ParameterError, Rng
 from attrcap.scnlstm import CaptionTrainConfig, ScnLstmConfig
 
+from conftest import save_members
+
 FEATURE_DIM = 12
 
 CAPTIONS = {
@@ -405,7 +407,7 @@ def test_input_widths_must_match_the_model(tmp_path, monkeypatch, capsys, comman
     scnlstm.save_captioner("cap.daec", scnlstm.ScnLstm(ScnLstmConfig(
         vocab_size=len(vocab), n_words=3, feature_dim=3, embed_dim=4,
         hidden_dim=4, factor_dim=4)), vocab)
-    attrnet.save_attrnet_ensemble("attr.daec", [attrnet.AttrNet(
+    save_members("attr.daec", [attrnet.AttrNet(
         AttrNetConfig(n_words=3, feature_dim=3, hidden_dim=4), seed=1)])
     features = wide if wide.endswith(".daef") else "feats.daef"
     attrs = wide if wide.endswith(".jsonl") else "attrs.jsonl"
@@ -811,7 +813,7 @@ def test_train_attr_holds_one_member_at_a_time(tmp_path, monkeypatch, capsys):
                         "--epochs", "1", "--batch-size", "8", "--ensemble", "3"],
                        "attr.daec")
     assert 3.25 <= sets < 3.5
-    assert len(attrnet.load_attrnet_ensemble("attr.daec")) == 3
+    assert len(storage.load_ensemble("attr.daec", attrnet.AttrNet)[0]) == 3
 
 
 def test_train_captioner_holds_one_member_at_a_time(tmp_path, monkeypatch, capsys):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrcap import storage
-from attrcap.attrnet import AttrNet, AttrNetConfig, save_attrnet_ensemble
+from attrcap.attrnet import AttrNet, AttrNetConfig
 from attrcap.cli import main
 from attrcap.nncore import Rng
 from attrcap.scnlstm import (
@@ -26,6 +26,8 @@ from attrcap.scnlstm import (
     ScnLstmConfig,
     save_captioner_ensemble,
 )
+
+from conftest import save_members
 
 FEATURE_DIM = 12
 N_WORDS = 3
@@ -50,8 +52,7 @@ def write_artifacts(root):
          "log_prob": -1.5} for image_id in (1, 2, 3, 4)], meta={"seed": 0})
     attr_config = AttrNetConfig(n_words=N_WORDS, feature_dim=FEATURE_DIM,
                                 hidden_dim=4)
-    save_attrnet_ensemble(root / "attr.daec",
-                          [AttrNet(attr_config, seed=m) for m in range(2)])
+    save_members(root / "attr.daec", [AttrNet(attr_config, seed=m) for m in range(2)])
     cap_config = ScnLstmConfig(vocab_size=5, n_words=N_WORDS,
                                feature_dim=FEATURE_DIM, embed_dim=4,
                                hidden_dim=6, factor_dim=6)
@@ -153,6 +154,49 @@ def test_out_of_range_dropout_in_a_checkpoint_is_a_data_error(artifacts):
 def test_out_of_range_net_setting_in_either_checkpoint_is_a_data_error(artifacts):
     expect_data_error(artifacts, lambda header: header["config"]["net"].update(
         dropout=-0.5))
+
+
+NET_FIELD_FAULTS = [
+    ("attr", lambda net: net.pop("hidden_dim"), "'hidden_dim' is missing"),
+    ("cap", lambda net: net.pop("dropout"), "'dropout' is missing"),
+    ("attr", lambda net: net.update(width_multiplier=2), "'width_multiplier' is not a field"),
+    ("cap", lambda net: net.update(hidden=6), "'hidden' is not a field"),
+    ("attr", lambda net: net.update(bn_on_output=1), "'bn_on_output' is not of type bool"),
+    ("cap", lambda net: net.update(hidden_dim=6.0), "'hidden_dim' is not of type int"),
+    ("cap", lambda net: net.update(dropout=True), "'dropout' is not of type float"),
+]
+
+
+@pytest.mark.parametrize("family, edit, fault", NET_FIELD_FAULTS, ids=[
+    "attr-missing", "cap-missing", "attr-unknown", "cap-unknown",
+    "attr-int-for-bool", "cap-float-for-int", "cap-bool-for-float"])
+def test_net_config_must_list_exactly_its_fields(artifacts, family, edit, fault):
+    # A missing field once took the dataclass default: a captioner whose
+    # header lacked dropout loaded with dropout 0.5.
+    path = artifacts / f"{family}.daec"
+    edit_header(path, lambda header: edit(header["config"]["net"]))
+    config_type = {"attr": "AttrNetConfig", "cap": "ScnLstmConfig"}[family]
+    code, lines = run(command(artifacts, family, path))
+    assert code == 2
+    assert lines == [f"error: data: {path}: {config_type} net config: field {fault}"]
+    assert not list(artifacts.glob("out.*"))
+
+
+@pytest.mark.parametrize("family, kind", [("attr", "attrnet"), ("cap", "scnlstm")])
+def test_a_single_model_checkpoint_is_a_data_error(artifacts, family, kind):
+    # The retired single-model layout: member 0's tensors, unprefixed,
+    # under the family's bare kind.
+    path = artifacts / f"{family}.daec"
+    tensors, config = storage.load_checkpoint(path)
+    del config["n_members"]
+    storage.save_checkpoint(path, {name[len("member0."):]: value for name, value
+                                   in tensors.items() if name.startswith("member0.")},
+                            {**config, "kind": kind})
+    code, lines = run(command(artifacts, family, path))
+    assert code == 2
+    assert lines == [f"error: data: {path}: not an {kind}_ensemble checkpoint "
+                     f"(kind {kind!r})"]
+    assert not list(artifacts.glob("out.*"))
 
 
 def test_missing_n_members_is_a_data_error(artifacts):

@@ -21,6 +21,8 @@ from attrcap.attrnet import AttrNet, AttrNetConfig, AttrTrainConfig
 from attrcap.cli import main
 from attrcap.nncore import Rng
 
+from conftest import save_members
+
 # Two of predict_ensemble's row blocks, so predict-attr runs whole blocks.
 N = 2 * attrnet._PREDICT_BLOCK
 CONFIG = AttrNetConfig(n_words=4, feature_dim=256, hidden_dim=16)
@@ -72,7 +74,7 @@ def step_on(step, root, n):
     if step == "read_features":
         return lambda: storage.read_features(path)
     if step == "predict-attr":
-        attrnet.save_attrnet_ensemble(root / "attr.daec", [AttrNet(CONFIG, seed=1)])
+        save_members(root / "attr.daec", [AttrNet(CONFIG, seed=1)])
         argv = ["predict-attr", "--features", path, "--model", root / "attr.daec",
                 "--out-attrs", root / f"{n}.jsonl"]
 

@@ -38,6 +38,7 @@ from attrcap.scnlstm import (
     train_captioner,
 )
 
+from conftest import save_members
 from gradcheck import gradient_check
 
 TINY = ScnLstmConfig(
@@ -1233,19 +1234,18 @@ def test_captioner_ensemble_checkpoint_roundtrip(tmp_path):
             assert np.array_equal(copy.params[name], original.params[name])
 
 
-def test_ensemble_loader_accepts_a_single_model_checkpoint(tmp_path):
-    from attrcap.storage import save_checkpoint
+def test_ensemble_loader_rejects_a_single_model_checkpoint(tmp_path):
+    from attrcap.storage import FormatError, save_checkpoint
 
     model = tiny_model(seed=32)
     path = tmp_path / "single.daec"
-    # The legacy single-model layout: unprefixed tensors, kind "scnlstm".
+    # The retired single-model layout: unprefixed tensors, kind "scnlstm".
     save_checkpoint(path, model.tensors(), {
         "kind": "scnlstm", "net": dataclasses.asdict(model.config),
         "vocab_words": small_vocab().words})
-    loaded, _ = load_captioner_ensemble(path)
-    assert len(loaded) == 1
-    for name in model.params:
-        assert np.array_equal(loaded[0].params[name], model.params[name])
+    with pytest.raises(FormatError, match="not an scnlstm_ensemble checkpoint "
+                                          r"\(kind 'scnlstm'\)"):
+        load_captioner_ensemble(path)
 
 
 def test_loaders_reject_foreign_checkpoints(tmp_path):
@@ -1257,20 +1257,19 @@ def test_loaders_reject_foreign_checkpoints(tmp_path):
         load_captioner_ensemble(foreign)
 
     # Each family's loader rejects the other family's ensemble.
-    from attrcap.attrnet import (AttrNet, AttrNetConfig, load_attrnet_ensemble,
-                                 save_attrnet_ensemble)
+    from attrcap.attrnet import AttrNet, AttrNetConfig
+    from attrcap.storage import load_ensemble
 
     attr = tmp_path / "attr.daec"
-    save_attrnet_ensemble(attr, [AttrNet(AttrNetConfig(n_words=2, feature_dim=3,
-                                                       hidden_dim=4))])
-    with pytest.raises(FormatError, match="not an scnlstm checkpoint"):
+    save_members(attr, [AttrNet(AttrNetConfig(n_words=2, feature_dim=3, hidden_dim=4))])
+    with pytest.raises(FormatError, match="not an scnlstm_ensemble checkpoint"):
         load_captioner_ensemble(attr)
 
     models = [tiny_model(seed=33)]
     bundle = tmp_path / "bundle.daec"
     save_captioner_ensemble(bundle, models, small_vocab())
-    with pytest.raises(FormatError, match="not an attrnet checkpoint"):
-        load_attrnet_ensemble(bundle)
+    with pytest.raises(FormatError, match="not an attrnet_ensemble checkpoint"):
+        load_ensemble(bundle, AttrNet)
 
 
 def test_loaders_reject_per_gate_checkpoints(tmp_path, per_gate_checkpoint):

@@ -1,5 +1,6 @@
 """Artifact format tests: binary round trips, corruption detection, JSON."""
 
+import dataclasses
 import json
 import os
 import sys
@@ -296,11 +297,20 @@ def two_members(m):
     return {"w": Rng(m).normal((3, 4)), "b": Rng(10 + m).normal((4,))}
 
 
+@dataclasses.dataclass
+class ToyConfig:
+    w: int
+
+
+# The checkpoint facts of a model class, all that ensemble_writer needs of one.
+TOY = SimpleNamespace(kind="toy", config_type=ToyConfig)
+
+
 def test_ensemble_writer_is_one_checkpoint_of_prefixed_tensors(tmp_path):
     # Members streamed one by one give the bytes of one checkpoint of
     # every member's tensors, named member{m}.<name>.
     streamed, flat = tmp_path / "streamed.daec", tmp_path / "flat.daec"
-    with ensemble_writer(streamed, "toy", 3, {"net": {"w": 4}}, meta={"seed": 1}) as writer:
+    with ensemble_writer(streamed, TOY, ToyConfig(w=4), 3, meta={"seed": 1}) as writer:
         for m in range(3):
             writer.add(two_members(m))
     save_checkpoint(flat, {f"member{m}.{name}": value for m in range(3)
@@ -321,7 +331,7 @@ def test_checkpoint_writer_rejects_a_member_unlike_member_0(tmp_path, second):
     path = tmp_path / "model.daec"
     path.write_bytes(b"an earlier checkpoint")
     with pytest.raises(FormatError, match="member 1 differs from member 0"):
-        with ensemble_writer(path, "toy", 2, {}) as writer:
+        with ensemble_writer(path, TOY, ToyConfig(w=4), 2) as writer:
             writer.add(two_members(0))
             writer.add(second)
     assert path.read_bytes() == b"an earlier checkpoint"

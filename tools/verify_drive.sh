@@ -17,10 +17,12 @@ if ! command -v attrcap >/dev/null 2>&1 || ! python3 -c 'import attrcap' 2>/dev/
 fi
 
 python3 - <<'EOF'
+import dataclasses
 import json
 import numpy as np
 from attrcap import storage
 from attrcap.nncore import Rng
+from attrcap.scnlstm import ScnLstm, ScnLstmConfig
 
 captions = {"annotations": [
     {"image_id": 1, "id": 10, "caption": "A red bird sits on a branch"},
@@ -45,6 +47,13 @@ storage.write_attributes("one.jsonl", [1], np.full((1, 3), 0.5))
 storage.write_attributes("narrow.jsonl", [1, 2, 3, 4], np.full((4, 2), 0.5))
 storage.write_features("widthless.daef", [1, 2, 3, 4], np.zeros((4, 0)))
 storage.write_features("wide.daef", [1, 2, 3, 4], Rng(50).normal((4, 13)))
+# A captioner in the retired single-model layout: unprefixed tensors
+# under the bare kind "scnlstm".
+config = ScnLstmConfig(vocab_size=5, n_words=7, feature_dim=12, embed_dim=6,
+                       hidden_dim=8, factor_dim=8)
+storage.save_checkpoint("legacy.daec", ScnLstm(config).tensors(), {
+    "kind": "scnlstm", "net": dataclasses.asdict(config),
+    "vocab_words": ["<bos>", "<eos>", "<unk>", "red", "dog"]})
 # word2vec-format vectors for two caption words, after a "count dim" header.
 with open("vectors.txt", "w") as fh:
     fh.write("2 6\nred 0.125 0.25 0.375 0.5 0.625 0.75\ndog -0.25 -0.25 -0.25 -0.25 -0.25 -0.25\n")
@@ -269,6 +278,17 @@ attrcap caption --features wide.daef --attrs run1/pred.jsonl \
 for f in wide.jsonl*; do
     [ -e "$f" ] && { echo "BAD: wrong-width caption left $f"; exit 1; }
 done
+# A single-model captioner file is a data error that names the kind it
+# holds: no captions are written.
+attrcap caption --features feats.daef --attrs run1/pred.jsonl \
+    --model legacy.daec --out legacy.jsonl --seed 7 2>legacy.stderr
+[ $? -eq 2 ] || { echo "BAD: single-model caption exit"; exit 1; }
+[ "$(wc -l < legacy.stderr)" -eq 1 ] \
+    && grep -q "^error: data: legacy\.daec: .*'scnlstm'" legacy.stderr \
+    || { echo "BAD: single-model caption stderr:"; cat legacy.stderr; exit 1; }
+for f in legacy.jsonl*; do
+    [ -e "$f" ] && { echo "BAD: single-model caption left $f"; exit 1; }
+done
 head -c "$(($(wc -c < run1/attr.daec) / 2))" run1/attr.daec > truncated.daec
 attrcap predict-attr --features feats.daef --model truncated.daec \
     --out-attrs truncated.jsonl --seed 5 2>truncated.stderr
@@ -280,5 +300,6 @@ for f in truncated.jsonl*; do
 done
 set -e
 echo "exit codes: usage=1, data=2, numeric=3 confirmed; join, width and" \
-    "one-image errors name their files; no checkpoint or report left"
+    "one-image errors name their files; a single-model checkpoint names its" \
+    "kind; no checkpoint or report left"
 echo "VERIFY DRIVE OK ($WORK)"
