@@ -10,7 +10,8 @@ configuration; it is on by default.
 Training minimizes mean squared error with Adam, which applies each
 row slab of a layer's weight gradient as soon as the backward pass
 computes it, so a step holds the parameters, the two moments and one
-row slab of one weight gradient. There is no gradient clipping, so no
+row slab of one weight gradient; its forward pass caches the ReLU and
+dropout masks as boolean arrays. There is no gradient clipping, so no
 step needs the gradients all at once. The dataset is the inner join of
 a feature table and an attribute table on ``image_id``; any mismatch
 between the two id sets is a hard error, because silent misalignment of
@@ -215,8 +216,11 @@ class AttrNet:
                 )
             else:
                 out += p[f"fc{k}.b"]
-            # ReLU in place; the activation is also the backward mask.
-            active = np.maximum(out, 0.0, out=out)
+            # ReLU in place; backward reads only where it passed. Train
+            # mode keeps that as a boolean mask; inference mode keeps the
+            # activation, which is the next layer's input or the output.
+            np.maximum(out, 0.0, out=out)
+            active = out > 0.0 if mode == "train" else out
             drop_cache = None
             if k < _N_LAYERS:
                 out, drop_cache = dropout_forward(
@@ -345,9 +349,11 @@ def train_attrnet(x, y, net_config, train_config):
             batch = order[start:stop]
             pred, caches = net.forward(x[batch], mode="train", rng=epoch_rng)
             loss, dpred = mse_loss(pred, y[batch])
+            groups = net.backward_groups(dpred, caches, buffer)
+            del pred, dpred  # so the backward pass frees dpred once it is used
             # Adam applies each row slab of a weight gradient as soon as
             # backward yields it, before the next slab overwrites it.
-            adam_step(net.params, net.backward_groups(dpred, caches, buffer), adam)
+            adam_step(net.params, groups, adam)
             total += loss * len(batch)
         epoch_losses.append(total / m)
     return net, epoch_losses

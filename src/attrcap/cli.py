@@ -263,6 +263,19 @@ def _cmd_vocab_report(args, meta):
     return 0
 
 
+def _train_and_write(args, meta, model_type, net_config, train, **extra):
+    """Train the ``args.ensemble`` members of ``train(seed)``, each a
+    ``(model, lines)``, print each member's lines and write it to
+    ``args.out_model`` before the next one trains."""
+    with storage.ensemble_writer(args.out_model, model_type, net_config,
+                                 args.ensemble, meta, **extra) as writer:
+        for model, lines in train_members(args.ensemble, args.seed, train):
+            for line in lines:
+                print(f"member {writer.count}: {line}")
+            writer.add(model.tensors())
+            del model  # not alive while the next member trains
+
+
 def _cmd_train_attr(args, meta):
     if args.ensemble < 1:
         raise UsageError("--ensemble must be at least 1")
@@ -273,15 +286,13 @@ def _cmd_train_attr(args, meta):
                                   f"(batch normalization), the file holds {len(x)}")
     net_config = _config(attrnet_mod.AttrNetConfig, args,
                          n_words=y.shape[1], feature_dim=x.shape[1])
-    members = train_members(args.ensemble, args.seed, lambda seed: (
-        attrnet_mod.train_attrnet(x, y, net_config, replace(train_config, seed=seed))))
-    with storage.ensemble_writer(args.out_model, attrnet_mod.AttrNet, net_config,
-                                 args.ensemble, meta) as writer:
-        for net, losses in members:
-            if losses:
-                print(f"member {writer.count}: final training mse: {losses[-1]!r}")
-            writer.add(net.tensors())
-            del net, losses  # not alive while the next member trains
+
+    def train(seed):
+        net, losses = attrnet_mod.train_attrnet(x, y, net_config,
+                                                replace(train_config, seed=seed))
+        return net, [f"final training mse: {loss!r}" for loss in losses[-1:]]
+
+    _train_and_write(args, meta, attrnet_mod.AttrNet, net_config, train)
     print(f"trained on {x.shape[0]} images")
     return 0
 
@@ -372,21 +383,18 @@ def _cmd_train_captioner(args, meta):
         embeddings = _load_word_embeddings(args.init_embeddings, vocab,
                                            net_config.embed_dim)
 
-    members = train_members(args.ensemble, args.seed, lambda seed: (
-        scnlstm_mod.train_captioner(
+    def train(seed):
+        model, history = scnlstm_mod.train_captioner(
             train_samples, net_config, replace(train_config, seed=seed),
-            val_samples=val_samples or None, embeddings=embeddings)))
-    with storage.ensemble_writer(args.out_model, scnlstm_mod.ScnLstm, net_config,
-                                 args.ensemble, meta, vocab_words=vocab.words) as writer:
-        for model, history in members:
-            if history["train_loss"]:
-                print(f"member {writer.count}: final training loss: "
-                      f"{history['train_loss'][-1]!r} nats/token")
-            if history["val_loss"]:
-                print(f"member {writer.count}: best validation loss: "
-                      f"{min(history['val_loss'])!r} nats/token")
-            writer.add(model.tensors())
-            del model, history  # not alive while the next member trains
+            val_samples=val_samples or None, embeddings=embeddings)
+        lines = [f"final training loss: {loss!r} nats/token"
+                 for loss in history["train_loss"][-1:]]
+        if history["val_loss"]:
+            lines.append(f"best validation loss: {min(history['val_loss'])!r} nats/token")
+        return model, lines
+
+    _train_and_write(args, meta, scnlstm_mod.ScnLstm, net_config, train,
+                     vocab_words=vocab.words)
     print(f"trained on {len(train_samples)} captions "
           f"({len(val_samples)} held out), vocabulary {len(vocab)} tokens")
     return 0

@@ -346,7 +346,8 @@ def dropout_forward(x, rate, mode, rng=None):
 
     In train mode each element is zeroed with probability ``rate`` and
     the survivors are scaled by ``1 / (1 - rate)``, so inference is the
-    identity. ``rng`` is required in train mode when ``rate > 0``.
+    identity. ``rng`` is required in train mode when ``rate > 0``. The
+    cache keeps the mask as a boolean array.
     """
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
@@ -356,7 +357,7 @@ def dropout_forward(x, rate, mode, rng=None):
         raise ParameterError(f"unknown dropout mode {mode!r}")
     if rng is None:
         raise ParameterError("train-mode dropout needs an Rng for its mask")
-    mask = (rng.uniform(x.shape) >= rate).astype(np.float64)
+    mask = rng.uniform(x.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     return x * mask * scale, (mask, scale)
 

@@ -482,11 +482,27 @@ PIPELINE = [
      "--out", "f1.json"],
     ["eval-captions", "--candidates", "decoded.jsonl", "--references",
      "captions.json", "--out", "scores.json"],
+    # Candidates that share longer n-grams with their references, so that
+    # every BLEU precision is above 0 and CIDEr-D sums many terms: a
+    # changed rounding in the metrics changes this report.
+    ["eval-captions", "--candidates", "overlap.jsonl", "--references",
+     "captions.json", "--out", "overlap_scores.json"],
 ]
 
 PIPELINE_ARTIFACTS = ["vocab.json", "gt.jsonl", "sizes.json", "attr.daec",
                       "pred.jsonl", "cap.daec", "decoded.jsonl", "f1.json",
-                      "scores.json"]
+                      "scores.json", "overlap_scores.json"]
+
+# Edits of one reference each, chosen among a seeded sample of one- and
+# two-word edits as one on which each of five reorderings of the
+# metrics' sums (the BLEU log precisions; the CIDEr-D means over images
+# and orders, and its division by both norms) changes the report.
+PIPELINE_OVERLAP_CANDIDATES = {
+    1: "red bird sits chases on branch",
+    2: "grass dog runs on grass",
+    3: "ball lies on the grass",
+    4: "bird and dog and red play",
+}
 
 
 def write_pipeline_inputs(root):
@@ -498,6 +514,9 @@ def write_pipeline_inputs(root):
             "red " + " ".join(str(0.125 * (i + 1)) for i in range(dims)),
             "dog " + " ".join(str(-0.25) for _ in range(dims))]
     (root / "vectors.txt").write_text("\n".join(rows) + "\n")
+    (root / "overlap.jsonl").write_text("".join(
+        json.dumps({"image_id": image_id, "tokens": caption.split()}) + "\n"
+        for image_id, caption in PIPELINE_OVERLAP_CANDIDATES.items()))
 
 
 def run_pipeline(root):

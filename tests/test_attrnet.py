@@ -434,6 +434,37 @@ def test_training_holds_three_parameter_sets_and_one_row_slab(monkeypatch):
     assert training_peak_in_parameter_sets() < 3.25
 
 
+def test_a_training_step_caches_masks_not_activations():
+    # Batch and width 512, so one batch's activation is as large as one
+    # weight: a float64 copy of any mask or activation would show. Two
+    # steps, so the second runs with Adam's moments in place.
+    n = width = 512
+    config = AttrNetConfig(n_words=width, feature_dim=width, hidden_dim=width)
+    rng = Rng(48)
+    x = rng.normal((2 * n, width))
+    y = np.abs(rng.normal((2 * n, width)))
+    train_config = AttrTrainConfig(batch_size=n, epochs=1, seed=5)
+    nncore.worker_pool()  # its start is not the step's memory
+    tracemalloc.start()
+    try:
+        net, _ = train_attrnet(x, y, config, train_config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    activation = n * width * 8
+    held = (4 * activation  # the four layers' inputs
+            + 4 * activation  # the normalized activations
+            + 7 * n * width  # four ReLU and three dropout masks, a byte each
+            + width * width * 8  # one gradient slab: a whole weight here
+            + 2 * nncore._CHUNK * 8)  # Adam's scratch
+    # One layer's backward step works on four activation-sized arrays at
+    # once (its gradient, the scaled gradient and two batch-norm
+    # temporaries); a quarter more covers the vectors.
+    working = 4.25 * activation
+    beyond = peak - 3 * sum(value.nbytes for value in net.params.values())
+    assert beyond <= held + working
+
+
 def reference_train(x, y, net_config, train_config):
     """The training loop that computes every gradient of a batch with
     :meth:`AttrNet.loss` before one whole-dict Adam step; returns the

@@ -13,7 +13,9 @@ checkout's working tree, uncommitted changes included.
 The output file holds, per workload and per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles
 (``statistics.quantiles``), the head's change against the base median,
-the metric's bound, the pairs the head won, and the benchmark's two
+the metric's bound, the pairs the head won, the noise floor that a
+gain must exceed (from the A/A report ``BENCH_AA.json``, see
+:func:`noise_floor`), and the benchmark's two
 verdicts, ``gain`` and ``unresolved`` (see :func:`summarize`). Every run
 is listed with its seed, its order in the pair, its ``correct`` flag,
 its ``attempted`` and ``failed`` counts, its metrics and the load
@@ -75,17 +77,19 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs, end_to_end):
+def summarize(runs, end_to_end, floor):
     """Per-metric summary of one workload's ``runs`` (each with ``pair``,
     ``side``, ``correct`` and ``metrics``). Only pairs whose two runs both
     finished correct count; ``head_wins`` counts those in which the head
     is strictly better, ``change`` is the head median's relative change
     against the base median (positive is larger). The benchmark's two
     verdicts: ``gain``, the head wins at least 9/10 of all pairs run
-    (an incomplete pair is not won) and its median is better than the
-    base median by more than the base's q3 - q1; ``unresolved``, the
-    base's (q3 - q1) / median exceeds the bound and not every head run
-    is better than every base run."""
+    (an incomplete pair is not won), its median is better than the base
+    median by more than the base's q3 - q1, and its relative change is
+    better by more than the metric's ``floor`` (``{metric: fraction}``,
+    see :func:`noise_floor`; a metric the floor lacks reads no gain);
+    ``unresolved``, the base's (q3 - q1) / median exceeds the bound and
+    not every head run is better than every base run."""
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
@@ -103,18 +107,37 @@ def summarize(runs, end_to_end):
                   if pairs and base["median"] else None)
         wins = sum(sign * (b - h) > 0 for b, h in pairs)
         iqr = base["q3"] - base["q1"] if pairs else None
+        noise = floor.get(name)
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "pairs": len(pairs), "base": base, "head": head, "change": change,
-            "head_wins": wins,
+            "head_wins": wins, "floor": noise,
             "within_bound": None if change is None else sign * change <= metric["bound"],
             "gain": bool(pairs) and 10 * wins >= 9 * len(by_pair)
-            and sign * (base["median"] - head["median"]) > iqr,
+            and sign * (base["median"] - head["median"]) > iqr
+            and noise is not None and change is not None and -sign * change > noise,
             "unresolved": None if change is None else (
                 iqr / base["median"] > metric["bound"]
                 and max(sign * h for _, h in pairs) >= min(sign * b for b, _ in pairs)),
         }
     return summary
+
+
+def noise_floor(aa_report, end_to_end):
+    """``{workload: {metric: fraction}}`` from an A/A report, one whose
+    two sides ran the same code: per metric, the larger of the A/A
+    change and the A/A base's (q3 - q1) / median, re-summarized from its
+    runs. A change that unchanged code can show is no gain."""
+    floors = {}
+    for workload, entry in aa_report["workloads"].items():
+        floors[workload] = {}
+        # Only the change and the base spread are read, not the verdicts.
+        for name, metric in summarize(entry["runs"], end_to_end, {}).items():
+            if metric["change"] is not None:
+                base = metric["base"]
+                floors[workload][name] = max(abs(metric["change"]),
+                                             (base["q3"] - base["q1"]) / abs(base["median"]))
+    return floors
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -141,6 +164,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
         bench = json.load(handle)
+    with open(ROOT / "BENCH_AA.json", encoding="utf-8") as handle:
+        floors = noise_floor(json.load(handle), bench["end_to_end"])
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     if args.pairs < 1:
@@ -173,7 +198,9 @@ def main(argv=None):
             envs = {side: next((r["env"] for r in runs if r["side"] == side and r["env"]), None)
                     for side in ("base", "head")}
             report["workloads"][workload] = {
-                "env": envs, "metrics": summarize(runs, bench["end_to_end"]), "runs": runs}
+                "env": envs, "metrics": summarize(runs, bench["end_to_end"],
+                                                  floors.get(workload, {})),
+                "runs": runs}
     finally:
         git("worktree", "remove", "--force", str(base_dir))
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -183,7 +210,8 @@ def main(argv=None):
         for name, metric in entry["metrics"].items():
             print(f"{workload} {name}: base {metric['base']['median']} head "
                   f"{metric['head']['median']} change {metric['change']} "
-                  f"wins {metric['head_wins']}/{metric['pairs']} gain {metric['gain']} "
+                  f"wins {metric['head_wins']}/{metric['pairs']} floor {metric['floor']} "
+                  f"gain {metric['gain']} "
                   f"unresolved {metric['unresolved']}")
     return 0
 
